@@ -15,10 +15,10 @@ reproduces them bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -619,58 +619,32 @@ def _refine_params(
 
 
 class _Screen:
-    """Collects the best violating candidates and the first undefined lane."""
+    """Keeps the best violating candidate ids and the first undefined one."""
 
     def __init__(self) -> None:
-        self.candidates: list[tuple[float, int, tuple, tuple, dict]] = []
-        self.bad: Optional[tuple[int, tuple, tuple, dict]] = None
+        self.candidates: list[tuple[float, int]] = []
+        self.bad: Optional[int] = None
 
     def add_chunk(
-        self,
-        start: int,
-        margin: np.ndarray,
-        viol: np.ndarray,
-        bad: np.ndarray,
-        p1_of: Callable[[int], tuple],
-        p2_of: Callable[[int], tuple],
-        params_of: Callable[[int], dict],
+        self, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray
     ) -> bool:
         """Returns True when screening should stop (undefined lane found)."""
         if bad.any():
-            i = int(np.argmax(bad))
-            self.bad = (start + i, p1_of(i), p2_of(i), params_of(i))
+            self.bad = start + int(np.argmax(bad))
             return True
         idx = np.nonzero(viol)[0]
-        if idx.size:
-            # keep the lowest-index candidates among the best margins so the
-            # final ranking ties break lexicographically by candidate index
-            best = float(np.max(margin[idx]))
-            leaders = idx[margin[idx] == best][:_TOP_K]
-            chosen = list(leaders)
-            if len(chosen) < _TOP_K and idx.size > len(chosen):
-                rest = idx[margin[idx] < best]
-                if rest.size:
-                    take = min(_TOP_K - len(chosen), rest.size)
-                    part = np.argpartition(margin[rest], rest.size - take)[-take:]
-                    chosen.extend(rest[part])
-            for i in chosen:
-                i = int(i)
-                self.candidates.append(
-                    (float(margin[i]), start + i, p1_of(i), p2_of(i), params_of(i))
-                )
+        if idx.size > _TOP_K:
+            # the K best by (-margin, id) in linear time: every lane above the
+            # K-th largest margin, then the lowest ids among the lanes equal to it
+            vals = margin[idx]
+            kth = np.partition(vals, idx.size - _TOP_K)[idx.size - _TOP_K]
+            above = idx[vals > kth]
+            idx = np.concatenate((above, idx[vals == kth][: _TOP_K - above.size]))
+        self.candidates.extend((float(margin[i]), start + int(i)) for i in idx)
         return False
 
-    def ranked(self) -> list[tuple[float, int, tuple, tuple, dict]]:
+    def ranked(self) -> list[tuple[float, int]]:
         return sorted(self.candidates, key=lambda c: (-c[0], c[1]))
-
-
-def _eval_points(expr_or_fn, xs, ys=None):
-    """Vectorised f on candidate points; returns (values, ok)."""
-    if isinstance(expr_or_fn, Expr):
-        if expr_or_fn.arity == 1:
-            return eval_array(expr_or_fn, xs)
-        return eval_array(expr_or_fn, xs, ys)
-    raise TypeError("membership checks need a parsed expression")
 
 
 def _first_domain_failure(
@@ -684,81 +658,191 @@ def _first_domain_failure(
     return pts[-1], "non-finite evaluation"
 
 
-def _screen_kind(
-    kind: str,
-    f: Expr,
-    F1: np.ndarray,
-    F2: np.ndarray,
-    ok_ends: np.ndarray,
-    x1,
-    y1,
-    x2,
-    y2,
-    lam: Optional[np.ndarray],
-    s: Optional[np.ndarray],
-    degenerate: np.ndarray,
+def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
+    """View ``arr`` with its dimensions on ``axes`` (ascending) of ndim axes."""
+    shape = [1] * ndim
+    for ax, size in zip(axes, arr.shape):
+        shape[ax] = size
+    return arr.reshape(shape)
+
+
+def _slabs(shape: tuple[int, ...]):
+    """Chunks of a C-order tensor in id order, as (prefix, lo, hi).
+
+    A chunk fixes the leading ``prefix`` indices and spans ``lo:hi`` on the
+    next axis: the largest whole slab that holds at most ``_CHUNK`` lanes.
+    """
+    j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
+    step = min(shape[j], _CHUNK // math.prod(shape[j + 1 :]))
+    for prefix in np.ndindex(*shape[:j]):
+        for lo in range(0, shape[j], step):
+            yield prefix, lo, min(lo + step, shape[j])
+
+
+def _slab(view: np.ndarray, prefix: tuple, lo: int, hi: int) -> np.ndarray:
+    """The chunk ``prefix, lo:hi`` of a view that may broadcast on any axis."""
+    j = len(prefix)
+    head = tuple(i if view.shape[a] > 1 else 0 for a, i in enumerate(prefix))
+    return view[head + (slice(lo, hi) if view.shape[j] > 1 else slice(None),)]
+
+
+def _skipped(same: list, p1: list, p2: list, ordered_only: bool):
+    """Lanes the template skips: coincident points and, for W2-ordered,
+    pairs that are not componentwise ordered."""
+    skip = same[0]
+    for extra in same[1:]:
+        skip = skip & extra
+    if ordered_only:
+        for a, b in zip(p1, p2):
+            skip = skip | (a > b)
+    return skip
+
+
+def _eval_lanes(f: Expr, coords: list, shape: tuple):
+    """f at co-ordinates broadcast onto contiguous lanes of ``shape``."""
+    lanes = [np.empty(shape) for _ in coords]
+    for out, c in zip(lanes, coords):
+        np.copyto(out, c)
+    return eval_array(f, *lanes)
+
+
+def _lane_margins(
+    kind: str, f: Expr, d: int, cols: list, F1, F2, shape: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised template evaluation; mirrors ``_template`` lane-by-lane."""
-    two_d = y1 is not None
+    """Vectorised template; mirrors ``_template`` lane by lane.
 
-    def feval(px, py):
-        if two_d:
-            return _eval_points(f, px, py)
-        return _eval_points(f, px)
-
-    if kind in ("C", "J", "QC", "JQC"):
-        tt = lam if kind in ("C", "QC") else 0.5
-        mx = _mix_a_vec(tt, x1, x2)
-        my = _mix_a_vec(tt, y1, y2) if two_d else None
-        lhs, okm = feval(mx, my)
-        if kind == "C":
-            rhs = lam * F1 + (1.0 - lam) * F2
-        elif kind == "J":
-            rhs = 0.5 * F1 + 0.5 * F2
-        else:
-            rhs = np.maximum(F1, F2)
-        ok = ok_ends & okm
-    elif kind == "WQC":
-        ax = _mix_a_vec(lam, x1, x2)
-        ay = _mix_a_vec(lam, y1, y2) if two_d else None
-        bx = _mix_b_vec(lam, x1, x2)
-        by = _mix_b_vec(lam, y1, y2) if two_d else None
-        va, oka = feval(ax, ay)
-        vb, okb = feval(bx, by)
-        lhs = 0.5 * (va + vb)
-        rhs = np.maximum(F1, F2)
-        ok = ok_ends & oka & okb
+    ``cols`` holds the candidates' co-ordinates and parameters, ordered
+    (x1[, y1], x2[, y2], t[, s]) and broadcastable to ``shape``; F1 and F2
+    are f at the two points.  Returns (margin, over, ok): ``over`` marks
+    margins that clear the violation tolerance, ``ok`` lanes whose mixed
+    points all evaluate.
+    """
+    p1, p2, params = cols[:d], cols[d : 2 * d], cols[2 * d :]
+    # one parameter mixes every axis; W2's (t, s) mix x and y separately
+    ts = [params[a % len(params)] if params else 0.5 for a in range(d)]
+    lhs, ok = _eval_lanes(f, [_mix_a_vec(*m) for m in zip(ts, p1, p2)], shape)
+    if kind in ("W", "WQC"):
+        vb, okb = _eval_lanes(f, [_mix_b_vec(*m) for m in zip(ts, p1, p2)], shape)
+        ok = ok & okb
+        lhs = vb + lhs if kind == "W" else 0.5 * (lhs + vb)
+    if kind == "C":
+        rhs = params[0] * F1 + (1.0 - params[0]) * F2
+    elif kind == "J":
+        rhs = 0.5 * F1 + 0.5 * F2
     elif kind == "W":
-        ss = s if s is not None else lam
-        bx = _mix_b_vec(lam, x1, x2)
-        by = _mix_b_vec(ss, y1, y2) if two_d else None
-        ax = _mix_a_vec(lam, x1, x2)
-        ay = _mix_a_vec(ss, y1, y2) if two_d else None
-        vb, okb = feval(bx, by)
-        va, oka = feval(ax, ay)
-        lhs = vb + va
         rhs = F1 + F2
-        ok = ok_ends & oka & okb
-    else:  # pragma: no cover
-        raise AssertionError(kind)
+    else:  # QC, JQC, WQC
+        rhs = np.maximum(F1, F2)
     margin = lhs - rhs
     tau = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    viol = ok & ~degenerate & (margin > tau)
-    bad = ~ok & ~degenerate
-    return margin, viol, bad
+    return margin, margin > tau, ok
+
+
+def _candidate(
+    i: int, shape: tuple, axis_vals: list, halton: list, names: tuple
+) -> tuple[tuple, tuple, dict]:
+    """(p1, p2, params) of candidate ``i``: grid ids first, then Halton ids."""
+    grid_total = math.prod(shape)
+    if i < grid_total:
+        vals = [float(v[j]) for v, j in zip(axis_vals, np.unravel_index(i, shape))]
+    else:
+        vals = [float(c[i - grid_total]) for c in halton]
+    d = (len(vals) - len(names)) // 2
+    return tuple(vals[:d]), tuple(vals[d : 2 * d]), dict(zip(names, vals[2 * d :]))
+
+
+def _screen(
+    f: Expr,
+    intervals: tuple[Interval, ...],
+    class_id: ClassId,
+    budget: SearchBudget,
+    seed: Optional[int],
+) -> Verdict:
+    """Screen a 1D or 2D class: the tensor grid, then the Halton batch.
+
+    Grid candidates form a C-order tensor with axes (x1[, y1], x2[, y2],
+    t[, s]) whose flat index is the candidate id; Halton ids follow the grid.
+    Equal margins rank by lower id.
+    """
+    n, m = budget.grid_n, budget.halton_count
+    kind, names = class_id.kind, class_id.param_names
+    d = len(intervals)
+    ndim = 2 * d + len(names)
+    ordered_only = class_id is ClassId.W2_ORDERED
+    resolution = f"grid n={n}{' per axis' if d == 2 else ''}, halton m={m}"
+    grids = [np.linspace(iv.lo, iv.hi, n) for iv in intervals]
+    points = [_place(g, (a,), d) for a, g in enumerate(grids)]
+    Fg, okg = _eval_lanes(f, points, (n,) * d)
+    if not okg.all():
+        at = np.unravel_index(int(np.argmax(~okg)), okg.shape)
+        pt = tuple(float(g[i]) for g, i in zip(grids, at))
+        point, _ = _first_domain_failure(f, [pt])
+        return Verdict(status="undefined", resolution=resolution, seed=seed, point=point)
+    shape = (n,) * ndim
+    grid_total = n**ndim
+    axis_vals = grids + grids + [np.linspace(0.0, 1.0, n)] * len(names)
+    cols = [_place(v, (a,), ndim) for a, v in enumerate(axis_vals)]
+    F1 = _place(Fg, range(d), ndim)
+    F2 = _place(Fg, range(d, 2 * d), ndim)
+    # a grid pair is degenerate when its two point indices coincide
+    same = [_place(np.eye(n, dtype=bool), (a, d + a), ndim) for a in range(d)]
+    skip = _skipped(same, cols[:d], cols[d : 2 * d], ordered_only)
+    screen = _Screen()
+    start = 0
+    for prefix, lo, hi in _slabs(shape):
+        margin, over, ok = _lane_margins(
+            kind,
+            f,
+            d,
+            [_slab(c, prefix, lo, hi) for c in cols],
+            _slab(F1, prefix, lo, hi),
+            _slab(F2, prefix, lo, hi),
+            (hi - lo,) + shape[len(prefix) + 1 :],
+        )
+        live = ~_slab(skip, prefix, lo, hi)
+        if screen.add_chunk(
+            start, margin.ravel(), (ok & live & over).ravel(), (~ok & live).ravel()
+        ):
+            break
+        start += margin.size
+    halton: list = []
+    if m > 0 and screen.bad is None:
+        cube = _halton_cube(m, ndim)
+        halton = [
+            iv.lo + (iv.hi - iv.lo) * cube[:, a] for a, iv in enumerate(intervals * 2)
+        ] + [cube[:, a] for a in range(2 * d, ndim)]
+        p1, p2 = halton[:d], halton[d : 2 * d]
+        F1, ok1 = eval_array(f, *p1)
+        F2, ok2 = eval_array(f, *p2)
+        margin, over, ok = _lane_margins(kind, f, d, halton, F1, F2, (m,))
+        ok = ok & ok1 & ok2
+        live = ~_skipped([a == b for a, b in zip(p1, p2)], p1, p2, ordered_only)
+        screen.add_chunk(grid_total, margin, ok & live & over, ~ok & live)
+    samples = grid_total - n ** (ndim - d) + m  # diagonal pairs are degenerate
+    bad = None
+    if screen.bad is not None:
+        bad = _candidate(screen.bad, shape, axis_vals, halton, names)
+    # decoded lazily: the first candidate usually yields the witness
+    ranked = (
+        _candidate(i, shape, axis_vals, halton, names) for _, i in screen.ranked()
+    )
+    return _finish(
+        class_id, f, bad, ranked, samples, resolution, seed, budget.refine_iters
+    )
 
 
 def _finish(
     class_id: ClassId,
     f: Expr,
-    screen: _Screen,
+    bad: Optional[tuple[tuple, tuple, dict]],
+    ranked: Iterable[tuple[tuple, tuple, dict]],
     samples: int,
     resolution: str,
     seed: Optional[int],
     refine_iters: int,
 ) -> Verdict:
-    if screen.bad is not None:
-        _, p1, p2, params = screen.bad
+    if bad is not None:
+        p1, p2, params = bad
         pts = [p1, p2]
         kind = class_id.kind
         arity = class_id.arity
@@ -780,7 +864,7 @@ def _finish(
             seed=seed,
             point=point,
         )
-    for _margin_est, _idx, p1, p2, params in screen.ranked():
+    for p1, p2, params in ranked:
         try:
             refined = _refine_params(class_id, f, p1, p2, params, refine_iters)
             try:
@@ -802,192 +886,6 @@ def _finish(
         samples=samples,
         seed=seed,
     )
-
-
-def _check_1d(
-    f: Expr, iv: Interval, class_id: ClassId, budget: SearchBudget, seed: Optional[int]
-) -> Verdict:
-    n = budget.grid_n
-    m = budget.halton_count
-    kind = class_id.kind
-    has_param = bool(class_id.param_names)
-    grid = np.linspace(iv.lo, iv.hi, n)
-    Fg, okg = eval_array(f, grid)
-    resolution = f"grid n={n}, halton m={m}"
-    if not okg.all():
-        i = int(np.argmax(~okg))
-        point, _ = _first_domain_failure(f, [(float(grid[i]),)])
-        return Verdict(status="undefined", resolution=resolution, seed=seed, point=point)
-    lamgrid = np.linspace(0.0, 1.0, n)
-    K = n if has_param else 1
-    grid_total = n * n * K
-    screen = _Screen()
-    stopped = False
-    for start in range(0, grid_total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, grid_total), dtype=np.int64)
-        i = ids // (n * K)
-        r = ids % (n * K)
-        j = r // K
-        k = r % K
-        x1, x2 = grid[i], grid[j]
-        lam = lamgrid[k] if has_param else None
-        F1, F2 = Fg[i], Fg[j]
-        degenerate = i == j
-        ok_ends = np.ones(ids.shape, dtype=bool)
-        margin, viol, bad = _screen_kind(
-            kind, f, F1, F2, ok_ends, x1, None, x2, None, lam, None, degenerate
-        )
-
-        def p1_of(t, x1=x1):
-            return (float(x1[t]),)
-
-        def p2_of(t, x2=x2):
-            return (float(x2[t]),)
-
-        def params_of(t, lam=lam):
-            if not has_param:
-                return {}
-            name = "lam" if kind in ("C", "QC") else "t"
-            return {name: float(lam[t])}
-
-        if screen.add_chunk(start, margin, viol, bad, p1_of, p2_of, params_of):
-            stopped = True
-            break
-    if m > 0 and not stopped:
-        dims = 3 if has_param else 2
-        cube = _halton_cube(m, dims)
-        span = iv.hi - iv.lo
-        x1 = iv.lo + span * cube[:, 0]
-        x2 = iv.lo + span * cube[:, 1]
-        lam = cube[:, 2] if has_param else None
-        F1, ok1 = eval_array(f, x1)
-        F2, ok2 = eval_array(f, x2)
-        degenerate = x1 == x2
-        margin, viol, bad = _screen_kind(
-            kind, f, F1, F2, ok1 & ok2, x1, None, x2, None, lam, None, degenerate
-        )
-
-        def p1_of(t, x1=x1):
-            return (float(x1[t]),)
-
-        def p2_of(t, x2=x2):
-            return (float(x2[t]),)
-
-        def params_of(t, lam=lam):
-            if not has_param:
-                return {}
-            name = "lam" if kind in ("C", "QC") else "t"
-            return {name: float(lam[t])}
-
-        screen.add_chunk(grid_total, margin, viol, bad, p1_of, p2_of, params_of)
-    samples = grid_total - n * K + m  # diagonal pairs are degenerate
-    return _finish(class_id, f, screen, samples, resolution, seed, budget.refine_iters)
-
-
-def _check_2d(
-    f: Expr, box: Box2, class_id: ClassId, budget: SearchBudget, seed: Optional[int]
-) -> Verdict:
-    n = budget.grid_n
-    m = budget.halton_count
-    kind = class_id.kind
-    names = class_id.param_names
-    nparams = len(names)
-    ordered_only = class_id is ClassId.W2_ORDERED
-    gx = np.linspace(box.x.lo, box.x.hi, n)
-    gy = np.linspace(box.y.lo, box.y.hi, n)
-    P = n * n
-    GX = np.repeat(gx, n)  # point p -> (gx[p // n], gy[p % n])
-    GY = np.tile(gy, n)
-    Fg, okg = eval_array(f, GX, GY)
-    resolution = f"grid n={n} per axis, halton m={m}"
-    if not okg.all():
-        i = int(np.argmax(~okg))
-        point, _ = _first_domain_failure(f, [(float(GX[i]), float(GY[i]))])
-        return Verdict(status="undefined", resolution=resolution, seed=seed, point=point)
-    lamgrid = np.linspace(0.0, 1.0, n)
-    K = n ** nparams
-    grid_total = P * P * K
-    screen = _Screen()
-    stopped = False
-    for start in range(0, grid_total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, grid_total), dtype=np.int64)
-        p = ids // (P * K)
-        r = ids % (P * K)
-        q = r // K
-        kk = r % K
-        if nparams == 2:
-            lam = lamgrid[kk // n]
-            s = lamgrid[kk % n]
-        elif nparams == 1:
-            lam = lamgrid[kk]
-            s = None
-        else:
-            lam = s = None
-        x1, y1 = GX[p], GY[p]
-        x2, y2 = GX[q], GY[q]
-        F1, F2 = Fg[p], Fg[q]
-        degenerate = p == q
-        if ordered_only:
-            degenerate = degenerate | (x1 > x2) | (y1 > y2)
-        ok_ends = np.ones(ids.shape, dtype=bool)
-        margin, viol, bad = _screen_kind(
-            kind, f, F1, F2, ok_ends, x1, y1, x2, y2, lam, s, degenerate
-        )
-
-        def p1_of(t, x1=x1, y1=y1):
-            return (float(x1[t]), float(y1[t]))
-
-        def p2_of(t, x2=x2, y2=y2):
-            return (float(x2[t]), float(y2[t]))
-
-        def params_of(t, lam=lam, s=s):
-            out = {}
-            if nparams >= 1:
-                out["lam" if kind in ("C", "QC") else "t"] = float(lam[t])
-            if nparams == 2:
-                out["s"] = float(s[t])
-            return out
-
-        if screen.add_chunk(start, margin, viol, bad, p1_of, p2_of, params_of):
-            stopped = True
-            break
-    if m > 0 and not stopped:
-        dims = 4 + nparams
-        cube = _halton_cube(m, dims)
-        sx, sy = box.x.hi - box.x.lo, box.y.hi - box.y.lo
-        x1 = box.x.lo + sx * cube[:, 0]
-        y1 = box.y.lo + sy * cube[:, 1]
-        x2 = box.x.lo + sx * cube[:, 2]
-        y2 = box.y.lo + sy * cube[:, 3]
-        lam = cube[:, 4] if nparams >= 1 else None
-        s = cube[:, 5] if nparams == 2 else None
-        F1, ok1 = eval_array(f, x1, y1)
-        F2, ok2 = eval_array(f, x2, y2)
-        degenerate = (x1 == x2) & (y1 == y2)
-        if ordered_only:
-            degenerate = degenerate | (x1 > x2) | (y1 > y2)
-        margin, viol, bad = _screen_kind(
-            kind, f, F1, F2, ok1 & ok2, x1, y1, x2, y2, lam, s, degenerate
-        )
-
-        def p1_of(t, x1=x1, y1=y1):
-            return (float(x1[t]), float(y1[t]))
-
-        def p2_of(t, x2=x2, y2=y2):
-            return (float(x2[t]), float(y2[t]))
-
-        def params_of(t, lam=lam, s=s):
-            out = {}
-            if nparams >= 1:
-                out["lam" if kind in ("C", "QC") else "t"] = float(lam[t])
-            if nparams == 2:
-                out["s"] = float(s[t])
-            return out
-
-        screen.add_chunk(grid_total, margin, viol, bad, p1_of, p2_of, params_of)
-    samples = grid_total - P * K + m
-    return _finish(class_id, f, screen, samples, resolution, seed, budget.refine_iters)
-
 
 def check_membership(
     f: Expr,
@@ -1019,10 +917,10 @@ def check_membership(
     if class_id.arity == 1:
         if not isinstance(domain, Interval) or f.arity != 1:
             raise ValueError("1D class needs an Interval domain and a 1D function")
-        return _check_1d(f, domain, class_id, budget, seed)
+        return _screen(f, (domain,), class_id, budget, seed)
     if not isinstance(domain, Box2) or f.arity != 2:
         raise ValueError("2D class needs a Box2 domain and a 2D function")
-    return _check_2d(f, box=domain, class_id=class_id, budget=budget, seed=seed)
+    return _screen(f, (domain.x, domain.y), class_id, budget, seed)
 
 
 def coordinate_check(
@@ -1054,7 +952,7 @@ def coordinate_check(
         for value in np.linspace(frozen_iv.lo, frozen_iv.hi, slices):
             value = float(value)
             slice_f = restrict(f, axis, value)
-            verdict = _check_1d(slice_f, run_iv, class_id, budget, seed)
+            verdict = _screen(slice_f, (run_iv,), class_id, budget, seed)
             total_samples += verdict.samples
             if verdict.undefined:
                 u = verdict.point[0] if verdict.point else run_iv.lo
@@ -1067,19 +965,7 @@ def coordinate_check(
                     point=point,
                 )
             if verdict.violated:
-                w = verdict.witness
-                w = Witness(
-                    class_id=w.class_id,
-                    p1=w.p1,
-                    p2=w.p2,
-                    params=w.params,
-                    lhs=w.lhs,
-                    rhs=w.rhs,
-                    margin=w.margin,
-                    frozen_axis=axis.value,
-                    frozen_value=value,
-                    aux=w.aux,
-                )
+                w = replace(verdict.witness, frozen_axis=axis.value, frozen_value=value)
                 if best is None or w.margin > best.margin:
                     best = w
     if best is not None:

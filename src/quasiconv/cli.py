@@ -2,9 +2,9 @@
 
 Exit codes are the machine contract: 0 for a pass (no violation found, all
 links hold, separation found, gallery clean), 1 for a violated/failed
-outcome, 2 for usage or input errors.  ``--json`` emits a versioned run
-record that round-trips: re-running the recorded inputs reproduces the
-outcome exactly.
+outcome, 2 for usage or input errors, 3 for an internal error (a crash).
+``--json`` emits a versioned run record that round-trips: re-running the
+recorded inputs reproduces the outcome exactly.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional, Union
+import traceback
+from typing import Optional
 
 from . import __version__
 from .classifiers import ClassId, SearchBudget, check_membership
-from .domains import Box2, Interval
+from .domains import Box2, parse_domain
 from .expressions import ArityError, DomainError, ExprSyntaxError, parse
 from .inclusions import (
     GalleryDrift,
@@ -40,6 +41,7 @@ from .inequalities import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _INEQUALITIES = {
     "HH1D": (hadamard_1d, 1),
@@ -49,18 +51,6 @@ _INEQUALITIES = {
     "THM_2_1": (thm_jqc_coord, 2),
     "THM_2_4": (thm_wqc_coord, 2),
 }
-
-
-def _parse_domain(text: str) -> Union[Interval, Box2]:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(f"domain must be numbers separated by commas, got {text!r}")
-    if len(parts) == 2:
-        return Interval(*parts)
-    if len(parts) == 4:
-        return Box2.from_bounds(*parts)
-    raise ValueError("domain needs 2 numbers (1D) or 4 numbers (2D)")
 
 
 def _emit(args, record: dict, human: str) -> None:
@@ -85,7 +75,7 @@ def _run_record(command: str, inputs: dict, config: dict, outcome: dict, t0: flo
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     try:
-        domain = _parse_domain(args.domain)
+        domain = parse_domain(args.domain)
         class_id = ClassId.from_name(getattr(args, "class_id"))
         arity = 2 if isinstance(domain, Box2) else 1
         if class_id.arity != arity:
@@ -134,7 +124,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_USAGE
     try:
-        domain = _parse_domain(args.domain)
+        domain = parse_domain(args.domain)
         if (2 if isinstance(domain, Box2) else 1) != arity:
             raise ValueError(
                 f"{args.inequality} needs a {'2D' if arity == 2 else '1D'} domain"
@@ -168,7 +158,7 @@ def cmd_search(args) -> int:
             family=family_from_name(args.family),
             trials=args.trials,
             seed=args.seed,
-            domain=_parse_domain(args.domain),
+            domain=parse_domain(args.domain),
         )
     except (InvalidSearchPair, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -310,7 +300,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as err:  # a crash must never read as a verdict
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .classifiers import (
     defining_inequality,
     violation_tolerance,
 )
-from .domains import Box2, Interval
+from .domains import Box2, Interval, parse_domain
 from .expressions import (
     Axis,
     Expr,
@@ -141,15 +141,6 @@ class GalleryEntry:
         return parse(self.expr_text, arity)
 
 
-def _parse_domain(text: str) -> Union[Interval, Box2]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) == 2:
-        return Interval(*parts)
-    if len(parts) == 4:
-        return Box2.from_bounds(*parts)
-    raise ValueError(f"domain needs 2 or 4 numbers, got {text!r}")
-
-
 def _parse_classes(text: str) -> tuple[ClassId, ...]:
     text = text.strip()
     if not text:
@@ -168,7 +159,7 @@ def parse_catalog(text: str) -> list[GalleryEntry]:
             GalleryEntry(
                 name=current["name"],
                 expr_text=current["expr"],
-                domain=_parse_domain(current["domain"]),
+                domain=parse_domain(current["domain"]),
                 claimed_in=_parse_classes(current.get("in", "")),
                 claimed_not_in=_parse_classes(current.get("not_in", "")),
                 witnesses=current["witnesses"],

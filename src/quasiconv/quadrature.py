@@ -23,7 +23,6 @@ from .expressions import ArityError, DomainError, Expr, eval_array
 __all__ = [
     "QuadConfig",
     "QuadResult",
-    "default_config",
     "integrate_1d",
     "integrate_2d",
     "integrate_abs_difference",
@@ -87,10 +86,6 @@ class QuadConfig:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1 or self.initial_panels < 1:
             raise ValueError("subdivision counts must be at least 1")
-
-
-def default_config() -> QuadConfig:
-    return QuadConfig()
 
 
 @dataclass(frozen=True)

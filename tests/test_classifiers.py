@@ -19,6 +19,7 @@ from quasiconv import (
     strengthen_witness,
     violation_tolerance,
 )
+from quasiconv.classifiers import _halton_cube
 from quasiconv.expressions import _Binary, _Const, _Unary, _Var, Expr, unparse
 
 BOX = Box2.from_bounds(-1, 1, -1, 1)
@@ -391,3 +392,83 @@ class TestW2Readings:
         assert check_membership(
             f, BOX, ClassId.W2_ORDERED, budget=small
         ).no_violation_found
+
+
+REF_BUDGET = SearchBudget(grid_n=4, halton_count=16, refine_iters=0)
+# + - * abs min max only: the scalar and vector evaluators agree bit for bit
+REF_FUNCTIONS_1D = ("abs(x - 0.25) - 0.5*x*x", "x*x", "min(x, 0.3) - abs(x)*x")
+REF_FUNCTIONS_2D = (
+    "max(x*y, x - y) - abs(x + 0.5*y)",
+    "x*x + y*y",
+    "min(x, y)*abs(y) - 0.25*x",
+)
+
+
+def reference_screen(f, domain, cid, budget):
+    """Plain-loop oracle of ``check_membership`` with no refinement: every
+    candidate in id order (the tensor grid, then the Halton batch) through
+    the scalar template.  Returns (status, samples, witness)."""
+    ivs = [domain] if isinstance(domain, Interval) else [domain.x, domain.y]
+    d, names = len(ivs), cid.param_names
+    n, m = budget.grid_n, budget.halton_count
+    grids = [[float(v) for v in np.linspace(iv.lo, iv.hi, n)] for iv in ivs]
+    lams = [float(v) for v in np.linspace(0.0, 1.0, n)]
+    candidates = []
+    for i1 in itertools.product(range(n), repeat=d):
+        for i2 in itertools.product(range(n), repeat=d):
+            if i1 == i2:
+                continue  # coincident grid points are not candidates
+            p1 = tuple(g[i] for g, i in zip(grids, i1))
+            p2 = tuple(g[i] for g, i in zip(grids, i2))
+            for ps in itertools.product(lams, repeat=len(names)):
+                candidates.append((p1, p2, dict(zip(names, ps))))
+    samples = len(candidates) + m
+    for row in _halton_cube(m, 2 * d + len(names)):
+        row = [float(v) for v in row]
+        vals = [iv.lo + (iv.hi - iv.lo) * u for iv, u in zip(ivs * 2, row)]
+        p1, p2 = tuple(vals[:d]), tuple(vals[d:])
+        if p1 != p2:
+            candidates.append((p1, p2, dict(zip(names, row[2 * d :]))))
+    best = None
+    for p1, p2, params in candidates:
+        if cid is ClassId.W2_ORDERED and any(a > b for a, b in zip(p1, p2)):
+            continue
+        lhs, rhs = defining_inequality(cid, f, p1, p2, params)
+        margin = lhs - rhs
+        if margin > violation_tolerance(lhs, rhs) and (best is None or margin > best[0]):
+            best = (margin, p1, p2, params)
+    if best is None:
+        return "no_violation_found", samples, None
+    return "violated", samples, make_witness(cid, f, *best[1:])
+
+
+class TestReferenceScreen:
+    @pytest.mark.parametrize(
+        "cid", [c for c in ClassId if not c.is_coordinate], ids=lambda c: c.value
+    )
+    def test_engine_matches_plain_loop(self, cid):
+        if cid.arity == 1:
+            texts, dom = REF_FUNCTIONS_1D, Interval(-1.0, 0.8)
+        else:
+            texts, dom = REF_FUNCTIONS_2D, Box2.from_bounds(-1.0, 0.8, -0.6, 1.0)
+        for text in texts:
+            f = parse(text, cid.arity)
+            status, samples, witness = reference_screen(f, dom, cid, REF_BUDGET)
+            got = check_membership(f, dom, cid, budget=REF_BUDGET)
+            assert (got.status, got.samples) == (status, samples), text
+            # repr compares every witness field bit for bit
+            assert repr(got.witness) == repr(witness), text
+
+    def test_chunk_size_does_not_change_verdicts(self, monkeypatch):
+        from quasiconv import classifiers
+
+        cases = [
+            (parse("max(x*y, x - y) - abs(x + 0.5*y)", 2), BOX, ClassId.W2),
+            (parse("x*x - y*y", 2), BOX, ClassId.QC2),
+            (parse("x*x - y*y", 2), BOX, ClassId.COORD_JQC2),
+            (parse("min(x, 0.3) - abs(x)*x", 1), Interval(-1.0, 0.8), ClassId.WQC1),
+        ]
+        before = [repr(check_membership(*c, budget=FAST)) for c in cases]
+        monkeypatch.setattr(classifiers, "_CHUNK", 64)
+        after = [repr(check_membership(*c, budget=FAST)) for c in cases]
+        assert after == before

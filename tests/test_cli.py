@@ -49,6 +49,28 @@ class TestCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "expr, domain, cls",
+        [("-x", "-inf,0", "J1"), ("x", "0,inf", "C1"), ("x", "-1e308,1e308", "C1")],
+    )
+    def test_non_finite_domain_exits_two(self, capsys, expr, domain, cls):
+        code, out, err = run(
+            capsys, "check", "--f", expr, "--domain", domain, "--class", cls
+        )
+        assert code == 2
+        assert "interval" in err
+        assert "no violation found" not in out
+
+    def test_internal_error_exits_three(self, capsys):
+        # parses, but is nested too deeply for the evaluator
+        code, out, err = run(
+            capsys, "check", "--f", "+".join(["x"] * 3000), "--domain", "0,1",
+            "--class", "J1",
+        )
+        assert code == 3
+        assert err.splitlines()[-1].startswith("internal error: RecursionError")
+        assert out == ""
+
     def test_json_round_trip(self, capsys):
         args = [
             "check", "--f", "-(x^2)", "--domain", "-1,1,-1,1",
