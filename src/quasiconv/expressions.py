@@ -393,6 +393,9 @@ def evaluate(expr: Expr, x: float, y: Optional[float] = None) -> float:
 def eval_array(
     expr: Expr, xs: np.ndarray, ys: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Values of ``expr`` on the lanes ``xs`` (and ``ys``), plus the mask of
+    lanes where it is defined.  The values may share memory with the inputs
+    (a bare variable returns its own argument), so treat them as read-only."""
     if expr.arity == 2 and ys is None:
         raise ArityError("2D expression needs both co-ordinate arrays")
     xs = np.asarray(xs, dtype=float)
@@ -400,7 +403,8 @@ def eval_array(
     bad = np.zeros(xs.shape, dtype=bool)
     with np.errstate(all="ignore"):
         vals = _eval_vec(expr.root, xs, ys_arr, bad)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
+    if not isinstance(vals, np.ndarray) or vals.shape != xs.shape:
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
     return vals, ~bad
 
 
@@ -534,11 +538,6 @@ def difference(g: Expr, h: Expr) -> Expr:
         raise ArityError("difference needs matching arities")
     root = _Binary("-", g.root, h.root)
     return Expr(root, g.arity, unparse(root))
-
-
-def absolute(e: Expr) -> Expr:
-    root = _Unary("abs", e.root)
-    return Expr(root, e.arity, unparse(root))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .domains import Box2, Interval
-from .expressions import Axis, Expr, chord_substitution, restrict
+from .expressions import Axis, Expr, chord_substitution, difference, restrict
 from .quadrature import (
+    Batched,
     QuadConfig,
     QuadResult,
     integrate_1d,
     integrate_2d,
     integrate_abs_difference,
+    integrate_abs_slices,
 )
 
 __all__ = [
@@ -205,6 +209,10 @@ def jqc_bound_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> Ineq
 
     The correction is half the integral over t in [0,1] of the absolute
     difference of the two chord evaluations of f between the endpoints.
+    ``cfg`` governs both integrals (the correction defaults to
+    ``_INNER_CFG``): the correction is a single kink-split integral, so one
+    tolerance means the same for both terms.  The nested chord terms of
+    :func:`thm_jqc_coord` run at fixed configurations instead.
     """
     mid_val = _eval1(f, iv.midpoint)
     q = integrate_1d(f, iv, cfg)
@@ -314,51 +322,39 @@ def _chord_correction_2d(
     integral along ``along``; returns (value, error estimate, converged).
 
     The inner t-integral locates its kinks per outer value, which is why the
-    outer loop is the adaptive one.
+    outer loop is the adaptive one.  Each outer integrand call hands all its
+    nodes to one ``integrate_abs_slices`` of the 2D chord difference
+    ``d(t, v)``, with t in the ``along`` slot and the outer value v in the
+    other.
     """
-    a, b, c, d = box.bounds
-    if along is Axis.X:
-        lo, hi = a, b
-        outer_iv = box.y
-        outer_axis = Axis.Y
-    else:
-        lo, hi = c, d
-        outer_iv = box.x
-        outer_axis = Axis.X
+    chord_iv, outer_iv = (box.x, box.y) if along is Axis.X else (box.y, box.x)
+    lo, hi = chord_iv.lo, chord_iv.hi
     if isinstance(f, Expr):
-        chord_fwd = chord_substitution(f, along, lo, hi)
-        chord_rev = chord_substitution(f, along, lo, hi, reverse=True)
+        diff: Fn2 = difference(
+            chord_substitution(f, along, lo, hi),
+            chord_substitution(f, along, lo, hi, reverse=True),
+        )
+    elif along is Axis.X:
 
-        def make_pair(v: float) -> tuple[Fn1, Fn1]:
-            return (
-                restrict(chord_fwd, outer_axis, v),
-                restrict(chord_rev, outer_axis, v),
-            )
+        def diff(t: float, v: float) -> float:
+            return f(t * lo + (1.0 - t) * hi, v) - f((1.0 - t) * lo + t * hi, v)
 
     else:
 
-        def make_pair(v: float) -> tuple[Fn1, Fn1]:
-            if along is Axis.X:
-                return (
-                    lambda t: f(t * lo + (1.0 - t) * hi, v),
-                    lambda t: f((1.0 - t) * lo + t * hi, v),
-                )
-            return (
-                lambda t: f(v, t * lo + (1.0 - t) * hi),
-                lambda t: f(v, (1.0 - t) * lo + t * hi),
-            )
+        def diff(v: float, t: float) -> float:
+            return f(v, t * lo + (1.0 - t) * hi) - f(v, (1.0 - t) * lo + t * hi)
 
     inner_state = {"max_err": 0.0, "converged": True}
 
-    def inner(v: float) -> float:
-        g, h = make_pair(v)
-        q = integrate_abs_difference(g, h, _UNIT, _INNER_CFG)
-        if q.abs_error_estimate > inner_state["max_err"]:
-            inner_state["max_err"] = q.abs_error_estimate
-        inner_state["converged"] = inner_state["converged"] and q.converged
-        return q.value
+    def inner(vs: np.ndarray) -> np.ndarray:
+        results = integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG)
+        for q in results:
+            if q.abs_error_estimate > inner_state["max_err"]:
+                inner_state["max_err"] = q.abs_error_estimate
+            inner_state["converged"] = inner_state["converged"] and q.converged
+        return np.array([q.value for q in results])
 
-    q = integrate_1d(inner, outer_iv, _OUTER_CFG)
+    q = integrate_1d(Batched(inner), outer_iv, _OUTER_CFG)
     err = q.abs_error_estimate + outer_iv.length * inner_state["max_err"]
     return q.value, err, q.converged and inner_state["converged"]
 
@@ -367,7 +363,16 @@ def thm_jqc_coord(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> Inequa
     """Midline-mean average <= double integral mean + H, for f J-quasi-convex
     on the co-ordinates.  H sums the two chord-difference double integrals
     with prefactors 1/(4 (d-c)) and 1/(4 (b-a)); it depends only on the
-    rectangle, both inner variables being integrated out."""
+    rectangle, both inner variables being integrated out.
+
+    ``cfg`` governs the line means and the double integral only.  The chord
+    double integrals always run at ``_INNER_CFG`` inside ``_OUTER_CFG``: a
+    nested integral's error is the outer error plus the outer length times
+    the worst inner error, so the inner pass must be tighter than the outer
+    one, and its cost is the product of the two budgets.  One ``QuadConfig``
+    cannot say both, and the fixed pair keeps H two orders inside
+    ``VERIFY_TOL`` whatever ``cfg`` is.
+    """
     cfg = cfg or QuadConfig()
     a, b, c, d = box.bounds
     line_results, line_means = _line_means(f, box, cfg)

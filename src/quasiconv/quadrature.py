@@ -18,14 +18,16 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .domains import Interval, Box2
-from .expressions import ArityError, DomainError, Expr, eval_array
+from .expressions import ArityError, Axis, DomainError, Expr, difference, eval_array
 
 __all__ = [
+    "Batched",
     "QuadConfig",
     "QuadResult",
     "integrate_1d",
     "integrate_2d",
     "integrate_abs_difference",
+    "integrate_abs_slices",
 ]
 
 _EPS = np.finfo(float).eps
@@ -108,8 +110,16 @@ class QuadResult:
 VectorFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _as_vector_1d(f: Union[Expr, Callable[[float], float]]) -> VectorFn:
-    """Adapt an expression or scalar callable to batch evaluation over nodes."""
+@dataclass(frozen=True)
+class Batched:
+    """A 1D integrand that maps the whole array of quadrature nodes of one
+    integrand call to their values at once."""
+
+    fn: VectorFn
+
+
+def _as_vector_1d(f: Union[Expr, Batched, Callable[[float], float]]) -> VectorFn:
+    """Adapt an expression or callable to batch evaluation over nodes."""
     if isinstance(f, Expr):
         if f.arity != 1:
             raise ArityError("integrate_1d needs a 1D expression")
@@ -120,7 +130,18 @@ def _as_vector_1d(f: Union[Expr, Callable[[float], float]]) -> VectorFn:
                 p = float(pts[int(np.argmax(~ok))])
                 f(p)  # raises DomainError with the precise reason
                 raise DomainError("non-finite value", (p,))
-            return np.array(vals, dtype=float)
+            return vals
+
+        return fv
+
+    if isinstance(f, Batched):
+
+        def fv(pts: np.ndarray) -> np.ndarray:
+            out = np.asarray(f.fn(pts), dtype=float)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                raise DomainError("non-finite value", (float(pts[int(np.argmax(bad))]),))
+            return out
 
         return fv
 
@@ -150,7 +171,7 @@ def _as_vector_2d(
                 px, py = float(xs[i]), float(ys[i])
                 f(px, py)
                 raise DomainError("non-finite value", (px, py))
-            return np.array(vals, dtype=float)
+            return vals
 
         return fv
 
@@ -166,143 +187,239 @@ def _as_vector_2d(
     return fv
 
 
-def _gk15(fv: VectorFn, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (value, error estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ys = fv(mid + half * _NODES)
-    k15 = half * float(_WK @ ys)
-    g7 = half * float(_WG @ ys[_GAUSS_IDX])
-    resabs = half * float(_WK @ np.abs(ys))
-    err = max(abs(k15 - g7), 50.0 * _EPS * resabs)
-    return k15, err
+# An integrand over the panels of many pieces: (panel nodes (k, 15), the
+# piece of each panel (k,)) -> values (k, 15).
+PanelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# worst panels of one piece split per integrand call
+_WAVE = 16
 
 
-def _gk15_batch(
-    fv: VectorFn, lo: np.ndarray, hi: np.ndarray
+def _gk15_panels(
+    fv: PanelFn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counts: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod panels over a batch of segments in one integrand call."""
+    """Gauss-Kronrod panels [lo, hi] of many pieces in one integrand call:
+    (values, error estimates).
+
+    The rows come in consecutive blocks of ``counts`` panels, one block per
+    piece.  BLAS rounds a row of a matrix-vector product differently
+    depending on the size of the matrix and the row's place in it, so each
+    block gets products of its own: a panel's value then does not depend on
+    what other pieces share the call.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    ys = fv(pts.ravel()).reshape(pts.shape)
-    k15 = half * (ys @ _WK)
-    g7 = half * (ys[:, _GAUSS_IDX] @ _WG)
-    resabs = half * (np.abs(ys) @ _WK)
-    err = np.maximum(np.abs(k15 - g7), 50.0 * _EPS * resabs)
+    ys = fv(mid[:, None] + half[:, None] * _NODES, owner)
+    if len(counts) == 1:
+        k15, g7, resabs = ys @ _WK, ys[:, _GAUSS_IDX] @ _WG, np.abs(ys) @ _WK
+    else:
+        k15, g7, resabs = np.empty(lo.size), np.empty(lo.size), np.empty(lo.size)
+        at = 0
+        for n in counts:
+            block, rows = ys[at : at + n], slice(at, at + n)
+            k15[rows] = block @ _WK
+            g7[rows] = block[:, _GAUSS_IDX] @ _WG
+            resabs[rows] = np.abs(block) @ _WK
+            at += n
+    k15 = half * k15
+    err = np.maximum(np.abs(k15 - half * g7), 50.0 * _EPS * (half * resabs))
     return k15, err
+
+
+class _Piece:
+    """Adaptive state of one piece: a max-heap of its panels by error
+    estimate (ties by insertion order), the frozen panels and the totals."""
+
+    __slots__ = ("index", "abs_tol", "heap", "done", "total_val", "total_err",
+                 "counter", "nseg", "converged")
+
+    def __init__(self, index: int, abs_tol: float, bounds: list[float],
+                 vals: list[float], errs: list[float], total_val: float,
+                 total_err: float) -> None:
+        self.index = index
+        self.abs_tol = abs_tol
+        # entries: (-err, insertion counter, a, b, value, err)
+        self.heap = [
+            (-e, i, bounds[i], bounds[i + 1], v, e)
+            for i, (v, e) in enumerate(zip(vals, errs))
+        ]
+        heapq.heapify(self.heap)
+        self.done: list[tuple[float, float]] = []  # frozen (value, err)
+        self.total_val = total_val
+        self.total_err = total_err
+        self.counter = self.nseg = len(vals)
+        self.converged = True
+
+    def select(self, cfg: QuadConfig) -> list[tuple[float, float, float, float]]:
+        """The panels (a, b, value, err) to split next; none once finished."""
+        if self.total_err <= max(self.abs_tol, cfg.rel_tol * abs(self.total_val)):
+            return []
+        heap = self.heap
+        split: list[tuple[float, float, float, float]] = []
+        limit = min(_WAVE, cfg.max_subdivisions - self.nseg)
+        while heap and len(split) < limit:
+            neg_err, _, a, b, v, e = heapq.heappop(heap)
+            m = 0.5 * (a + b)
+            if m <= a or m >= b:
+                # cannot split further at double precision; freeze this panel
+                self.done.append((v, e))
+                continue
+            if -neg_err <= 0.02 * self.total_err and split:
+                heapq.heappush(heap, (neg_err, self.counter, a, b, v, e))
+                self.counter += 1
+                break
+            split.append((a, b, v, e))
+        # nothing to split: the budget is spent or every panel is frozen
+        self.converged = bool(split)
+        return split
+
+    def update(self, split: list, vals: list[float], errs: list[float]) -> None:
+        """Replace each split panel by its two halves, valued in ``vals``/``errs``."""
+        for i, (a, b, v, e) in enumerate(split):
+            m = 0.5 * (a + b)
+            self.total_val += vals[2 * i] + vals[2 * i + 1] - v
+            self.total_err += errs[2 * i] + errs[2 * i + 1] - e
+            for lo, hi, j in ((a, m, 2 * i), (m, b, 2 * i + 1)):
+                heapq.heappush(
+                    self.heap, (-errs[j], self.counter, lo, hi, vals[j], errs[j])
+                )
+                self.counter += 1
+            self.nseg += 1
+
+    def result(self) -> QuadResult:
+        # fsum is exact, so the order of the panels does not matter
+        panels = [(v, e) for _, _, _, _, v, e in self.heap] + self.done
+        return QuadResult(
+            math.fsum(v for v, _ in panels),
+            math.fsum(e for _, e in panels),
+            self.nseg,
+            self.converged,
+        )
+
+
+def _adaptive(
+    fv: PanelFn,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    abs_tol: list[float],
+    cfg: QuadConfig,
+) -> list[QuadResult]:
+    """Adaptively integrate over each piece [lo[i], hi[i]] to its own
+    ``abs_tol[i]``, all pieces sharing every integrand call.
+
+    Per piece: ``initial_panels`` equal panels, then waves that split up to
+    ``_WAVE`` of the worst panels at once, stopping a wave early at panels
+    under 2% of the piece's total error estimate, until the total error
+    meets tolerance or ``max_subdivisions`` panels are reached (the result
+    is then flagged not converged).
+    """
+    npieces = lo.size
+    k0 = min(cfg.initial_panels, cfg.max_subdivisions)
+    # np.linspace(lo[i], hi[i], k0 + 1) for every piece at once
+    delta = hi - lo
+    step = delta / k0
+    ramp = np.arange(k0 + 1.0)
+    bounds = ramp * step[:, None]
+    tiny = step == 0  # a subnormal width: scale the ramp first, as linspace does
+    if tiny.any():
+        bounds[tiny] = (ramp / k0) * delta[tiny, None]
+    bounds += lo[:, None]
+    bounds[:, -1] = hi
+    vals, errs = _gk15_panels(
+        fv, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
+        np.arange(npieces).repeat(k0), [k0] * npieces,
+    )
+    totals = vals.reshape(npieces, k0).sum(axis=1).tolist()
+    total_errs = errs.reshape(npieces, k0).sum(axis=1).tolist()
+    bounds, vals, errs = bounds.tolist(), vals.tolist(), errs.tolist()
+    live = [
+        _Piece(i, abs_tol[i], bounds[i], vals[i * k0 : (i + 1) * k0],
+               errs[i * k0 : (i + 1) * k0], totals[i], total_errs[i])
+        for i in range(npieces)
+    ]
+    results: list[Optional[QuadResult]] = [None] * npieces
+    while live:
+        waves = []
+        for piece in live:
+            split = piece.select(cfg)
+            if split:
+                waves.append((piece, split))
+            else:
+                results[piece.index] = piece.result()
+        if not waves:
+            break
+        lows: list[float] = []
+        highs: list[float] = []
+        for _, split in waves:
+            for a, b, _, _ in split:
+                m = 0.5 * (a + b)
+                lows += (a, m)
+                highs += (m, b)
+        counts = [2 * len(split) for _, split in waves]
+        owner = np.array([piece.index for piece, _ in waves]).repeat(counts)
+        vals, errs = _gk15_panels(fv, np.array(lows), np.array(highs), owner, counts)
+        vals, errs = vals.tolist(), errs.tolist()
+        at = 0
+        for (piece, split), n in zip(waves, counts):
+            piece.update(split, vals[at : at + n], errs[at : at + n])
+            at += n
+        live = [piece for piece, _ in waves]
+    return results
 
 
 def integrate_1d(
-    f: Union[Expr, Callable[[float], float]],
+    f: Union[Expr, Batched, Callable[[float], float]],
     iv: Interval,
     cfg: Optional[QuadConfig] = None,
 ) -> QuadResult:
     """Adaptively integrate ``f`` over ``iv``.
 
-    On budget exhaustion the best estimate is still returned with
-    ``converged`` set to False.  DomainError from the integrand propagates.
+    ``f`` is an expression, a scalar callable, or a :class:`Batched`
+    integrand called once per array of nodes.  On budget exhaustion the
+    best estimate is still returned with ``converged`` set to False.
+    DomainError from the integrand propagates.
     """
     cfg = cfg or QuadConfig()
     fv = _as_vector_1d(f)
-    k0 = min(cfg.initial_panels, cfg.max_subdivisions)
-    bounds = np.linspace(iv.lo, iv.hi, k0 + 1)
-    vals0, errs0 = _gk15_batch(fv, bounds[:-1], bounds[1:])
-    # heap entries: (-err, insertion counter, a, b, value, err)
-    heap = []
-    for i in range(k0):
-        heap.append(
-            (-errs0[i], i, float(bounds[i]), float(bounds[i + 1]),
-             float(vals0[i]), float(errs0[i]))
-        )
-    heapq.heapify(heap)
-    done: list[tuple[float, float, float, float]] = []  # (a, b, value, err)
-    total_val, total_err = float(np.sum(vals0)), float(np.sum(errs0))
-    counter = k0
-    nseg = k0
-    converged = True
-    # splitting the worst segments in waves keeps the integrand calls batched
-    wave = 16
-    while True:
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-            break
-        if not heap:
-            converged = False
-            break
-        if nseg >= cfg.max_subdivisions:
-            converged = False
-            break
-        split: list[tuple[float, float, float, float]] = []
-        budget_left = cfg.max_subdivisions - nseg
-        while heap and len(split) < min(wave, budget_left):
-            neg_err, _, a, b, v, e = heapq.heappop(heap)
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
-                # cannot split further at double precision; freeze this panel
-                done.append((a, b, v, e))
-                continue
-            if -neg_err <= 0.02 * total_err and split:
-                heapq.heappush(heap, (neg_err, counter, a, b, v, e))
-                counter += 1
-                break
-            split.append((a, b, v, e))
-        if not split:
-            if not heap:
-                converged = False
-                break
-            continue
-        lows = np.empty(2 * len(split))
-        highs = np.empty(2 * len(split))
-        for i, (a, b, _v, _e) in enumerate(split):
-            m = 0.5 * (a + b)
-            lows[2 * i], highs[2 * i] = a, m
-            lows[2 * i + 1], highs[2 * i + 1] = m, b
-        vals, errs = _gk15_batch(fv, lows, highs)
-        for i, (a, b, v, e) in enumerate(split):
-            total_val += vals[2 * i] + vals[2 * i + 1] - v
-            total_err += errs[2 * i] + errs[2 * i + 1] - e
-            for j in (2 * i, 2 * i + 1):
-                heapq.heappush(
-                    heap,
-                    (-errs[j], counter, lows[j], highs[j], float(vals[j]), float(errs[j])),
-                )
-                counter += 1
-            nseg += 1
-    segments = [(a, b, v, e) for _, _, a, b, v, e in heap] + done
-    segments.sort(key=lambda s: s[0])  # fixed reduction order
-    value = math.fsum(s[2] for s in segments)
-    err_total = math.fsum(s[3] for s in segments)
-    return QuadResult(value, err_total, nseg, converged)
+    return _adaptive(
+        lambda pts, owner: fv(pts.ravel()).reshape(pts.shape),
+        np.array([iv.lo]),
+        np.array([iv.hi]),
+        [cfg.abs_tol],
+        cfg,
+    )[0]
 
 
 def _gk15_2d(
     fv2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    xlo: float,
-    xhi: float,
-    ylo: float,
-    yhi: float,
-) -> tuple[float, float, float]:
-    """Tensor GK panel on a rectangle: (value, error_x, error_y).
+    rects: list[tuple[float, float, float, float]],
+) -> list[tuple[float, float, float]]:
+    """Tensor GK panels on rectangles (xlo, xhi, ylo, yhi), evaluated in one
+    integrand call: (value, error_x, error_y) per rectangle.
 
     The per-axis errors compare the full Kronrod tensor against the mixed
     Gauss/Kronrod tensors, attributing error to the axis whose downgrade
-    moves the value most.
+    moves the value most.  Each rectangle is contracted from its own
+    (15, 15) slab, so its value does not depend on the others in the call.
     """
-    xm, xh = 0.5 * (xlo + xhi), 0.5 * (xhi - xlo)
-    ym, yh = 0.5 * (ylo + yhi), 0.5 * (yhi - ylo)
-    xs = xm + xh * _NODES
-    ys = ym + yh * _NODES
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = fv2(X.ravel(), Y.ravel()).reshape(15, 15)
-    scale = xh * yh
-    kk = scale * float(_WK @ Z @ _WK)
-    gk = scale * float(_WG @ Z[_GAUSS_IDX, :] @ _WK)
-    kg = scale * float(_WK @ Z[:, _GAUSS_IDX] @ _WG)
-    resabs = scale * float(_WK @ np.abs(Z) @ _WK)
-    floor = 50.0 * _EPS * resabs
-    err_x = max(abs(kk - gk), floor)
-    err_y = max(abs(kk - kg), floor)
-    return kk, err_x, err_y
+    r = np.array(rects)
+    xh = 0.5 * (r[:, 1] - r[:, 0])
+    yh = 0.5 * (r[:, 3] - r[:, 2])
+    xs = (0.5 * (r[:, 0] + r[:, 1]))[:, None] + xh[:, None] * _NODES
+    ys = (0.5 * (r[:, 2] + r[:, 3]))[:, None] + yh[:, None] * _NODES
+    # node (i, j) of a rectangle sits at (xs[i], ys[j]), in C order
+    Zs = fv2(np.repeat(xs, 15, axis=1).ravel(), np.tile(ys, 15).ravel())
+    Zs = Zs.reshape(len(rects), 15, 15)
+    out = []
+    for Z, sx, sy in zip(Zs, xh.tolist(), yh.tolist()):
+        scale = sx * sy
+        kk = scale * float(_WK @ Z @ _WK)
+        gk = scale * float(_WG @ Z[_GAUSS_IDX, :] @ _WK)
+        kg = scale * float(_WK @ Z[:, _GAUSS_IDX] @ _WG)
+        resabs = scale * float(_WK @ np.abs(Z) @ _WK)
+        floor = 50.0 * _EPS * resabs
+        out.append((kk, max(abs(kk - gk), floor), max(abs(kk - kg), floor)))
+    return out
 
 
 def integrate_2d(
@@ -310,27 +427,29 @@ def integrate_2d(
     box: Box2,
     cfg: Optional[QuadConfig] = None,
 ) -> QuadResult:
-    """Adaptively integrate ``f`` over a rectangle, bisecting the worse axis."""
+    """Adaptively integrate ``f`` over a rectangle, bisecting the worse axis
+    of the worst rectangle; both halves share one integrand call."""
     cfg = cfg or QuadConfig()
     fv2 = _as_vector_2d(f)
     a, b, c, d = box.bounds
     per_axis = 2 if cfg.initial_panels > 1 and cfg.max_subdivisions >= 4 else 1
-    xs = np.linspace(a, b, per_axis + 1)
-    ys = np.linspace(c, d, per_axis + 1)
+    xs = np.linspace(a, b, per_axis + 1).tolist()
+    ys = np.linspace(c, d, per_axis + 1).tolist()
+    rects = [
+        (xs[i], xs[i + 1], ys[j], ys[j + 1])
+        for i in range(per_axis)
+        for j in range(per_axis)
+    ]
     heap = []
     total_val, total_err = 0.0, 0.0
-    counter = 0
-    for i in range(per_axis):
-        for j in range(per_axis):
-            rect = (float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1]))
-            val, ex, ey = _gk15_2d(fv2, *rect)
-            heap.append((-(ex + ey), counter, rect, val, ex, ey))
-            counter += 1
-            total_val += val
-            total_err += ex + ey
+    for counter, (rect, (val, ex, ey)) in enumerate(zip(rects, _gk15_2d(fv2, rects))):
+        heap.append((-(ex + ey), counter, rect, val, ex, ey))
+        total_val += val
+        total_err += ex + ey
+    counter = len(rects)
     heapq.heapify(heap)
     done: list[tuple[tuple, float, float]] = []  # (rect, value, err)
-    nrect = per_axis * per_axis
+    nrect = len(rects)
     converged = True
     while True:
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
@@ -345,18 +464,17 @@ def integrate_2d(
         if ex >= ey:
             m = 0.5 * (xlo + xhi)
             splittable = xlo < m < xhi
-            children = ((xlo, m, ylo, yhi), (m, xhi, ylo, yhi))
+            children = [(xlo, m, ylo, yhi), (m, xhi, ylo, yhi)]
         else:
             m = 0.5 * (ylo + yhi)
             splittable = ylo < m < yhi
-            children = ((xlo, xhi, ylo, m), (xlo, xhi, m, yhi))
+            children = [(xlo, xhi, ylo, m), (xlo, xhi, m, yhi)]
         if not splittable:
             done.append(((xlo, xhi, ylo, yhi), v, ex + ey))
             continue
         total_val -= v
         total_err -= ex + ey
-        for rect in children:
-            cv, cex, cey = _gk15_2d(fv2, *rect)
+        for rect, (cv, cex, cey) in zip(children, _gk15_2d(fv2, children)):
             total_val += cv
             total_err += cex + cey
             heapq.heappush(heap, (-(cex + cey), counter, rect, cv, cex, cey))
@@ -369,22 +487,156 @@ def integrate_2d(
     return QuadResult(value, err_total, nrect, converged)
 
 
-def _bisect_root(
-    d: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    dlo = d(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        dm = d(mid)
-        if dm == 0.0:
-            return mid
-        if (dlo < 0.0) != (dm < 0.0):
-            hi = mid
-        else:
-            lo, dlo = mid, dm
-    return 0.5 * (lo + hi)
+# Slices integrated together.  This bounds the lanes of one integrand call
+# (a 257-point scan per slice, times every intermediate array of the
+# expression walk) and with them the peak memory; larger batches save
+# little time, since the calls are already few.
+_SLICES_PER_BATCH = 16
+
+# bisection steps taken per call of the difference (2^5 - 1 points a bracket)
+_BISECT_LEVELS = 5
+
+# A batch of 1D differences: (parameters t, the row of each t) -> d_row(t).
+RowsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _bisect_roots(
+    d: RowsFn,
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    dlo: np.ndarray,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Bisect every sign-change bracket [lo, hi] of d at once (``dlo`` holds
+    d at ``lo``; moving ``lo`` keeps its sign).
+
+    Per bracket, as one plain bisection: stop once hi - lo <= tol or the
+    midpoint is not strictly inside, returning the midpoint, or at an exact
+    zero of d, returning that point.  Each call of d takes up to
+    ``_BISECT_LEVELS`` steps: it evaluates every midpoint the next steps
+    could visit, computed from the same floats, and the steps then read off
+    the points on their path.  A call that fails off the path is redone one
+    step deep, so DomainError is raised only for a point on the path.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    neg = dlo < 0.0
+    root = np.empty(lo.size)
+    found = np.zeros(lo.size, dtype=bool)
+    live = np.nonzero(hi - lo > tol)[0]
+    while live.size:
+        try:
+            live = _bisect_steps(d, rows, lo, hi, neg, root, found, live, _BISECT_LEVELS, tol)
+        except DomainError:
+            live = _bisect_steps(d, rows, lo, hi, neg, root, found, live, 1, tol)
+    rest = ~found
+    root[rest] = 0.5 * (lo[rest] + hi[rest])
+    return root
+
+
+def _bisect_steps(
+    d: RowsFn,
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    neg: np.ndarray,
+    root: np.ndarray,
+    found: np.ndarray,
+    live: np.ndarray,
+    levels: int,
+    tol: float,
+) -> np.ndarray:
+    """Advance the ``live`` brackets of :func:`_bisect_roots` by up to
+    ``levels`` steps in one call of d; returns the brackets still open."""
+    # each bracket's points in ascending order, refined ``levels`` times
+    pts = np.stack([lo[live], hi[live]], axis=1)
+    for _ in range(levels):
+        finer = np.empty((live.size, 2 * pts.shape[1] - 1))
+        finer[:, 0::2] = pts
+        finer[:, 1::2] = 0.5 * (pts[:, :-1] + pts[:, 1:])
+        pts = finer
+    inner = pts[:, 1:-1]
+    dv = d(inner.ravel(), np.repeat(rows[live], inner.shape[1])).reshape(inner.shape)
+    lane = np.arange(live.size)
+    a = np.zeros(live.size, dtype=int)
+    b = np.full(live.size, pts.shape[1] - 1)
+    going = np.ones(live.size, dtype=bool)
+    for _ in range(levels):
+        m = (a + b) // 2
+        pa, pb, mid = pts[lane, a], pts[lane, b], pts[lane, m]
+        going &= (pb - pa > tol) & (mid > pa) & (mid < pb)
+        dm = dv[lane, m - 1]
+        zero = going & (dm == 0.0)
+        root[live[zero]] = mid[zero]
+        found[live[zero]] = True
+        going &= ~zero
+        flip = neg[live] != (dm < 0.0)
+        to_b, to_a = going & flip, going & ~flip
+        b[to_b] = m[to_b]
+        a[to_a] = m[to_a]
+    lo[live] = pts[lane, a]
+    hi[live] = pts[lane, b]
+    return live[going & (hi[live] - lo[live] > tol)]
+
+
+def _integrate_abs_rows(
+    d: RowsFn, nrows: int, iv: Interval, cfg: QuadConfig
+) -> list[QuadResult]:
+    """Integrate |d_row| over ``iv`` for every row, kinks split out first.
+
+    Sign changes of each d_row are bracketed on a 257-point uniform scan and
+    bisected to 1e-12; |d_row| is then integrated on each kink-free piece to
+    ``abs_tol`` over the row's piece count.  Every row's scan, every
+    bisection step and every wave of the adaptive pieces share one call of d.
+    """
+    cuts: list[list[float]] = [[] for _ in range(nrows)]
+    if cfg.kink_split:
+        grid = np.linspace(iv.lo, iv.hi, 257)
+        dv = d(np.tile(grid, nrows), np.repeat(np.arange(nrows), 257))
+        dv = dv.reshape(nrows, 257)
+        # an isolated zero with a sign change across it is itself the kink
+        zrow, zcol = np.nonzero((dv[:, 1:-1] == 0.0) & (dv[:, :-2] * dv[:, 2:] < 0.0))
+        brow, bcol = np.nonzero(dv[:, :-1] * dv[:, 1:] < 0.0)
+        roots = _bisect_roots(d, brow, grid[bcol], grid[bcol + 1], dv[brow, bcol])
+        for r, t in zip(zrow.tolist(), grid[zcol + 1].tolist()):
+            cuts[r].append(t)
+        for r, t in zip(brow.tolist(), roots.tolist()):
+            cuts[r].append(t)
+    rows: list[int] = []
+    pieces: list[tuple[float, float]] = []
+    per_row: list[int] = []
+    for r, row_cuts in enumerate(cuts):
+        breaks = sorted({iv.lo, iv.hi, *row_cuts})
+        row_pieces = list(zip(breaks, breaks[1:]))
+        rows += [r] * len(row_pieces)
+        pieces += row_pieces
+        per_row.append(len(row_pieces))
+    piece_row = np.array(rows)
+    lo, hi = np.array(pieces).T
+    abs_tol = [cfg.abs_tol / per_row[r] for r in rows]
+    results = _adaptive(
+        lambda pts, owner: np.abs(
+            d(pts.ravel(), np.repeat(piece_row[owner], 15))
+        ).reshape(pts.shape),
+        lo,
+        hi,
+        abs_tol,
+        cfg,
+    )
+    out = []
+    at = 0
+    for n in per_row:
+        rs = results[at : at + n]
+        at += n
+        out.append(
+            QuadResult(
+                math.fsum(r.value for r in rs),
+                math.fsum(r.abs_error_estimate for r in rs),
+                sum(r.subdivisions for r in rs),
+                all(r.converged for r in rs),
+            )
+        )
+    return out
 
 
 def integrate_abs_difference(
@@ -400,50 +652,43 @@ def integrate_abs_difference(
     No constant prefactor is applied; callers own those.
     """
     cfg = cfg or QuadConfig()
-
     if isinstance(g, Expr) and isinstance(h, Expr):
-        from .expressions import absolute, difference
-
         diff: Union[Expr, Callable[[float], float]] = difference(g, h)
-        absdiff: Union[Expr, Callable[[float], float]] = absolute(diff)
     else:
 
         def diff(t: float) -> float:
             return g(t) - h(t)
 
-        def absdiff(t: float) -> float:
-            return abs(g(t) - h(t))
+    dv = _as_vector_1d(diff)
+    return _integrate_abs_rows(lambda ts, rows: dv(ts), 1, iv, cfg)[0]
 
-    if not cfg.kink_split:
-        return integrate_1d(absdiff, iv, cfg)
 
-    scan = _as_vector_1d(diff)
-    grid = np.linspace(iv.lo, iv.hi, 257)
-    dvals = list(scan(grid))
-    cuts: list[float] = []
-    for i in range(1, 256):
-        # an isolated zero with a sign change across it is itself the kink
-        if dvals[i] == 0.0 and dvals[i - 1] * dvals[i + 1] < 0.0:
-            cuts.append(float(grid[i]))
-    for i in range(256):
-        if dvals[i] * dvals[i + 1] < 0.0:
-            cuts.append(_bisect_root(diff, float(grid[i]), float(grid[i + 1])))
-    breaks = sorted({iv.lo, iv.hi, *cuts})
-    pieces = [
-        (breaks[i], breaks[i + 1])
-        for i in range(len(breaks) - 1)
-        if breaks[i + 1] > breaks[i]
-    ]
-    piece_cfg = QuadConfig(
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol / len(pieces),
-        max_subdivisions=cfg.max_subdivisions,
-        kink_split=False,
-    )
-    results = [integrate_1d(absdiff, Interval(lo, hi), piece_cfg) for lo, hi in pieces]
-    return QuadResult(
-        math.fsum(r.value for r in results),
-        math.fsum(r.abs_error_estimate for r in results),
-        sum(r.subdivisions for r in results),
-        all(r.converged for r in results),
-    )
+def integrate_abs_slices(
+    d: Union[Expr, Callable[[float, float], float]],
+    along: Axis,
+    values: np.ndarray,
+    iv: Interval,
+    cfg: Optional[QuadConfig] = None,
+) -> list[QuadResult]:
+    """``integrate_abs_difference`` over the 1D slices of a 2D difference.
+
+    For each ``v`` in ``values`` this integrates ``|d|`` with the ``along``
+    co-ordinate running over ``iv`` and the other one frozen at ``v``.  Up
+    to ``_SLICES_PER_BATCH`` slices share each scan, bisection step and
+    adaptive wave, so their evaluations of ``d`` are batched.  Each result
+    is bit-identical to ``integrate_abs_difference`` run on that slice alone.
+    """
+    cfg = cfg or QuadConfig()
+    fv2 = _as_vector_2d(d)
+    vs = np.asarray(values, dtype=float)
+    out: list[QuadResult] = []
+    for start in range(0, vs.size, _SLICES_PER_BATCH):
+        batch = vs[start : start + _SLICES_PER_BATCH]
+
+        def slices(ts: np.ndarray, rows: np.ndarray, batch=batch) -> np.ndarray:
+            if along is Axis.X:
+                return fv2(ts, batch[rows])
+            return fv2(batch[rows], ts)
+
+        out += _integrate_abs_rows(slices, batch.size, iv, cfg)
+    return out

@@ -189,3 +189,33 @@ class TestSearchAndGallery:
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2
+
+
+def test_layer_tracer_counts_batched_quadrature(capsys):
+    """The benchmark's layer tracer wraps module bindings by name; they must
+    all still exist, and the batched chord scans must reach the traced
+    ``quadrature.eval_array`` so that their lanes are counted."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import layers
+    finally:
+        sys.path.pop(0)
+    with layers.Tracer() as tracer:
+        verify = main(["verify", "--inequality", "THM_2_1", "--f", "x^2 + abs(y - 0.3)",
+                       "--domain", "0,1,0,1", "--json"])
+        verify_totals = {k: dict(v) for k, v in tracer.totals().items()}
+        check = main(["check", "--f", "x^2+y^2", "--domain", "0,1,0,1", "--class", "QC2",
+                      "--resolution", "5", "--halton", "16", "--json"])
+    capsys.readouterr()
+    assert (verify, check) == (0, 0)
+    quad_lanes = verify_totals["expressions.eval_array"]["lanes"]
+    # the first outer call of each chord correction scans 120 nodes x 257
+    assert quad_lanes >= 2 * 120 * 257
+    assert verify_totals["quadrature.integrate_1d"]["calls"] >= 4
+    assert verify_totals["quadrature.integrate_2d"]["calls"] == 1
+    totals = tracer.totals()
+    assert totals["classifiers.check"]["calls"] == 1
+    assert totals["expressions.eval_array"]["lanes"] > quad_lanes

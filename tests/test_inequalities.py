@@ -6,7 +6,9 @@ import pytest
 
 from quasiconv import (
     Box2,
+    DomainError,
     Interval,
+    QuadConfig,
     coord_convex_chain,
     hadamard_1d,
     jqc_bound_1d,
@@ -16,6 +18,8 @@ from quasiconv import (
     thm_wqc_coord,
     wqc_bound_1d,
 )
+from quasiconv.expressions import Axis
+from quasiconv.inequalities import _chord_correction_2d
 
 UNIT_IV = Interval(0, 1)
 UNIT_BOX = Box2.from_bounds(0, 1, 0, 1)
@@ -207,3 +211,103 @@ class TestMaxIdentity:
             got = max_identity(u, v)
             want = max(u, v)
             assert bits(got) == bits(want), (u, v)
+
+
+class TestChordCorrections:
+    """The batched chord double integrals of THM_2_1."""
+
+    # kinks on the diagonal and off the scan grid, as in the benchmark inputs
+    TEXT = "0.61*abs(x - y) + 0.83*max(x, y) + 0.47*(y - 0.213)^2 + 0.39*(x + 0.117)^2"
+    BOX = Box2.from_bounds(-1, 1, -1, 1)
+
+    @staticmethod
+    def fn(x, y):
+        return (0.61 * abs(x - y) + 0.83 * max(x, y)
+                + 0.47 * (y - 0.213) ** 2 + 0.39 * (x + 0.117) ** 2)
+
+    @staticmethod
+    def reference(f, box, along):
+        """The chord correction as one kink-split integral per outer node."""
+        from quasiconv.expressions import chord_substitution, restrict
+        from quasiconv.inequalities import _INNER_CFG, _OUTER_CFG
+        from quasiconv.quadrature import integrate_1d, integrate_abs_difference
+
+        chord_iv, outer_iv = (box.x, box.y) if along is Axis.X else (box.y, box.x)
+        other = Axis.Y if along is Axis.X else Axis.X
+        fwd = chord_substitution(f, along, chord_iv.lo, chord_iv.hi)
+        rev = chord_substitution(f, along, chord_iv.lo, chord_iv.hi, reverse=True)
+        inner = []
+
+        def node(v):
+            q = integrate_abs_difference(
+                restrict(fwd, other, v), restrict(rev, other, v), UNIT_IV, _INNER_CFG
+            )
+            inner.append(q)
+            return q.value
+
+        q = integrate_1d(node, outer_iv, _OUTER_CFG)
+        err = q.abs_error_estimate + outer_iv.length * max(
+            r.abs_error_estimate for r in inner
+        )
+        return q.value, err, q.converged and all(r.converged for r in inner)
+
+    @pytest.mark.parametrize(
+        "along, text",
+        [(Axis.X, TEXT), (Axis.Y, "exp(0.3*x*y) + abs(sin(2*x) - y + 0.1)")],
+    )
+    def test_matches_per_node_loop_bit_for_bit(self, along, text):
+        f = parse(text, 2)
+        got = _chord_correction_2d(f, self.BOX, along)
+        want = self.reference(f, self.BOX, along)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("along", [Axis.X, Axis.Y])
+    def test_matches_nested_scipy_with_breakpoints(self, along):
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+
+        f = self.fn
+        a, b = -1.0, 1.0  # both axes
+
+        def chords(t, v):
+            u, w = t * a + (1.0 - t) * b, (1.0 - t) * a + t * b
+            if along is Axis.X:
+                return f(u, v) - f(w, v)
+            return f(v, u) - f(v, w)
+
+        def inner(v):
+            # the chord points cross the diagonal kink x = y at these t
+            points = {(b - v) / (b - a), (v - a) / (b - a)}
+            ts = np.linspace(0.0, 1.0, 401)
+            ds = [chords(t, v) for t in ts]
+            for i in range(400):
+                if ds[i] * ds[i + 1] < 0.0:
+                    points.add(brentq(lambda t: chords(t, v), ts[i], ts[i + 1], xtol=1e-15))
+            points = sorted(p for p in points if 0.0 < p < 1.0)
+            val, _ = quad(lambda t: abs(chords(t, v)), 0.0, 1.0, points=points,
+                          epsabs=1e-14, epsrel=1e-12, limit=200)
+            return val
+
+        # the inner kinks cross the chord midpoint t = 1/2 at v = 0
+        want, _ = quad(inner, -1.0, 1.0, points=[0.0], epsabs=1e-12, epsrel=1e-11,
+                       limit=200)
+        value, err, converged = _chord_correction_2d(parse(self.TEXT, 2), self.BOX, along)
+        assert converged
+        assert abs(value - want) <= err + 1e-9
+
+    def test_undefined_chord_point_raises(self):
+        # the chord reaches x = -1, where log(x + 1) is undefined
+        with pytest.raises(DomainError):
+            _chord_correction_2d(
+                parse("log(x+1) + y", 2), Box2.from_bounds(-1, 1, -1, 1), Axis.X
+            )
+
+    def test_cfg_does_not_reach_the_chord_terms(self):
+        f = parse(self.TEXT, 2)
+        loose = QuadConfig(rel_tol=1e-4, abs_tol=1e-6, max_subdivisions=16)
+        default = thm_jqc_coord(f, self.BOX)
+        rep = thm_jqc_coord(f, self.BOX, loose)
+        for name in ("H", "x-chord double integral", "y-chord double integral"):
+            assert bits(rep.components[name]) == bits(default.components[name])

@@ -193,3 +193,261 @@ class TestRuleProperties:
             if abs(q.value - exact) <= 10.0 * max(q.abs_error_estimate, 1e-16):
                 honest += 1
         assert honest / total >= 0.99
+
+
+def _kinked(rng):
+    """A convex function with two kinks off the 257-point scan grid, as text
+    and as a float function (the shape of the benchmark's kinked inputs)."""
+    c1, c2, c3 = (round(float(v), 4) for v in rng.uniform(0.2, 1.0, 3))
+    s1, s2 = (round(float(v), 4) for v in rng.uniform(-0.7, 0.7, 2))
+    text = f"{c1!r}*abs(x - {s1!r}) + {c2!r}*max(x - {s2!r}, 0) + {c3!r}*x^2"
+
+    def fn(x):
+        return c1 * abs(x - s1) + c2 * max(x - s2, 0.0) + c3 * x * x
+
+    return text, fn, (s1, s2)
+
+
+def _roots(d, lo, hi, n=2000):
+    """Sign changes of d on a fine scan, refined by Brent's method."""
+    from scipy.optimize import brentq
+
+    ts = np.linspace(lo, hi, n + 1)
+    ds = [d(t) for t in ts]
+    out = []
+    for i in range(n):
+        if ds[i] == 0.0:
+            out.append(float(ts[i]))
+        elif ds[i] * ds[i + 1] < 0.0:
+            out.append(brentq(d, ts[i], ts[i + 1], xtol=1e-15))
+    return out
+
+
+class TestAbsDifferenceOracle:
+    """integrate_abs_difference against scipy's QUADPACK with every kink and
+    every sign change of g - h handed over as an explicit breakpoint."""
+
+    def test_kinked_battery_matches_scipy(self):
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(606)
+        for _ in range(8):
+            g_text, g, g_kinks = _kinked(rng)
+            h_text, h, h_kinks = _kinked(rng)
+            shift = float(rng.uniform(-0.3, 0.3))
+            iv = Interval(-1, 1)
+            q = integrate_abs_difference(
+                parse(g_text, 1), parse(f"{h_text} + {shift!r}", 1), iv
+            )
+
+            def d(t):
+                return g(t) - (h(t) + shift)
+
+            points = sorted(
+                {p for p in g_kinks + h_kinks if -1 < p < 1} | set(_roots(d, -1, 1))
+            )
+            want, _ = quad(
+                lambda t: abs(d(t)), -1, 1, points=points,
+                epsabs=1e-14, epsrel=1e-13, limit=500,
+            )
+            assert q.converged
+            assert abs(q.value - want) <= q.abs_error_estimate + 1e-9, (g_text, h_text)
+
+
+class TestDomainErrorInBatches:
+    def test_scan_point_undefined_raises(self):
+        # the 257-point scan includes t = 0, where log is undefined
+        with pytest.raises(DomainError):
+            integrate_abs_difference(parse("log(x)", 1), parse("0*x", 1), Interval(0, 1))
+
+    def test_bisection_point_undefined_raises(self):
+        # 1/(x - 257/512) is defined on the whole scan grid (multiples of
+        # 1/256) and changes sign across its pole, the first midpoint that
+        # bisection evaluates in the bracket [128/256, 129/256]
+        with pytest.raises(DomainError) as info:
+            integrate_abs_difference(
+                parse("1/(x - 0.501953125)", 1), parse("0*x", 1), Interval(0, 1)
+            )
+        assert info.value.point == (0.501953125,)
+
+
+class TestBatchedPanels:
+    def test_panel_values_do_not_depend_on_the_batch(self):
+        # BLAS rounds a row of a matrix-vector product by the matrix's size
+        # and the row's place in it; each piece's block must be contracted
+        # as if it were alone in the call
+        from quasiconv.quadrature import _gk15_panels
+
+        def fv(pts, owner):
+            return np.exp(3.0 * np.sin(40.0 * pts)) * (1.0 + 1e3 * pts**2)
+
+        rng = np.random.default_rng(7)
+        counts = [2, 6, 32, 30, 8, 16, 4, 22, 2, 12]
+        lo = rng.uniform(-1, 1, sum(counts))
+        hi = lo + rng.uniform(1e-3, 0.5, lo.size)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        vals, errs = _gk15_panels(fv, lo, hi, owner, counts)
+        at = 0
+        for n in counts:
+            v, e = _gk15_panels(fv, lo[at : at + n], hi[at : at + n], owner[at : at + n], [n])
+            assert v.tolist() == vals[at : at + n].tolist()
+            assert e.tolist() == errs[at : at + n].tolist()
+            at += n
+
+
+def _plain_bisection(d, lo, hi, tol=1e-12):
+    """Reference: one bracket, one midpoint per evaluation."""
+    dlo = d(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        dm = d(mid)
+        if dm == 0.0:
+            return mid
+        if (dlo < 0.0) != (dm < 0.0):
+            hi = mid
+        else:
+            lo, dlo = mid, dm
+    return 0.5 * (lo + hi)
+
+
+class TestBatchedBisection:
+    def test_matches_plain_bisection_bit_for_bit(self):
+        from quasiconv.quadrature import _bisect_roots
+
+        rng = np.random.default_rng(99)
+        # per bracket: (root, lo, hi); dyadic roots are hit exactly by some
+        # midpoint, a bracket of adjacent floats stops at once, and the loose
+        # tolerances stop inside a call's batch of steps, one at a width
+        # of exactly tol
+        cases = []
+        for _ in range(40):
+            lo = float(rng.uniform(-1, 1))
+            hi = lo + float(rng.uniform(1e-6, 0.1))
+            cases.append((float(rng.uniform(lo, hi)), lo, hi))
+        cases += [(0.375, 0.25, 0.5), (0.3125, 0.0, 1.0), (0.5, 0.0, 1.0),
+                  (0.1, 0.0, 1.0), (1.0, 1.0, float(np.nextafter(1.0, 2.0)))]
+        slopes = rng.uniform(-2, 2, len(cases))
+        roots_at = np.array([c[0] for c in cases])
+
+        def d(ts, rows):
+            return slopes[rows] * (ts - roots_at[rows])
+
+        rows = np.arange(len(cases))
+        lo = np.array([c[1] for c in cases])
+        hi = np.array([c[2] for c in cases])
+        for tol in (1e-12, 1e-3, 2.0**-8, 0.0):
+            got = _bisect_roots(d, rows, lo, hi, d(lo, rows), tol)
+            for r, (_, a, b) in enumerate(cases):
+                want = _plain_bisection(lambda t: float(d(np.array([t]), np.array([r]))[0]), a, b, tol)
+                assert got[r] == want, (r, tol)
+
+
+def _reference_integrate_1d(fv, lo, hi, cfg):
+    """Reference: the adaptive policy as one sequential loop over one piece
+    (8 initial panels, waves of up to 16 worst splits with the 2% cut-off,
+    frozen unsplittable panels, the subdivision budget)."""
+    import heapq
+
+    from quasiconv.quadrature import _EPS, _GAUSS_IDX, _NODES, _WG, _WK
+
+    def panels(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        ys = fv((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+        k15 = half * (ys @ _WK)
+        g7 = half * (ys[:, _GAUSS_IDX] @ _WG)
+        resabs = half * (np.abs(ys) @ _WK)
+        return k15, np.maximum(np.abs(k15 - g7), 50.0 * _EPS * resabs)
+
+    k0 = min(cfg.initial_panels, cfg.max_subdivisions)
+    bounds = np.linspace(lo, hi, k0 + 1)
+    vals, errs = panels(bounds[:-1], bounds[1:])
+    heap = [(-errs[i], i, bounds[i], bounds[i + 1], vals[i], errs[i]) for i in range(k0)]
+    heapq.heapify(heap)
+    done = []
+    total_val, total_err = float(np.sum(vals)), float(np.sum(errs))
+    counter = nseg = k0
+    converged = True
+    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+        if nseg >= cfg.max_subdivisions:
+            converged = False
+            break
+        split = []
+        while heap and len(split) < min(16, cfg.max_subdivisions - nseg):
+            neg_err, _, a, b, v, e = heapq.heappop(heap)
+            m = 0.5 * (a + b)
+            if m <= a or m >= b:
+                done.append((v, e))
+                continue
+            if -neg_err <= 0.02 * total_err and split:
+                heapq.heappush(heap, (neg_err, counter, a, b, v, e))
+                counter += 1
+                break
+            split.append((a, b, v, e))
+        if not split:
+            converged = False
+            break
+        lows = np.array([x for a, b, _, _ in split for x in (a, 0.5 * (a + b))])
+        highs = np.array([x for a, b, _, _ in split for x in (0.5 * (a + b), b)])
+        vals, errs = panels(lows, highs)
+        for i, (a, b, v, e) in enumerate(split):
+            total_val += vals[2 * i] + vals[2 * i + 1] - v
+            total_err += errs[2 * i] + errs[2 * i + 1] - e
+            for j in (2 * i, 2 * i + 1):
+                heapq.heappush(heap, (-errs[j], counter, lows[j], highs[j], vals[j], errs[j]))
+                counter += 1
+            nseg += 1
+    cells = [(v, e) for _, _, _, _, v, e in heap] + done
+    return (math.fsum(v for v, _ in cells), math.fsum(e for _, e in cells), nseg, converged)
+
+
+class TestAdaptivePolicy:
+    """The batched driver against the sequential reference loop, bit for bit."""
+
+    CFGS = [
+        QuadConfig(),
+        QuadConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=40),
+        QuadConfig(initial_panels=1),
+        QuadConfig(max_subdivisions=5),
+    ]
+
+    def test_integrate_1d_matches_reference(self):
+        from quasiconv.expressions import eval_array
+
+        rng = np.random.default_rng(314)
+        texts = [_kinked(rng)[0] for _ in range(6)] + ["floor(7*x) + sin(9*x)", "sqrt(abs(x))"]
+        for text in texts:
+            f = parse(text, 1)
+            for cfg in self.CFGS:
+                q = integrate_1d(f, Interval(-1, 1), cfg)
+                want = _reference_integrate_1d(lambda t: eval_array(f, t)[0], -1.0, 1.0, cfg)
+                assert (q.value, q.abs_error_estimate, q.subdivisions, q.converged) == want
+
+    def test_abs_difference_matches_reference(self):
+        from quasiconv.expressions import difference, eval_array
+
+        rng = np.random.default_rng(271)
+        for _ in range(6):
+            g, h = parse(_kinked(rng)[0], 1), parse(_kinked(rng)[0], 1)
+            d = difference(g, h)
+
+            def dv(t, d=d):
+                return eval_array(d, np.atleast_1d(t))[0]
+
+            grid = np.linspace(0.0, 1.0, 257)
+            ds = dv(grid)
+            cuts = [float(grid[i]) for i in range(1, 256)
+                    if ds[i] == 0.0 and ds[i - 1] * ds[i + 1] < 0.0]
+            cuts += [_plain_bisection(lambda t: float(dv(t)[0]), float(grid[i]), float(grid[i + 1]))
+                     for i in range(256) if ds[i] * ds[i + 1] < 0.0]
+            breaks = sorted({0.0, 1.0, *cuts})
+            cfg = QuadConfig()
+            piece_cfg = QuadConfig(abs_tol=cfg.abs_tol / (len(breaks) - 1))
+            parts = [_reference_integrate_1d(lambda t: np.abs(dv(t)), a, b, piece_cfg)
+                     for a, b in zip(breaks, breaks[1:])]
+            q = integrate_abs_difference(g, h, Interval(0, 1), cfg)
+            assert q.value == math.fsum(p[0] for p in parts)
+            assert q.abs_error_estimate == math.fsum(p[1] for p in parts)
+            assert q.subdivisions == sum(p[2] for p in parts)
+            assert q.converged == all(p[3] for p in parts)
