@@ -715,26 +715,32 @@ def _lane_margins(
     (x1[, y1], x2[, y2], t[, s]) and broadcastable to ``shape``; F1 and F2
     are f at the two points.  Returns (margin, over, ok): ``over`` marks
     margins that clear the violation tolerance, ``ok`` lanes whose mixed
-    points all evaluate.
+    points all evaluate to a margin that is not NaN.
     """
     p1, p2, params = cols[:d], cols[d : 2 * d], cols[2 * d :]
     # one parameter mixes every axis; W2's (t, s) mix x and y separately
     ts = [params[a % len(params)] if params else 0.5 for a in range(d)]
     lhs, ok = _eval_lanes(f, [_mix_a_vec(*m) for m in zip(ts, p1, p2)], shape)
-    if kind in ("W", "WQC"):
-        vb, okb = _eval_lanes(f, [_mix_b_vec(*m) for m in zip(ts, p1, p2)], shape)
-        ok = ok & okb
-        lhs = vb + lhs if kind == "W" else 0.5 * (lhs + vb)
-    if kind == "C":
-        rhs = params[0] * F1 + (1.0 - params[0]) * F2
-    elif kind == "J":
-        rhs = 0.5 * F1 + 0.5 * F2
-    elif kind == "W":
-        rhs = F1 + F2
-    else:  # QC, JQC, WQC
-        rhs = np.maximum(F1, F2)
-    margin = lhs - rhs
-    tau = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    # sums of values near the float range overflow, and inf - inf is NaN
+    with np.errstate(all="ignore"):
+        if kind in ("W", "WQC"):
+            vb, okb = _eval_lanes(f, [_mix_b_vec(*m) for m in zip(ts, p1, p2)], shape)
+            ok = ok & okb
+            lhs = vb + lhs if kind == "W" else 0.5 * (lhs + vb)
+        if kind == "C":
+            rhs = params[0] * F1 + (1.0 - params[0]) * F2
+        elif kind == "J":
+            rhs = 0.5 * F1 + 0.5 * F2
+        elif kind == "W":
+            rhs = F1 + F2
+        else:  # QC, JQC, WQC
+            rhs = np.maximum(F1, F2)
+        margin = lhs - rhs
+        tau = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    # a NaN margin decides nothing: the lane counts as undefined (min
+    # propagates NaN, so the mask is built only when there is one)
+    if np.isnan(margin.min()):
+        ok = ok & ~np.isnan(margin)
     return margin, margin > tau, ok
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -54,10 +55,16 @@ _INEQUALITIES = {
 
 
 def _emit(args, record: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(record, indent=2))
-    else:
-        print(human)
+    text = json.dumps(record, indent=2) if getattr(args, "json", False) else human
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone (say, `| head`); the verdict's exit code still
+        # holds, and stdout now drains into devnull so the flush at exit
+        # cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _run_record(command: str, inputs: dict, config: dict, outcome: dict, t0: float) -> dict:

@@ -390,9 +390,22 @@ def integrate_1d(
     )[0]
 
 
+Rect = tuple[float, float, float, float]
+
+
+def _contract(w: np.ndarray, zs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``w @ Z @ v`` for every slab Z of ``zs``, as stacked matrix products.
+
+    Each slab gets the same two products, in the same order, as it would
+    alone, so its bits do not depend on the rest of the stack (``einsum``
+    does not keep them).
+    """
+    return ((w @ zs)[:, None, :] @ v[:, None])[:, 0, 0]
+
+
 def _gk15_2d(
     fv2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rects: list[tuple[float, float, float, float]],
+    rects: list[Rect],
 ) -> list[tuple[float, float, float]]:
     """Tensor GK panels on rectangles (xlo, xhi, ylo, yhi), evaluated in one
     integrand call: (value, error_x, error_y) per rectangle.
@@ -410,16 +423,82 @@ def _gk15_2d(
     # node (i, j) of a rectangle sits at (xs[i], ys[j]), in C order
     Zs = fv2(np.repeat(xs, 15, axis=1).ravel(), np.tile(ys, 15).ravel())
     Zs = Zs.reshape(len(rects), 15, 15)
-    out = []
-    for Z, sx, sy in zip(Zs, xh.tolist(), yh.tolist()):
-        scale = sx * sy
-        kk = scale * float(_WK @ Z @ _WK)
-        gk = scale * float(_WG @ Z[_GAUSS_IDX, :] @ _WK)
-        kg = scale * float(_WK @ Z[:, _GAUSS_IDX] @ _WG)
-        resabs = scale * float(_WK @ np.abs(Z) @ _WK)
-        floor = 50.0 * _EPS * resabs
-        out.append((kk, max(abs(kk - gk), floor), max(abs(kk - kg), floor)))
+    scale = xh * yh
+    kk = scale * _contract(_WK, Zs, _WK)
+    gk = scale * _contract(_WG, Zs[:, _GAUSS_IDX, :], _WK)
+    kg = scale * _contract(_WK, Zs[:, :, _GAUSS_IDX], _WG)
+    floor = 50.0 * _EPS * (scale * _contract(_WK, np.abs(Zs), _WK))
+    ex = np.maximum(np.abs(kk - gk), floor)
+    ey = np.maximum(np.abs(kk - kg), floor)
+    return list(zip(kk.tolist(), ex.tolist(), ey.tolist()))
+
+
+# heap-top rectangles whose children one integrand call evaluates ahead
+_LOOKAHEAD = 32
+
+
+def _halves(rect: Rect, ex: float, ey: float) -> Optional[tuple[Rect, Rect]]:
+    """``rect`` bisected across its worse axis (x on a tie); None when that
+    axis cannot be split at double precision."""
+    xlo, xhi, ylo, yhi = rect
+    if ex >= ey:
+        m = 0.5 * (xlo + xhi)
+        if xlo < m < xhi:
+            return (xlo, m, ylo, yhi), (m, xhi, ylo, yhi)
+    else:
+        m = 0.5 * (ylo + yhi)
+        if ylo < m < yhi:
+            return (xlo, xhi, ylo, m), (xlo, xhi, m, yhi)
+    return None
+
+
+def _heap_top(heap: list, k: int) -> list:
+    """The ``k`` smallest entries of a binary heap in ascending order, found
+    by a best-first walk down its tree (``heapq.nsmallest`` without scanning
+    the whole heap)."""
+    out: list = []
+    frontier = [(heap[0], 0)] if heap else []
+    while frontier and len(out) < k:
+        entry, i = heapq.heappop(frontier)
+        out.append(entry)
+        for j in (2 * i + 1, 2 * i + 2):
+            if j < len(heap):
+                heapq.heappush(frontier, (heap[j], j))
     return out
+
+
+def _look_ahead(
+    fv2: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    entry: tuple,
+    heap: list,
+    ahead: dict[int, list[tuple[Rect, tuple[float, float, float]]]],
+    limit: int,
+) -> None:
+    """Evaluate the children of the popped heap ``entry`` and of up to
+    ``limit - 1`` of the next heap-top rectangles in one integrand call,
+    into ``ahead`` by insertion counter as (child, (value, error_x,
+    error_y)) pairs.
+
+    The rectangles evaluated ahead are only guesses at the next pops.  If
+    the call fails, the popped rectangle's children are evaluated alone, so
+    an error comes only from a rectangle the sequential loop splits.
+    """
+    keys: list[int] = []
+    rects: list[Rect] = []
+    for _, key, rect, _, ex, ey in [entry] + _heap_top(heap, limit - 1):
+        children = None if key in ahead else _halves(rect, ex, ey)
+        if children is not None:
+            keys.append(key)
+            rects += children
+    try:
+        results = _gk15_2d(fv2, rects)
+    except Exception:
+        # any error, since a callable integrand may raise anything: if it
+        # belongs to the popped rectangle, the redo raises it again
+        keys, rects = keys[:1], rects[:2]
+        results = _gk15_2d(fv2, rects)
+    for i, key in enumerate(keys):
+        ahead[key] = list(zip(rects[2 * i : 2 * i + 2], results[2 * i : 2 * i + 2]))
 
 
 def integrate_2d(
@@ -428,7 +507,13 @@ def integrate_2d(
     cfg: Optional[QuadConfig] = None,
 ) -> QuadResult:
     """Adaptively integrate ``f`` over a rectangle, bisecting the worse axis
-    of the worst rectangle; both halves share one integrand call."""
+    of the worst rectangle.
+
+    The rectangles are split one at a time in heap order, but the children
+    of the next ``_LOOKAHEAD`` heap-top rectangles are evaluated ahead in
+    one integrand call, so the result is bit-identical to evaluating each
+    split on its own.
+    """
     cfg = cfg or QuadConfig()
     fv2 = _as_vector_2d(f)
     a, b, c, d = box.bounds
@@ -448,7 +533,8 @@ def integrate_2d(
         total_err += ex + ey
     counter = len(rects)
     heapq.heapify(heap)
-    done: list[tuple[tuple, float, float]] = []  # (rect, value, err)
+    ahead: dict[int, list[tuple[Rect, tuple[float, float, float]]]] = {}
+    done: list[tuple[float, float]] = []  # frozen (value, err)
     nrect = len(rects)
     converged = True
     while True:
@@ -460,31 +546,26 @@ def integrate_2d(
         if nrect >= cfg.max_subdivisions:
             converged = False
             break
-        _, _, (xlo, xhi, ylo, yhi), v, ex, ey = heapq.heappop(heap)
-        if ex >= ey:
-            m = 0.5 * (xlo + xhi)
-            splittable = xlo < m < xhi
-            children = [(xlo, m, ylo, yhi), (m, xhi, ylo, yhi)]
-        else:
-            m = 0.5 * (ylo + yhi)
-            splittable = ylo < m < yhi
-            children = [(xlo, xhi, ylo, m), (xlo, xhi, m, yhi)]
-        if not splittable:
-            done.append(((xlo, xhi, ylo, yhi), v, ex + ey))
-            continue
+        entry = heapq.heappop(heap)
+        _, key, rect, v, ex, ey = entry
+        if key not in ahead:
+            if _halves(rect, ex, ey) is None:
+                done.append((v, ex + ey))  # cannot split at double precision
+                continue
+            _look_ahead(fv2, entry, heap, ahead, min(_LOOKAHEAD, cfg.max_subdivisions - nrect))
         total_val -= v
         total_err -= ex + ey
-        for rect, (cv, cex, cey) in zip(children, _gk15_2d(fv2, children)):
+        for rect, (cv, cex, cey) in ahead.pop(key):
             total_val += cv
             total_err += cex + cey
             heapq.heappush(heap, (-(cex + cey), counter, rect, cv, cex, cey))
             counter += 1
         nrect += 1
-    cells = [(rect, v, ex + ey) for _, _, rect, v, ex, ey in heap] + done
-    cells.sort(key=lambda cell: (cell[0][0], cell[0][2]))
-    value = math.fsum(cv for _, cv, _ in cells)
-    err_total = math.fsum(ce for _, _, ce in cells)
-    return QuadResult(value, err_total, nrect, converged)
+    # fsum is exact, so the order of the cells does not matter
+    cells = [(v, ex + ey) for _, _, _, v, ex, ey in heap] + done
+    return QuadResult(
+        math.fsum(v for v, _ in cells), math.fsum(e for _, e in cells), nrect, converged
+    )
 
 
 # Slices integrated together.  This bounds the lanes of one integrand call

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +75,20 @@ class TestCheck:
         assert code == 3
         assert err.splitlines()[-1].startswith("internal error: RecursionError")
         assert out == ""
+
+    def test_nan_margin_is_undefined_not_silent(self, capsys):
+        # F1 + F2 and the mixed sum overflow to -inf near 1e308, and their
+        # difference is NaN: such a lane decides nothing, so the check is
+        # undefined, quietly (a numpy warning would raise here)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "check", "--f", "-(1.7e308*x*x)", "--domain", "-1,1",
+                "--class", "W1",
+            )
+        assert code == 2
+        assert "undefined" in out
+        assert err == ""
 
     def test_json_round_trip(self, capsys):
         args = [
@@ -145,6 +164,43 @@ class TestVerify:
             "--domain", "0,1",
         )
         assert code == 2
+
+
+class TestClosedStdout:
+    """A reader that goes away (``| head``) does not turn the verdict into
+    a crash: the exit code stays the verdict's own."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["verify", "--inequality", "HH1D", "--f", "x^2", "--domain", "0,1"], 0),
+            (["verify", "--inequality", "CHAIN1_6", "--f", "-(x^2) - y^2",
+              "--domain", "0,1,0,1"], 1),
+        ],
+        ids=["pass", "fail"],
+    )
+    def test_broken_pipe_keeps_the_exit_code(self, monkeypatch, capsys, argv, want):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to write_end raises BrokenPipeError
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            code = main(argv + ["--json"])
+        # closing the stream flushed what was left into devnull
+        assert code == want
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_exits_quietly(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quasiconv", "verify", "--inequality", "HH1D",
+             "--f", "x^2", "--domain", "0,1", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # gone before the record is written
+        err = proc.stderr.read()
+        assert proc.wait() == 0
+        assert err == b""
 
 
 class TestSearchAndGallery:

@@ -451,3 +451,208 @@ class TestAdaptivePolicy:
             assert q.abs_error_estimate == math.fsum(p[1] for p in parts)
             assert q.subdivisions == sum(p[2] for p in parts)
             assert q.converged == all(p[3] for p in parts)
+
+
+def _slab_panel(Z, sx, sy):
+    """Reference: one (15, 15) slab contracted on its own."""
+    from quasiconv.quadrature import _EPS, _GAUSS_IDX, _WG, _WK
+
+    scale = sx * sy
+    kk = scale * float(_WK @ Z @ _WK)
+    gk = scale * float(_WG @ Z[_GAUSS_IDX, :] @ _WK)
+    kg = scale * float(_WK @ Z[:, _GAUSS_IDX] @ _WG)
+    floor = 50.0 * _EPS * (scale * float(_WK @ np.abs(Z) @ _WK))
+    return kk, max(abs(kk - gk), floor), max(abs(kk - kg), floor)
+
+
+def _reference_integrate_2d(fv2, box, cfg):
+    """Reference: the adaptive 2D rule as one sequential heap loop, each
+    split's two children evaluated together and contracted slab by slab."""
+    import heapq
+
+    from quasiconv.quadrature import _NODES
+
+    def panels(rects):
+        out = []
+        for xlo, xhi, ylo, yhi in rects:
+            xh, yh = 0.5 * (xhi - xlo), 0.5 * (yhi - ylo)
+            xs = 0.5 * (xlo + xhi) + xh * _NODES
+            ys = 0.5 * (ylo + yhi) + yh * _NODES
+            out.append((np.repeat(xs, 15), np.tile(ys, 15), xh, yh))
+        zs = fv2(np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out]))
+        zs = zs.reshape(len(rects), 15, 15)
+        return [_slab_panel(z, xh, yh) for z, (_, _, xh, yh) in zip(zs, out)]
+
+    a, b, c, d = box.bounds
+    per_axis = 2 if cfg.initial_panels > 1 and cfg.max_subdivisions >= 4 else 1
+    xs = np.linspace(a, b, per_axis + 1).tolist()
+    ys = np.linspace(c, d, per_axis + 1).tolist()
+    rects = [(xs[i], xs[i + 1], ys[j], ys[j + 1]) for i in range(per_axis) for j in range(per_axis)]
+    heap = []
+    total_val = total_err = 0.0
+    for counter, (rect, (v, ex, ey)) in enumerate(zip(rects, panels(rects))):
+        heap.append((-(ex + ey), counter, rect, v, ex, ey))
+        total_val += v
+        total_err += ex + ey
+    heapq.heapify(heap)
+    counter = nrect = len(rects)
+    done = []
+    converged = True
+    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+        if not heap or nrect >= cfg.max_subdivisions:
+            converged = False
+            break
+        _, _, (xlo, xhi, ylo, yhi), v, ex, ey = heapq.heappop(heap)
+        if ex >= ey:
+            m = 0.5 * (xlo + xhi)
+            ok = xlo < m < xhi
+            children = [(xlo, m, ylo, yhi), (m, xhi, ylo, yhi)]
+        else:
+            m = 0.5 * (ylo + yhi)
+            ok = ylo < m < yhi
+            children = [(xlo, xhi, ylo, m), (xlo, xhi, m, yhi)]
+        if not ok:
+            done.append((v, ex + ey))
+            continue
+        total_val -= v
+        total_err -= ex + ey
+        for rect, (cv, cex, cey) in zip(children, panels(children)):
+            total_val += cv
+            total_err += cex + cey
+            heapq.heappush(heap, (-(cex + cey), counter, rect, cv, cex, cey))
+            counter += 1
+        nrect += 1
+    cells = [(v, ex + ey) for _, _, _, v, ex, ey in heap] + done
+    return (math.fsum(v for v, _ in cells), math.fsum(e for _, e in cells), nrect, converged)
+
+
+def _as_tuple(q):
+    return (q.value, q.abs_error_estimate, q.subdivisions, q.converged)
+
+
+class TestLookahead2D:
+    """integrate_2d evaluates the children of the next heap-top rectangles
+    ahead; every result must equal the sequential rule's, bit for bit."""
+
+    CFGS = [
+        QuadConfig(),
+        QuadConfig(max_subdivisions=4),
+        QuadConfig(max_subdivisions=5),
+        QuadConfig(max_subdivisions=37),
+        QuadConfig(initial_panels=1),
+    ]
+
+    def test_matches_sequential_reference(self):
+        from quasiconv.expressions import eval_array
+
+        texts = [
+            "x*y",  # smooth, converges at once
+            "exp(x)*sin(3*y) + 1/(1 + 25*(x^2 + y^2))",  # smooth, adaptive
+            "min(x, y) + abs(x + 0.3)",  # kinked, converges
+            # kinks on the diagonal: the budget runs out
+            "0.7*abs(x - y) + 0.4*max(x, y) + 0.3*abs(y - 0.21) + 0.5*(x - 0.1)^2",
+            "floor(3*x) + floor(5*y)",
+        ]
+        box = Box2.from_bounds(-1, 1, -1, 1)
+        budget_spent = 0
+        for text in texts:
+            f = parse(text, 2)
+            for cfg in self.CFGS:
+                q = integrate_2d(f, box, cfg)
+                want = _reference_integrate_2d(lambda x, y: eval_array(f, x, y)[0], box, cfg)
+                assert _as_tuple(q) == want, (text, cfg)
+                budget_spent += q.subdivisions == 4096 and not q.converged
+        assert budget_spent >= 2
+
+    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    def test_failure_ahead_of_the_sequential_loop_is_not_raised(self, failure):
+        # a rectangle whose children are evaluated ahead but that the
+        # sequential loop never splits must not decide the result
+        box = Box2.from_bounds(-1, 1, -1, 1)
+        cfg = QuadConfig(max_subdivisions=37)
+
+        def g(x, y):
+            return abs(x - y) + max(x, 0.5 * y) + x * x
+
+        seen_ahead, seen_ref = set(), set()
+
+        def g_ahead(x, y):
+            seen_ahead.add((x, y))
+            return g(x, y)
+
+        def g_ref(xs, ys):
+            pts = list(zip(xs.tolist(), ys.tolist()))
+            seen_ref.update(pts)
+            return np.array([g(x, y) for x, y in pts])
+
+        integrate_2d(g_ahead, box, cfg)
+        want = _reference_integrate_2d(g_ref, box, cfg)
+        only_ahead = sorted(seen_ahead - seen_ref)
+        assert only_ahead, "the lookahead evaluated nothing beyond the sequential loop"
+        poison = only_ahead[len(only_ahead) // 2]
+
+        def f(x, y):
+            if (x, y) == poison:
+                if failure == "raise":
+                    raise ValueError("poisoned node")
+                return math.nan
+            return g(x, y)
+
+        assert _as_tuple(integrate_2d(f, box, cfg)) == want
+
+    def test_failure_in_a_sequential_split_is_raised_there(self):
+        from quasiconv.expressions import eval_array
+        from quasiconv.quadrature import _gk15_2d
+
+        # undefined on a small diamond around (0.35, 0.45) that no node of
+        # the four initial rectangles reaches; splits reach it
+        f = parse("abs(x - y) + sqrt(abs(x - 0.35) + abs(y - 0.45) - 0.01)", 2)
+        box = Box2.from_bounds(-1, 1, -1, 1)
+
+        def fv2(x, y):
+            vals, ok = eval_array(f, x, y)
+            if not ok.all():
+                i = int(np.argmax(~ok))
+                raise DomainError("non-finite value", (float(x[i]), float(y[i])))
+            return vals
+
+        _gk15_2d(fv2, [(-1, 0, -1, 0), (-1, 0, 0, 1), (0, 1, -1, 0), (0, 1, 0, 1)])
+        with pytest.raises(DomainError) as want:
+            _reference_integrate_2d(fv2, box, QuadConfig())
+        with pytest.raises(DomainError) as got:
+            integrate_2d(f, box)
+        assert got.value.point == want.value.point
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65])
+    def test_batched_contraction_matches_each_slab(self, n):
+        from quasiconv.quadrature import _NODES, _gk15_2d
+
+        rng = np.random.default_rng(n)
+        lo = rng.uniform(-1, 1, (n, 2)).tolist()
+        size = rng.uniform(1e-3, 1, (n, 2)).tolist()
+        rects = [(x, x + w, y, y + h) for (x, y), (w, h) in zip(lo, size)]
+
+        def fv2(x, y):
+            return np.exp(3.0 * np.sin(40.0 * x * y)) * (1.0 + 1e3 * x**2) - y
+
+        got = _gk15_2d(fv2, rects)
+        for rect, panel in zip(rects, got):
+            xlo, xhi, ylo, yhi = rect
+            xh, yh = 0.5 * (xhi - xlo), 0.5 * (yhi - ylo)
+            xs = 0.5 * (xlo + xhi) + xh * _NODES
+            ys = 0.5 * (ylo + yhi) + yh * _NODES
+            Z = fv2(np.repeat(xs, 15), np.tile(ys, 15)).reshape(15, 15)
+            assert panel == _slab_panel(Z, xh, yh)
+            assert panel == _gk15_2d(fv2, [rect])[0]
+
+    def test_heap_top_is_nsmallest(self):
+        import heapq
+
+        from quasiconv.quadrature import _heap_top
+
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 2, 7, 100):
+            heap = [(float(v), i) for i, v in enumerate(rng.integers(0, 5, size))]
+            heapq.heapify(heap)
+            for k in (0, 1, 3, 31, size, size + 1):
+                assert _heap_top(heap, k) == heapq.nsmallest(k, heap)
