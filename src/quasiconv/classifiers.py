@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -524,7 +524,6 @@ def strengthen_witness(w: Witness, f: Union[Expr, Callable, None] = None) -> Wit
 # Candidate screening engine
 
 _CHUNK = 1 << 21
-_TOP_K = 8
 
 
 @lru_cache(maxsize=64)
@@ -613,49 +612,38 @@ def _refine_params(
 
         best_v, best_m = _golden_ascent(slice_fn, iters)
         if best_m > base:
-            current[name] = best_v
-            base = best_m
+            # a larger margin can still fall short of a tolerance that grew
+            # with |lhs| or |rhs|; keep only values a witness can carry
+            trial = dict(current)
+            trial[name] = best_v
+            lhs, rhs, _ = _template(class_id, f, p1, p2, trial)
+            if best_m > violation_tolerance(lhs, rhs):
+                current, base = trial, best_m
     return current
 
 
 class _Screen:
-    """Keeps the best violating candidate ids and the first undefined one."""
+    """Keeps the best violating candidate id, by largest margin and then
+    lowest id, and the first undefined one."""
 
     def __init__(self) -> None:
-        self.candidates: list[tuple[float, int]] = []
+        self.best: Optional[tuple[float, int]] = None
         self.bad: Optional[int] = None
 
     def add_chunk(
         self, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray
     ) -> bool:
-        """Returns True when screening should stop (undefined lane found)."""
+        """Returns True when screening should stop (undefined lane found).
+        Chunks arrive in id order."""
         if bad.any():
             self.bad = start + int(np.argmax(bad))
             return True
-        idx = np.nonzero(viol)[0]
-        if idx.size > _TOP_K:
-            # the K best by (-margin, id) in linear time: every lane above the
-            # K-th largest margin, then the lowest ids among the lanes equal to it
-            vals = margin[idx]
-            kth = np.partition(vals, idx.size - _TOP_K)[idx.size - _TOP_K]
-            above = idx[vals > kth]
-            idx = np.concatenate((above, idx[vals == kth][: _TOP_K - above.size]))
-        self.candidates.extend((float(margin[i]), start + int(i)) for i in idx)
+        idx = np.flatnonzero(viol)
+        if idx.size:
+            i = int(idx[np.argmax(margin[idx])])  # the lowest id among equals
+            if self.best is None or margin[i] > self.best[0]:
+                self.best = (float(margin[i]), start + i)
         return False
-
-    def ranked(self) -> list[tuple[float, int]]:
-        return sorted(self.candidates, key=lambda c: (-c[0], c[1]))
-
-
-def _first_domain_failure(
-    f: Expr, pts: list[tuple[float, ...]]
-) -> tuple[tuple, str]:
-    for pt in pts:
-        try:
-            f(*pt)
-        except DomainError as err:
-            return pt, err.reason
-    return pts[-1], "non-finite evaluation"
 
 
 def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
@@ -781,8 +769,7 @@ def _screen(
     Fg, okg = _eval_lanes(f, points, (n,) * d)
     if not okg.all():
         at = np.unravel_index(int(np.argmax(~okg)), okg.shape)
-        pt = tuple(float(g[i]) for g, i in zip(grids, at))
-        point, _ = _first_domain_failure(f, [pt])
+        point = tuple(float(g[i]) for g, i in zip(grids, at))
         return Verdict(status="undefined", resolution=resolution, seed=seed, point=point)
     shape = (n,) * ndim
     grid_total = n**ndim
@@ -825,73 +812,32 @@ def _screen(
         live = ~_skipped([a == b for a, b in zip(p1, p2)], p1, p2, ordered_only)
         screen.add_chunk(grid_total, margin, ok & live & over, ~ok & live)
     samples = grid_total - n ** (ndim - d) + m  # diagonal pairs are degenerate
-    bad = None
+    found = dict(resolution=resolution, samples=samples, seed=seed)
     if screen.bad is not None:
+        # the point the template failed at, or the last one it evaluated
+        # when only its margin is NaN
+        seen: list[tuple] = []
+
+        def traced(*pt: float) -> float:
+            seen.append(pt)
+            return f(*pt)
+
         bad = _candidate(screen.bad, shape, axis_vals, halton, names)
-    # decoded lazily: the first candidate usually yields the witness
-    ranked = (
-        _candidate(i, shape, axis_vals, halton, names) for _, i in screen.ranked()
-    )
-    return _finish(
-        class_id, f, bad, ranked, samples, resolution, seed, budget.refine_iters
-    )
-
-
-def _finish(
-    class_id: ClassId,
-    f: Expr,
-    bad: Optional[tuple[tuple, tuple, dict]],
-    ranked: Iterable[tuple[tuple, tuple, dict]],
-    samples: int,
-    resolution: str,
-    seed: Optional[int],
-    refine_iters: int,
-) -> Verdict:
-    if bad is not None:
-        p1, p2, params = bad
-        pts = [p1, p2]
-        kind = class_id.kind
-        arity = class_id.arity
-        lamv = params.get("lam", params.get("t", 0.5))
-        sv = params.get("s", lamv)
-        pa = _mix_point(_mix_a, lamv, lamv if arity == 1 else sv, p1, p2)
-        pb = _mix_point(_mix_b, lamv, lamv if arity == 1 else sv, p1, p2)
-        if kind == "W":
-            pts += [pb, pa]
-        elif kind == "WQC":
-            pts += [pa, pb]
-        else:
-            pts += [pa]
-        point, _reason = _first_domain_failure(f, pts)
-        return Verdict(
-            status="undefined",
-            resolution=resolution,
-            samples=samples,
-            seed=seed,
-            point=point,
-        )
-    for p1, p2, params in ranked:
         try:
-            refined = _refine_params(class_id, f, p1, p2, params, refine_iters)
-            try:
-                w = make_witness(class_id, f, p1, p2, refined)
-            except (ValueError, DomainError):
-                w = make_witness(class_id, f, p1, p2, params)
-        except (ValueError, DomainError):
-            continue  # scalar path disagrees at the tolerance edge; try next
-        return Verdict(
-            status="violated",
-            witness=w,
-            resolution=resolution,
-            samples=samples,
-            seed=seed,
-        )
-    return Verdict(
-        status="no_violation_found",
-        resolution=resolution,
-        samples=samples,
-        seed=seed,
-    )
+            _template(class_id, traced, *bad)
+        except DomainError:
+            pass
+        return Verdict(status="undefined", point=seen[-1], **found)
+    if screen.best is None:
+        return Verdict(status="no_violation_found", **found)
+    # lanes and scalar calls run one tape, so the screened margin is the
+    # scalar margin, and refinement keeps only values that clear the
+    # tolerance: the witness holds
+    p1, p2, params = _candidate(screen.best[1], shape, axis_vals, halton, names)
+    refined = _refine_params(class_id, f, p1, p2, params, budget.refine_iters)
+    witness = make_witness(class_id, f, p1, p2, refined)
+    return Verdict(status="violated", witness=witness, **found)
+
 
 def check_membership(
     f: Expr,

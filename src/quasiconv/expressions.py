@@ -6,18 +6,24 @@ with the operators ``+ - * / ^``, parentheses, and the calls ``abs``, ``sqrt``,
 binds tighter than unary minus, which binds tighter than ``*`` and ``/``.
 The full EBNF lives in the README.
 
-Parsed expressions are immutable trees.  Evaluation is pure IEEE double
-arithmetic: the same tree at the same point always produces bit-identical
-results, which the witness machinery in :mod:`quasiconv.classifiers` relies on.
+Parsed expressions are immutable trees; number literals that overflow to
+infinity are syntax errors.  Each tree is lowered once, without recursion,
+to a postfix tape of opcodes, and one tape serves both entry points: a
+scalar call (``Expr.__call__``) runs it over Python floats, ``eval_array``
+over numpy lanes.  Both give the same bits and fail on the same points, so
+a margin computed on lanes is the margin a witness re-evaluates to, which
+the witness machinery in :mod:`quasiconv.classifiers` relies on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -113,8 +119,9 @@ class Expr:
     arity: int
     text: str
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(_collect_vars(self.root))
+    @cached_property
+    def _tape(self) -> tuple[tuple, bool]:
+        return _lower(self.root)
 
     def __call__(self, x: float, y: Optional[float] = None) -> float:
         if self.arity == 2 and y is None:
@@ -123,7 +130,7 @@ class Expr:
             raise ArityError("1D expression takes a single co-ordinate")
         point = (float(x),) if y is None else (float(x), float(y))
         try:
-            return float(_eval_node(self.root, point[0], point[1] if y is not None else 0.0))
+            return _run_scalar(self._tape[0], point)
         except DomainError as err:
             raise DomainError(err.reason, point) from None
 
@@ -137,16 +144,6 @@ class Expr:
 # The checker modules take a "function spec" as their universal input;
 # it is exactly a parsed expression.
 FunctionSpec = Expr
-
-
-def _collect_vars(node: _Node) -> Iterator[str]:
-    if isinstance(node, _Var):
-        yield node.name
-    elif isinstance(node, _Unary):
-        yield from _collect_vars(node.arg)
-    elif isinstance(node, _Binary):
-        yield from _collect_vars(node.left)
-        yield from _collect_vars(node.right)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return _Const(float(value))
+            number = float(value)
+            if math.isinf(number):
+                raise ExprSyntaxError(f"number {value!r} overflows to infinity", pos)
+            return _Const(number)
         if kind == "name":
             self.advance()
             return self.finish_name(value, pos)
@@ -305,72 +305,150 @@ def parse(text: str, arity: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
+# Evaluation
 #
-# Every node checks finiteness so that a transient overflow cannot cancel
-# later and silently produce a value the vectorised path would mask out.
+# A tree is lowered once to a postfix tape over the opcode table below, and
+# two walkers run it: Expr.__call__ over Python floats, eval_array over
+# numpy lanes.  A row's scalar function gives the bits its lane function
+# gives on one lane: it calls the ufunc itself, or a Python operator that
+# IEEE 754 rounds the same way (+ - * /, sqrt, neg, abs), or for min and max
+# keeps the second operand on a tie, as numpy does.  The scalar walker
+# raises DomainError at the first node whose value leaves the finite reals,
+# which is where the lane walker clears the mask.  Scalar functions return
+# NaN or inf rather than let numpy warn, so only ^ enters np.errstate.
+
+_EXP_MAX = 709.782712893384  # the largest double whose exp is finite
 
 
-def _eval_node(node: _Node, x: float, y: float) -> float:
-    if isinstance(node, _Const):
-        return node.value
-    if isinstance(node, _Var):
-        return x if node.name == "x" else y
-    if isinstance(node, _Unary):
-        v = _eval_node(node.arg, x, y)
-        op = node.op
-        if op == "neg":
-            return -v
-        if op == "abs":
-            return abs(v)
-        if op == "floor":
-            return float(math.floor(v))
-        if op == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
-        if op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError(f"exp overflow on {v!r}") from None
-        if op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v!r}")
-            return math.log(v)
-        if op == "sin":
-            return math.sin(v)
-        if op == "cos":
-            return math.cos(v)
-        raise AssertionError(f"unknown unary op {op!r}")
-    assert isinstance(node, _Binary)
-    a = _eval_node(node.left, x, y)
-    b = _eval_node(node.right, x, y)
-    op = node.op
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    elif op == "/":
-        if b == 0.0:
-            raise DomainError("division by zero")
-        r = a / b
-    elif op == "^":
-        try:
-            r = math.pow(a, b)
-        except (ValueError, OverflowError):
-            raise DomainError(f"{a!r} ^ {b!r} is not a finite real") from None
-    elif op == "min":
-        r = min(a, b)
-    elif op == "max":
-        r = max(a, b)
-    else:
-        raise AssertionError(f"unknown binary op {op!r}")
-    if not math.isfinite(r):
-        raise DomainError(f"overflow in {op!r}")
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _on_floats(ufunc: np.ufunc) -> Callable[..., float]:
+    return lambda *args: float(ufunc(*args))
+
+
+# numpy's power computes x^2, x^0.5 and x^-1 as x*x, sqrt(x) and 1/x when
+# the exponent is one number (a constant, or a one-lane call), but with its
+# general loop, which rounds otherwise, when the exponent varies across
+# lanes.  Both walkers take these shortcuts by value, so a frozen exponent
+# (see restrict) changes no bit; x^2 is lowered to x*x outright.
+_POW_SHORTCUTS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
+
+
+def _power(a, b):
+    r = np.power(a, b)
+    if np.ndim(b):
+        for c, shortcut in _POW_SHORTCUTS:
+            hit = b == c
+            if hit.any():
+                r[hit] = shortcut(np.broadcast_to(a, r.shape)[hit])
     return r
+
+
+def _pow(a: float, b: float) -> float:
+    with np.errstate(all="ignore"):  # 0^-1, (-2)^0.5 and overflow warn
+        return float(np.power(a, b))
+
+
+class _Op(NamedTuple):
+    """One opcode: the operation on numpy lanes and on Python floats."""
+
+    nargs: int
+    lanes: Optional[Callable] = None
+    scalar: Optional[Callable] = None
+    # DomainError text for a non-finite result, formatted with the operands;
+    # None where finite operands always give a finite result
+    reason: Optional[str] = None
+    # maps some non-finite operands to finite values (x/inf, exp(-inf),
+    # 1^nan, min(inf, 1)), so the lane walker tests its computed operands
+    guard: bool = False
+
+
+_CONST, _VAR = _Op(0), _Op(0)
+_OPS: dict[str, _Op] = {
+    "neg": _Op(1, np.negative, operator.neg),
+    "abs": _Op(1, np.abs, abs),
+    "floor": _Op(1, np.floor, _on_floats(np.floor)),
+    "sqrt": _Op(
+        1, np.sqrt, lambda v: math.sqrt(v) if v >= 0.0 else math.nan,
+        "sqrt of negative value {0!r}",
+    ),
+    "exp": _Op(
+        1, np.exp, lambda v: float(np.exp(v)) if v <= _EXP_MAX else math.inf,
+        "exp overflow on {0!r}", True,
+    ),
+    "log": _Op(
+        1, np.log, lambda v: float(np.log(v)) if v > 0.0 else math.nan,
+        "log of non-positive value {0!r}",
+    ),
+    "sin": _Op(1, np.sin, _on_floats(np.sin)),
+    "cos": _Op(1, np.cos, _on_floats(np.cos)),
+    "+": _Op(2, np.add, operator.add, "overflow in '+'"),
+    "-": _Op(2, np.subtract, operator.sub, "overflow in '-'"),
+    "*": _Op(2, np.multiply, operator.mul, "overflow in '*'"),
+    "/": _Op(2, np.divide, _div, "overflow in '/'", True),
+    "^": _Op(2, _power, _pow, "{0!r} ^ {1!r} is not a finite real", True),
+    "min": _Op(2, np.minimum, lambda a, b: a if a < b else b, guard=True),
+    "max": _Op(2, np.maximum, lambda a, b: a if a > b else b, guard=True),
+}
+_SQUARE = _Op(1, np.square, lambda v: v * v, "{0!r} ^ 2.0 is not a finite real")
+_TWO = _Const(2.0)
+
+
+def _lower(root: _Node) -> tuple[tuple, bool]:
+    """The postfix tape of ``root``, built without recursion, and whether
+    the root is computed (not a bare constant or variable).
+
+    A step is ``(op, arg)``: the value of a constant, the index of a
+    variable, or for an operator which of its operands are computed.
+    """
+    steps: list[tuple[_Op, object]] = []
+    computed: list[bool] = []  # for each value the tape has pushed
+    todo: list = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, _Const):
+            steps.append((_CONST, item.value))
+            computed.append(False)
+        elif isinstance(item, _Var):
+            steps.append((_VAR, 0 if item.name == "x" else 1))
+            computed.append(False)
+        elif isinstance(item, _Unary):
+            todo += (_OPS[item.op], item.arg)
+        elif isinstance(item, _Binary) and item.op == "^" and item.right == _TWO:
+            todo += (_SQUARE, item.left)
+        elif isinstance(item, _Binary):
+            todo += (_OPS[item.op], item.right, item.left)
+        else:
+            steps.append((item, tuple(computed[len(computed) - item.nargs :])))
+            del computed[len(computed) - item.nargs :]
+            computed.append(True)
+    return tuple(steps), computed[0]
+
+
+def _run_scalar(steps: tuple, point: tuple[float, ...]) -> float:
+    stack: list[float] = []
+    push, pop, isfinite = stack.append, stack.pop, math.isfinite
+    for op, arg in steps:
+        nargs, _, scalar, reason, _ = op
+        if nargs == 2:
+            b = pop()
+            a = pop()
+            r = scalar(a, b)
+            if reason and not isfinite(r):
+                raise DomainError(reason.format(a, b))
+        elif nargs:
+            a = pop()
+            r = scalar(a)
+            if reason and not isfinite(r):
+                raise DomainError(reason.format(a))
+        else:
+            r = arg if op is _CONST else point[arg]
+        push(r)
+    return stack[0]
 
 
 def evaluate(expr: Expr, x: float, y: Optional[float] = None) -> float:
@@ -383,81 +461,43 @@ def evaluate(expr: Expr, x: float, y: Optional[float] = None) -> float:
     return expr(x, y)
 
 
-# ---------------------------------------------------------------------------
-# Vectorised evaluation (screening engine)
-#
-# Returns values plus a validity mask.  A lane is invalid as soon as any node
-# evaluation leaves the finite reals, matching where the scalar walk raises.
-
-
 def eval_array(
     expr: Expr, xs: np.ndarray, ys: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values of ``expr`` on the lanes ``xs`` (and ``ys``), plus the mask of
     lanes where it is defined.  The values may share memory with the inputs
-    (a bare variable returns its own argument), so treat them as read-only."""
+    (a bare variable returns its own argument), so treat them as read-only.
+
+    A lane is undefined as soon as any node's value leaves the finite reals.
+    Only the root and the computed operands of guard opcodes are tested: the
+    other opcodes keep a non-finite operand non-finite, and literals are
+    finite.
+    """
     if expr.arity == 2 and ys is None:
         raise ArityError("2D expression needs both co-ordinate arrays")
     xs = np.asarray(xs, dtype=float)
-    ys_arr = xs if ys is None else np.asarray(ys, dtype=float)
-    bad = np.zeros(xs.shape, dtype=bool)
+    lanes = (xs, xs if ys is None else np.asarray(ys, dtype=float))
+    steps, check_root = expr._tape
+    stack: list = []
+    ok = np.ones(xs.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        vals = _eval_vec(expr.root, xs, ys_arr, bad)
+        for op, arg in steps:
+            if not op.nargs:
+                stack.append(arg if op is _CONST else lanes[arg])
+                continue
+            operands = stack[-op.nargs :]
+            del stack[-op.nargs :]
+            if op.guard:
+                for value, computed in zip(operands, arg):
+                    if computed:
+                        ok &= np.isfinite(value)
+            stack.append(op.lanes(*operands))
+        vals = stack[0]
+        if check_root:
+            ok &= np.isfinite(vals)
     if not isinstance(vals, np.ndarray) or vals.shape != xs.shape:
         vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
-    return vals, ~bad
-
-
-def _eval_vec(node: _Node, xs: np.ndarray, ys: np.ndarray, bad: np.ndarray):
-    if isinstance(node, _Const):
-        return node.value
-    if isinstance(node, _Var):
-        return xs if node.name == "x" else ys
-    if isinstance(node, _Unary):
-        v = _eval_vec(node.arg, xs, ys, bad)
-        op = node.op
-        if op == "neg":
-            return np.negative(v)
-        if op == "abs":
-            return np.abs(v)
-        if op == "floor":
-            return np.floor(v)
-        if op == "sqrt":
-            r = np.sqrt(v)
-        elif op == "exp":
-            r = np.exp(v)
-        elif op == "log":
-            r = np.log(v)
-        elif op == "sin":
-            return np.sin(v)
-        elif op == "cos":
-            return np.cos(v)
-        else:
-            raise AssertionError(f"unknown unary op {op!r}")
-        bad |= ~np.isfinite(r)
-        return r
-    assert isinstance(node, _Binary)
-    a = _eval_vec(node.left, xs, ys, bad)
-    b = _eval_vec(node.right, xs, ys, bad)
-    op = node.op
-    if op == "+":
-        r = np.add(a, b)
-    elif op == "-":
-        r = np.subtract(a, b)
-    elif op == "*":
-        r = np.multiply(a, b)
-    elif op == "/":
-        r = np.divide(a, b)
-    elif op == "^":
-        r = np.power(a, b)
-    elif op == "min":
-        return np.minimum(a, b)
-    elif op == "max":
-        return np.maximum(a, b)
-    else:
-        raise AssertionError(f"unknown binary op {op!r}")
-    bad |= ~np.isfinite(r)
-    return r
+    return vals, ok
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -473,28 +472,39 @@ def max_identity(u: float, v: float) -> float:
     """(u + v + |u - v|) / 2, evaluated so it equals the builtin max bit-exactly
     on finite doubles.
 
-    The float formula is used only when both intermediate sums are provably
-    exact; otherwise the expression is evaluated in exact rational arithmetic
-    and rounded once (the true value is max(u, v), which is representable, so
-    that single rounding is the identity).  Naive float evaluation fails both
-    near overflow (u + v -> inf) and under absorption (a tiny max vanishes
-    against a huge opposite-signed partner).
+    The sum is rounded once (:func:`_twice_max`); its true value 2*max(u, v)
+    is representable, so that rounding is exact and so is the halving.  Where
+    a sum overflows, the identity is evaluated on u/8 and v/8, which keeps
+    every partial sum below half the double range.  Those eighths are exact
+    unless an argument is near the subnormals while its partner is 2**1021
+    or more; a sum overflows then only when the partner is the maximum, and
+    the rounded eighths of the small argument cancel.  Naive float
+    evaluation fails both near overflow (u + v -> inf) and under absorption
+    (a tiny max vanishes against a huge opposite-signed partner).
     """
     u, v = float(u), float(v)
     if u == v:
         return u  # builtin max keeps the first of two equal arguments
-    s = u + v
-    d = u - v
-    if (
-        math.isfinite(s)
-        and math.isfinite(d)
-        and s - v == u
-        and s - u == v
-        and d + v == u
-        and u - d == v
-    ):
-        t = s + abs(d)  # exactly 2*max when both pieces are exact
-        if math.isfinite(t):
-            return 0.5 * t
-    exact = Fraction(u) + Fraction(v) + abs(Fraction(u) - Fraction(v))
-    return float(exact / 2)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"max_identity needs finite arguments, got {u!r}, {v!r}")
+    try:
+        twice = _twice_max(u, v)
+    except OverflowError:  # from math.fsum
+        twice = math.inf
+    if twice == 0.0:
+        # an exact zero sum carries no sign: the maximum is the zero argument
+        return u if u == 0.0 else v
+    if math.isfinite(twice):
+        return 0.5 * twice
+    return 4.0 * _twice_max(0.125 * u, 0.125 * v)
+
+
+def _twice_max(u: float, v: float) -> float:
+    """u + v + |u - v| rounded once by ``math.fsum``.  TwoSum splits u - v
+    exactly into hi + lo with |lo| at most half an ulp of hi, so
+    |u - v| = sign(hi) * (hi + lo)."""
+    hi = u - v
+    back = hi - u
+    lo = (u - (hi - back)) - (v + back)
+    sign = 1.0 if hi > 0.0 else -1.0
+    return math.fsum((u, v, sign * hi, sign * lo))

@@ -127,9 +127,9 @@ def _as_vector_1d(f: Union[Expr, Batched, Callable[[float], float]]) -> VectorFn
         def fv(pts: np.ndarray) -> np.ndarray:
             vals, ok = eval_array(f, pts)
             if not ok.all():
-                p = float(pts[int(np.argmax(~ok))])
-                f(p)  # raises DomainError with the precise reason
-                raise DomainError("non-finite value", (p,))
+                # the scalar call runs the same tape: it raises DomainError
+                # with the precise reason
+                f(float(pts[int(np.argmax(~ok))]))
             return vals
 
         return fv
@@ -168,9 +168,7 @@ def _as_vector_2d(
             vals, ok = eval_array(f, xs, ys)
             if not ok.all():
                 i = int(np.argmax(~ok))
-                px, py = float(xs[i]), float(ys[i])
-                f(px, py)
-                raise DomainError("non-finite value", (px, py))
+                f(float(xs[i]), float(ys[i]))  # raises, as in _as_vector_1d
             return vals
 
         return fv

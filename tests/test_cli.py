@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from quasiconv import cli
 from quasiconv.cli import main
 
 
@@ -66,14 +67,36 @@ class TestCheck:
         assert "interval" in err
         assert "no violation found" not in out
 
-    def test_internal_error_exits_three(self, capsys):
-        # parses, but is nested too deeply for the evaluator
+    def test_internal_error_exits_three(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "check_membership", crash)
+        code, out, err = run(
+            capsys, "check", "--f", "x^2", "--domain", "0,1", "--class", "J1",
+        )
+        assert code == 3
+        assert err.splitlines()[-1].startswith("internal error:")
+        assert out == ""
+
+    def test_long_chain_evaluates(self, capsys):
+        # 3000 terms nest 3000 deep; the evaluator walks a flat tape
         code, out, err = run(
             capsys, "check", "--f", "+".join(["x"] * 3000), "--domain", "0,1",
             "--class", "J1",
         )
-        assert code == 3
-        assert err.splitlines()[-1].startswith("internal error: RecursionError")
+        assert code == 0
+        assert "no violation found" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("expr", ["sin(1e999)+x", "abs(1e999)"])
+    def test_overflowing_literal_exits_two(self, capsys, expr):
+        code, out, err = run(
+            capsys, "check", "--f", expr, "--domain", "0,1", "--class", "C1"
+        )
+        assert code == 2
+        assert "overflows to infinity" in err
+        assert "Traceback" not in err
         assert out == ""
 
     def test_nan_margin_is_undefined_not_silent(self, capsys):

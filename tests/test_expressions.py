@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiconv import (
@@ -12,7 +14,15 @@ from quasiconv import (
     parse,
     restrict,
 )
-from quasiconv.expressions import eval_array, unparse
+from quasiconv.expressions import (
+    Expr,
+    _Binary,
+    _Const,
+    _Unary,
+    _Var,
+    eval_array,
+    unparse,
+)
 
 
 class TestParse:
@@ -226,3 +236,186 @@ def test_parser_totality_on_fuzz(text):
 def test_eval_pure(x, y):
     f = parse("x*y + abs(x) - y^2", 2)
     assert f(x, y) == f(x, y)
+
+
+class TestLiterals:
+    @pytest.mark.parametrize("text, offset", [("sin(1e999)+x", 4), ("x + 2E+400", 4)])
+    def test_overflowing_literal_is_syntax_error(self, text, offset):
+        with pytest.raises(ExprSyntaxError, match="overflows to infinity") as exc:
+            parse(text, 1)
+        assert exc.value.position == offset
+
+    def test_largest_finite_literal_parses(self):
+        assert parse("1.7976931348623157e308", 1)(0.0) == 1.7976931348623157e308
+
+
+# ---------------------------------------------------------------------------
+# One tape, two walkers: random trees over all 15 operators
+
+
+_UNARY_OPS = ("neg", "abs", "sqrt", "exp", "log", "sin", "cos", "floor")
+_BINARY_OPS = ("+", "-", "*", "/", "^", "min", "max")
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+            0.5, 2.0, -1.0, 1.0, -2.0, 3.0, 709.782712893384, 709.7827128933841)
+_constants = (
+    st.sampled_from(_SPECIAL)
+    | st.floats(min_value=-4, max_value=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_coords = (
+    st.sampled_from(_SPECIAL)
+    | st.floats(min_value=-20, max_value=20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_trees = st.recursive(
+    st.builds(_Const, _constants) | st.sampled_from([_Var("x"), _Var("y")]),
+    lambda kids: st.builds(_Unary, st.sampled_from(_UNARY_OPS), kids)
+    | st.builds(_Binary, st.sampled_from(_BINARY_OPS), kids, kids),
+    max_leaves=10,
+)
+_points = st.lists(st.tuples(_coords, _coords), min_size=1, max_size=6)
+
+_UFUNCS = {
+    "neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+    "sin": np.sin, "cos": np.cos, "floor": np.floor, "+": np.add, "-": np.subtract,
+    "*": np.multiply, "/": np.divide, "^": np.power, "min": np.minimum, "max": np.maximum,
+}
+
+
+def _every_node_mask(node, xs, ys):
+    """Reference: the value of ``node`` on the lanes and the mask that tests
+    every node's value for finiteness."""
+    if isinstance(node, _Const):
+        return node.value, np.ones(xs.shape, dtype=bool)
+    if isinstance(node, _Var):
+        return (xs if node.name == "x" else ys), np.ones(xs.shape, dtype=bool)
+    if isinstance(node, _Unary):
+        v, ok = _every_node_mask(node.arg, xs, ys)
+        r = _UFUNCS[node.op](v)
+    else:
+        a, ok_a = _every_node_mask(node.left, xs, ys)
+        b, ok_b = _every_node_mask(node.right, xs, ys)
+        r, ok = _UFUNCS[node.op](a, b), ok_a & ok_b
+    return r, ok & np.isfinite(r)
+
+
+def _lanes(pts):
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _points)
+# exp's overflow edge: the largest argument with a finite value, and the next
+@example(parse("exp(x) + y", 2).root, [(709.782712893384, -1e308), (709.7827128933841, 0.0)])
+def test_scalar_call_matches_lanes(root, pts):
+    # a scalar call fails exactly where the lane mask is False, and
+    # otherwise returns the lane's value bit for bit
+    f = Expr(root, 2, unparse(root))
+    vals, ok = eval_array(f, *_lanes(pts))
+    for (x, y), value, defined in zip(pts, vals, ok):
+        if defined:
+            got = f(x, y)
+            assert type(got) is float
+            assert repr(got) == repr(float(value)), (f.text, x, y)
+        else:
+            with pytest.raises(DomainError):
+                f(x, y)
+
+
+@pytest.mark.parametrize(
+    "text", ["exp(x)", "log(x)", "x^y", "sin(x)*cos(y)", "sqrt(x)", "floor(x*y)"]
+)
+def test_transcendental_lanes_match_scalar_calls(text):
+    # numpy's SIMD loops and libm's math differ in the last bit on a few
+    # percent of arguments; both walkers must use the same one
+    rng = np.random.default_rng(20011)
+    xs, ys = rng.uniform(0.01, 20.0, 5000), rng.uniform(-4.0, 4.0, 5000)
+    f = parse(text, 2)
+    vals, ok = eval_array(f, xs, ys)
+    assert ok.all()
+    got = np.array([f(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+    assert np.array_equal(got.view(np.uint64), vals.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _points)
+# an overflow that each guard opcode maps back to a finite value
+@example(parse("x/(y*1e300)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("exp(y*(-1e300))", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("1^(y*1e300)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("min(y*1e300, x)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("max(-(y*1e300), x)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+def test_reduced_checks_give_the_every_node_mask(root, pts):
+    f = Expr(root, 2, unparse(root))
+    xs, ys = _lanes(pts)
+    with np.errstate(all="ignore"):
+        _, want = _every_node_mask(root, xs, ys)
+    _, ok = eval_array(f, xs, ys)
+    assert np.array_equal(ok, want), f.text
+
+
+_FLOAT = r"-?(?:inf|nan|\d+\.\d+(?:e[+-]\d+)?|\d+e[+-]\d+)"
+_REASON = re.compile(
+    rf"(?:sqrt of negative value {_FLOAT}|exp overflow on {_FLOAT}"
+    rf"|log of non-positive value {_FLOAT}|division by zero|overflow in '[-+*/^]'"
+    rf"|{_FLOAT} \^ {_FLOAT} is not a finite real)"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _points)
+def test_domain_error_reasons_keep_their_text(root, pts):
+    f = Expr(root, 2, unparse(root))
+    for x, y in pts:
+        try:
+            f(x, y)
+        except DomainError as err:
+            assert _REASON.fullmatch(err.reason), err.reason
+            assert err.point == (x, y)
+
+
+@pytest.mark.parametrize(
+    "text, point, reason",
+    [
+        ("sqrt(x)", -1.0, "sqrt of negative value -1.0"),
+        ("log(sin(x))", -1.0, "log of non-positive value -0.8414709848078965"),
+        ("exp(x)", 1000.0, "exp overflow on 1000.0"),
+        ("1/x", 0.0, "division by zero"),
+        ("x/1e-300", 1e10, "overflow in '/'"),
+        ("x*1e300", 1e10, "overflow in '*'"),
+        ("x+1.7e308", 1e308, "overflow in '+'"),
+        ("x-1.7e308", -1e308, "overflow in '-'"),
+        ("x^0.5", -2.0, "-2.0 ^ 0.5 is not a finite real"),
+        ("exp(x)^3", 300.0, "1.9424263952412558e+130 ^ 3.0 is not a finite real"),
+        ("min(exp(x), 5)", 1000.0, "exp overflow on 1000.0"),
+    ],
+)
+def test_domain_error_reason_text(text, point, reason):
+    with pytest.raises(DomainError) as exc:
+        parse(text, 1)(point)
+    assert exc.value.reason == reason
+    assert exc.value.point == (point,)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, -0.0), (-0.0, 0.0)])
+def test_min_max_ties_keep_the_second_operand(a, b):
+    for text in ("min(x, y)", "max(x, y)"):
+        f = parse(text, 2)
+        vals, _ = eval_array(f, np.array([a]), np.array([b]))
+        assert repr(f(a, b)) == repr(float(vals[0])) == repr(b)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 0.5, -1.0, 3.0])
+def test_power_is_the_same_for_a_frozen_exponent(exponent):
+    # numpy shortcuts x^2, x^0.5 and x^-1 only for an exponent that is one
+    # number; an exponent that varies across lanes must agree with it
+    bases = np.linspace(0.01, 5.0, 4001)
+    f = parse("x^y", 2)
+    frozen = restrict(f, Axis.Y, exponent)
+    vals, ok = eval_array(f, bases, np.full(bases.shape, exponent))
+    fvals, fok = eval_array(frozen, bases)
+    assert ok.all() and fok.all()
+    assert np.array_equal(vals.view(np.uint64), fvals.view(np.uint64))
+    for i in range(0, bases.size, 7):
+        b = float(bases[i])
+        assert repr(f(b, exponent)) == repr(frozen(b)) == repr(float(vals[i]))

@@ -200,6 +200,20 @@ class TestMaxIdentity:
         assert max_identity(-1e308, 1e308) == 1e308
         assert max_identity(1e308, 1e308) == 1e308
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (-0.0, -1.0),  # the maximum is a negative zero
+            (-1e300, -0.0),
+            (1.7976931348623157e308, -8.98846567431158e307),  # a partial sum overflows
+            (-1.7976931348623157e308, 5e-324),  # the maximum is absorbed in u - v
+            (1.7976931348623157e308, -5e-324),
+            (1.7976931348623157e308, 1.7976931348623155e308),
+        ],
+    )
+    def test_extreme_pairs_bit_exact(self, u, v):
+        assert struct.pack("<d", max_identity(u, v)) == struct.pack("<d", max(u, v))
+
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(31337)
         raw = rng.integers(0, 2 ** 64, size=40000, dtype=np.uint64)
