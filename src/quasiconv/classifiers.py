@@ -14,8 +14,9 @@ reproduces them bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -524,6 +525,7 @@ def strengthen_witness(w: Witness, f: Union[Expr, Callable, None] = None) -> Wit
 # Candidate screening engine
 
 _CHUNK = 1 << 21
+_SHARED_CALL = 1 << 16  # most lanes that point sets evaluate together
 
 
 @lru_cache(maxsize=64)
@@ -555,94 +557,192 @@ def _mix_b_vec(t, a, b):
     return np.where(a == b, a, (1.0 - t) * a + t * b)
 
 
-def _golden_ascent(fn: Callable[[float], float], iters: int) -> tuple[float, float]:
-    """Golden-section ascent of fn over [0, 1]; returns (argmax, value) seen."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 5  # golden-section steps per call of the margin in refinement
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_children(a: float, b: float, c: float, d: float) -> tuple:
+    """The two states one golden-section step can reach from [a, b] with
+    interior points c < d, each as (a, b, c, d, new point): [a, d] when
+    f(c) >= f(d), else [c, b].  The new point is the sequential step's,
+    b - inv * (b - a) with b = d, or a + inv * (b - a) with a = c."""
+    new_c = d - _INV_PHI * (d - a)
+    new_d = c + _INV_PHI * (b - c)
+    return (a, d, new_c, c, new_c), (c, b, d, new_d, new_d)
+
+
+def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int) -> list:
+    """Every state the next ``steps`` golden-section steps can reach, in heap
+    order: node 0 takes the first step, whose side ``left`` (f(c) >= f(d)) is
+    known, and the children 2i+1 and 2i+2 of node i take the next step to
+    the left and to the right."""
+    nodes = [_golden_children(a, b, c, d)[0 if left else 1]]
+    for a, b, c, d, _ in itertools.islice(nodes, 2 ** (steps - 1) - 1):
+        nodes += _golden_children(a, b, c, d)
+    return nodes
+
+
+def _golden_walk(tree: list, values: list, steps: int, fc, fd, best_t, best_v) -> tuple:
+    """Take ``steps`` golden steps down a ``_golden_tree`` whose points
+    evaluated to ``values``, from interior values fc, fd and the best
+    (argmax, value) seen; returns (a, b, c, d, fc, fd, best_t, best_v)."""
+    i = 0
+    for step in range(steps):
+        left = fc >= fd
+        if step:
+            i = 2 * i + (1 if left else 2)
+        v = values[i]
+        fc, fd = (v, fc) if left else (fd, v)
+        if v > best_v:
+            best_t, best_v = tree[i][4], v
+    return (*tree[i][:4], fc, fd, best_t, best_v)
+
+
+def _golden_lanes(
+    fn: Callable[[np.ndarray], tuple], batch: int, iters: int
+) -> tuple[list[float], list[float]]:
+    """Golden-section ascent over [0, 1] of ``batch`` functions at once;
+    returns each one's argmax and value seen.
+
+    ``fn`` maps a (batch, k) array of points to their values and the mask of
+    points where the functions are defined.  An undefined point counts as
+    -inf; a NaN value stays NaN, so every comparison with it fails.
+
+    Per lane this is the sequential ascent: after f(c) and f(d), each of
+    ``iters`` steps keeps [a, d] when f(c) >= f(d) and [c, b] otherwise and
+    evaluates the new interior point, and a value replaces the best seen
+    only when strictly larger.  Each call of fn takes up to
+    ``_GOLDEN_STEPS`` steps: it evaluates every point those steps could
+    visit (2^steps - 1 per lane), computed with the same floats, and the
+    steps then read off the points on their path.  The first call also
+    evaluates c and d, and the first steps down both sides.
+    """
+
+    def values_at(points: list) -> list:
+        values, defined = fn(np.array(points))
+        return np.where(defined, values, -np.inf).tolist()
+
     a, b = 0.0, 1.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
-    if fc >= fd:
-        best_t, best_v = c, fc
-    else:
-        best_t, best_v = d, fd
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fn(c)
-            if fc > best_v:
-                best_t, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fn(d)
-            if fd > best_v:
-                best_t, best_v = d, fd
-    return best_t, best_v
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    steps = min(_GOLDEN_STEPS, iters)
+    both = [
+        _golden_tree(a, b, c, d, left, steps) if steps else [] for left in (True, False)
+    ]
+    first = [c, d] + [node[4] for tree in both for node in tree]
+    lanes = []
+    for fc, fd, *values in values_at([first] * batch):
+        left = fc >= fd
+        best = (c, fc) if left else (d, fd)
+        lane = (a, b, c, d, fc, fd, *best)
+        if steps:
+            tree = both[0 if left else 1]
+            values = values[0 if left else len(tree) :]
+            lane = _golden_walk(tree, values, steps, fc, fd, *best)
+        lanes.append(lane)
+    for done in range(steps, iters, _GOLDEN_STEPS):
+        steps = min(_GOLDEN_STEPS, iters - done)
+        trees = [_golden_tree(*lane[:4], lane[4] >= lane[5], steps) for lane in lanes]
+        values = values_at([[node[4] for node in tree] for tree in trees])
+        lanes = [
+            _golden_walk(tree, row, steps, *lane[4:])
+            for lane, tree, row in zip(lanes, trees, values)
+        ]
+    return [lane[6] for lane in lanes], [lane[7] for lane in lanes]
 
 
-def _refine_params(
-    class_id: ClassId,
-    f: Union[Expr, Callable],
-    p1: tuple,
-    p2: tuple,
-    params: dict[str, float],
+def _refine(
+    kind: str,
+    names: tuple[str, ...],
+    f: Expr,
+    d: int,
+    cands: np.ndarray,
+    margins: np.ndarray,
     iters: int,
-) -> dict[str, float]:
-    """Co-ordinate-wise golden-section ascent of the margin over the parameters."""
-    names = class_id.param_names
+    frozen: Optional[tuple] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Co-ordinate-wise golden-section ascent of the margin over the
+    parameters, for every row of ``cands`` at once.
+
+    Rows hold a candidate's columns (x1[, y1], x2[, y2], t[, s]) as in the
+    screen, ``margins`` their margins, and ``frozen`` is passed to
+    :func:`_eval_lanes`.  A refined value replaces a row's only when its
+    margin is larger and clears the violation tolerance, which grows with
+    |lhs| and |rhs|, so every row stays a witness.  Returns the rows and
+    their margins.
+    """
     if not names or iters <= 0:
-        return params
-    current = dict(params)
+        return cands, margins
+    rows = len(cands)
+    cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
+    (F1, _), (F2, _) = _eval_lanes(f, [cols[:d], cols[d : 2 * d]], (rows, 1), frozen)
+    for j in range(2 * d, cands.shape[1]):
+        cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
 
-    def margin_at(trial: dict[str, float]) -> float:
-        try:
-            lhs, rhs, _ = _template(class_id, f, p1, p2, trial)
-        except DomainError:
-            return -math.inf
-        return lhs - rhs
+        def sides(ts: np.ndarray) -> tuple:
+            cols[j] = ts
+            return _lane_margins(kind, f, d, cols, F1, F2, ts.shape, frozen)
 
-    base = margin_at(current)
-    for name in names:
-        def slice_fn(v: float) -> float:
-            trial = dict(current)
-            trial[name] = v
-            return margin_at(trial)
+        def margin_at(ts: np.ndarray) -> tuple:
+            margin, _, ok = sides(ts)
+            return margin, ok
 
-        best_v, best_m = _golden_ascent(slice_fn, iters)
-        if best_m > base:
-            # a larger margin can still fall short of a tolerance that grew
-            # with |lhs| or |rhs|; keep only values a witness can carry
-            trial = dict(current)
-            trial[name] = best_v
-            lhs, rhs, _ = _template(class_id, f, p1, p2, trial)
-            if best_m > violation_tolerance(lhs, rhs):
-                current, base = trial, best_m
-    return current
+        t, m = (np.array(v) for v in _golden_lanes(margin_at, rows, iters))
+        better = m > margins
+        if better.any():
+            # m is the margin at t, and the lane's ``over`` is m > tolerance
+            better &= sides(t[:, None])[1][:, 0]
+            cands[better, j] = t[better]
+            margins = np.where(better, m, margins)
+    return cands, margins
 
 
 class _Screen:
-    """Keeps the best violating candidate id, by largest margin and then
-    lowest id, and the first undefined one."""
+    """Per slice: the best violating candidate id, by largest margin and
+    then lowest id, with its margin, and the first undefined id (-1 for
+    none)."""
 
-    def __init__(self) -> None:
-        self.best: Optional[tuple[float, int]] = None
-        self.bad: Optional[int] = None
+    def __init__(self, slices: int) -> None:
+        self.margin = [-math.inf] * slices
+        self.best = [-1] * slices
+        self.bad = [-1] * slices
 
-    def add_chunk(
-        self, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray
+    def scan(self, shape: tuple[int, ...], id0: int, lanes: Callable) -> bool:
+        """Screen a C-order tensor of ``shape``, slices on its first axis,
+        in slabs in id order; a slice's ids start at ``id0``.
+        ``lanes(part, chunk)`` gives (margin, violating, undefined) on the
+        slab of that shape that ``part`` cuts out of a broadcast view.
+        Returns True at the first slab with an undefined lane, where it
+        stops."""
+        per = math.prod(shape[1:])
+        flat = 0
+        for prefix, lo, hi in _slabs(shape):
+            margin, viol, bad = lanes(
+                lambda v: _slab(v, prefix, lo, hi), (hi - lo,) + shape[len(prefix) + 1 :]
+            )
+            s, at = divmod(flat, per)
+            flat += margin.size
+            rows = 1 if prefix else hi - lo
+            if self._add(
+                s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
+                bad.reshape(rows, -1),
+            ):
+                return True
+        return False
+
+    def _add(
+        self, s: int, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray
     ) -> bool:
-        """Returns True when screening should stop (undefined lane found).
-        Chunks arrive in id order."""
+        """Rows are slices s, s + 1, ...; columns are ids start, start + 1, ..."""
         if bad.any():
-            self.bad = start + int(np.argmax(bad))
+            for r in np.flatnonzero(bad.any(axis=1)).tolist():
+                self.bad[s + r] = start + int(np.argmax(bad[r]))
             return True
-        idx = np.flatnonzero(viol)
-        if idx.size:
-            i = int(idx[np.argmax(margin[idx])])  # the lowest id among equals
-            if self.best is None or margin[i] > self.best[0]:
-                self.best = (float(margin[i]), start + i)
+        for r in np.flatnonzero(viol.any(axis=1)).tolist():
+            idx = np.flatnonzero(viol[r])
+            i = int(idx[np.argmax(margin[r, idx])])  # the lowest id among equals
+            if margin[r, i] > self.margin[s + r]:
+                self.margin[s + r], self.best[s + r] = float(margin[r, i]), start + i
         return False
 
 
@@ -662,7 +762,7 @@ def _slabs(shape: tuple[int, ...]):
     """
     j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
     step = min(shape[j], _CHUNK // math.prod(shape[j + 1 :]))
-    for prefix in np.ndindex(*shape[:j]):
+    for prefix in itertools.product(*map(range, shape[:j])):
         for lo in range(0, shape[j], step):
             yield prefix, lo, min(lo + step, shape[j])
 
@@ -686,33 +786,72 @@ def _skipped(same: list, p1: list, p2: list, ordered_only: bool):
     return skip
 
 
-def _eval_lanes(f: Expr, coords: list, shape: tuple):
-    """f at co-ordinates broadcast onto contiguous lanes of ``shape``."""
-    lanes = [np.empty(shape) for _ in coords]
-    for out, c in zip(lanes, coords):
-        np.copyto(out, c)
+def _eval_lanes(
+    f: Expr, points: list, shape: tuple, frozen: Optional[tuple] = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """f at each point set in ``points``, a list of co-ordinate lists
+    broadcastable to ``shape``, copied onto contiguous lanes; returns
+    (values, defined) per set.  Small sets share one call, whose fixed cost
+    outweighs their lanes; large ones take a call each, so that no call
+    holds more lanes than one set.
+
+    With ``frozen``, a (value, on_x) pair broadcastable to ``shape``, the one
+    co-ordinate is a partial mapping's free variable u, and the 2D f runs at
+    (value, u) where ``on_x`` holds and at (u, value) elsewhere: bit for bit
+    what ``restrict`` of f would give at u.
+    """
+    k = len(points)
+    if k > 1 and k * math.prod(shape) <= _SHARED_CALL:
+        lanes = [np.empty((k,) + shape) for _ in points[0]]
+        for i, coords in enumerate(points):
+            for lane, c in zip(lanes, coords):
+                lane[i] = c
+        return list(zip(*_eval_frozen(f, lanes, frozen)))
+    out = []
+    for coords in points:
+        lanes = list(coords)
+        for i, c in enumerate(coords):
+            if c.shape != shape:
+                lanes[i] = np.empty(shape)
+                np.copyto(lanes[i], c)
+        out.append(_eval_frozen(f, lanes, frozen))
+    return out
+
+
+def _eval_frozen(f: Expr, lanes: list, frozen: Optional[tuple]) -> tuple:
+    """eval_array of f on ``lanes``, with the frozen co-ordinate put in."""
+    if frozen is not None:
+        value, on_x = frozen
+        (u,) = lanes
+        lanes = [np.where(on_x, value, u), np.where(on_x, u, value)]
     return eval_array(f, *lanes)
 
 
 def _lane_margins(
-    kind: str, f: Expr, d: int, cols: list, F1, F2, shape: tuple
+    kind: str, f: Expr, d: int, cols: list, F1, F2, shape: tuple, frozen=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised template; mirrors ``_template`` lane by lane.
 
     ``cols`` holds the candidates' co-ordinates and parameters, ordered
     (x1[, y1], x2[, y2], t[, s]) and broadcastable to ``shape``; F1 and F2
-    are f at the two points.  Returns (margin, over, ok): ``over`` marks
+    are f at the two points, and ``frozen`` is passed to
+    :func:`_eval_lanes`.  Returns (margin, over, ok): ``over`` marks
     margins that clear the violation tolerance, ``ok`` lanes whose mixed
-    points all evaluate to a margin that is not NaN.
+    points all evaluate.
     """
     p1, p2, params = cols[:d], cols[d : 2 * d], cols[2 * d :]
     # one parameter mixes every axis; W2's (t, s) mix x and y separately
     ts = [params[a % len(params)] if params else 0.5 for a in range(d)]
-    lhs, ok = _eval_lanes(f, [_mix_a_vec(*m) for m in zip(ts, p1, p2)], shape)
+    mixes = (_mix_a_vec, _mix_b_vec) if kind in ("W", "WQC") else (_mix_a_vec,)
+    # unpacked at once, so that no list keeps the first side alive once
+    # the two are summed
+    (lhs, ok), *other = _eval_lanes(
+        f, [[mix(*m) for m in zip(ts, p1, p2)] for mix in mixes], shape, frozen
+    )
     # sums of values near the float range overflow, and inf - inf is NaN
     with np.errstate(all="ignore"):
         if kind in ("W", "WQC"):
-            vb, okb = _eval_lanes(f, [_mix_b_vec(*m) for m in zip(ts, p1, p2)], shape)
+            [(vb, okb)] = other
             ok = ok & okb
             lhs = vb + lhs if kind == "W" else 0.5 * (lhs + vb)
         if kind == "C":
@@ -725,117 +864,177 @@ def _lane_margins(
             rhs = np.maximum(F1, F2)
         margin = lhs - rhs
         tau = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    # a NaN margin decides nothing: the lane counts as undefined (min
-    # propagates NaN, so the mask is built only when there is one)
-    if np.isnan(margin.min()):
-        ok = ok & ~np.isnan(margin)
     return margin, margin > tau, ok
 
 
 def _candidate(
-    i: int, shape: tuple, axis_vals: list, halton: list, names: tuple
-) -> tuple[tuple, tuple, dict]:
-    """(p1, p2, params) of candidate ``i``: grid ids first, then Halton ids."""
-    grid_total = math.prod(shape)
+    s: int, i: int, cols: list, halton: list, grid_shape: tuple
+) -> list[float]:
+    """Co-ordinates and parameters of candidate ``i`` of slice ``s``, in
+    column order: grid ids first, then Halton ids."""
+    grid_total = math.prod(grid_shape)
     if i < grid_total:
-        vals = [float(v[j]) for v, j in zip(axis_vals, np.unravel_index(i, shape))]
+        at, views = (s, *np.unravel_index(i, grid_shape)), cols
     else:
-        vals = [float(c[i - grid_total]) for c in halton]
-    d = (len(vals) - len(names)) // 2
-    return tuple(vals[:d]), tuple(vals[d : 2 * d]), dict(zip(names, vals[2 * d :]))
+        at, views = (s, i - grid_total), halton
+    return [
+        float(v[tuple(j if size > 1 else 0 for j, size in zip(at, v.shape))])
+        for v in views
+    ]
 
 
 def _screen(
     f: Expr,
-    intervals: tuple[Interval, ...],
+    ivs: Sequence[tuple[Interval, ...]],
     class_id: ClassId,
     budget: SearchBudget,
     seed: Optional[int],
+    frozen: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Verdict:
     """Screen a 1D or 2D class: the tensor grid, then the Halton batch.
 
-    Grid candidates form a C-order tensor with axes (x1[, y1], x2[, y2],
-    t[, s]) whose flat index is the candidate id; Halton ids follow the grid.
-    Equal margins rank by lower id.
+    Candidates form a C-order tensor with axes (slice, x1[, y1], x2[, y2],
+    t[, s]).  A plain check has one slice, on the intervals ``ivs[0]``.  A
+    co-ordinate check has one per partial mapping, on ``ivs[s]``, and
+    ``frozen`` holds each slice's frozen value and whether x is the frozen
+    co-ordinate; f then runs on its own 2D tape (see :func:`_eval_lanes`).
+    Within a slice the flat grid index is the candidate id, Halton ids
+    follow the grid, and equal margins rank by lower id.
+
+    Each slice gets the outcome a check of it alone would give.  The check
+    is undefined at the first undefined slice; ``samples`` counts the
+    candidates of the slices before it and its own, or none of its own when
+    f is undefined on its grid.  Otherwise the best candidate of every
+    violating slice is refined, and the largest refined margin, the earlier
+    slice on a tie, gives the witness.
     """
     n, m = budget.grid_n, budget.halton_count
     kind, names = class_id.kind, class_id.param_names
-    d = len(intervals)
+    slices, d = len(ivs), len(ivs[0])
     ndim = 2 * d + len(names)
     ordered_only = class_id is ClassId.W2_ORDERED
     resolution = f"grid n={n}{' per axis' if d == 2 else ''}, halton m={m}"
-    grids = [np.linspace(iv.lo, iv.hi, n) for iv in intervals]
-    points = [_place(g, (a,), d) for a, g in enumerate(grids)]
-    Fg, okg = _eval_lanes(f, points, (n,) * d)
-    if not okg.all():
-        at = np.unravel_index(int(np.argmax(~okg)), okg.shape)
-        point = tuple(float(g[i]) for g, i in zip(grids, at))
-        return Verdict(status="undefined", resolution=resolution, seed=seed, point=point)
-    shape = (n,) * ndim
-    grid_total = n**ndim
-    axis_vals = grids + grids + [np.linspace(0.0, 1.0, n)] * len(names)
-    cols = [_place(v, (a,), ndim) for a, v in enumerate(axis_vals)]
-    F1 = _place(Fg, range(d), ndim)
-    F2 = _place(Fg, range(d, 2 * d), ndim)
+    if frozen is not None:
+        resolution = f"{slices // 2} slices per axis, {resolution}"
+
+    def frozen_on(axes: int) -> Optional[tuple]:
+        return frozen and tuple(_place(v, (0,), axes) for v in frozen)
+
+    def lift(pt: tuple, s: int) -> tuple:
+        if frozen is None:
+            return pt
+        value = float(frozen[0][s])
+        return (value, *pt) if frozen[1][s] else (*pt, value)
+
+    def screened(cols, F1, F2, chunk, fz, live, ok=None):
+        margin, over, ok_mixed = _lane_margins(kind, f, d, cols, F1, F2, chunk, fz)
+        ok = ok_mixed if ok is None else ok & ok_mixed
+        # a NaN margin decides nothing: the lane counts as undefined (min
+        # propagates NaN, so the mask is built only when there is one)
+        if np.isnan(margin.min()):
+            ok = ok & ~np.isnan(margin)
+        return margin, ok & live & over, ~ok & live
+
+    lin = {iv: np.linspace(iv.lo, iv.hi, n) for iv in set().union(*ivs)}
+    grids = [np.array([lin[row[a]] for row in ivs]) for a in range(d)]
+    points = [_place(g, (0, 1 + a), 1 + d) for a, g in enumerate(grids)]
+    [(Fg, okg)] = _eval_lanes(f, [points], (slices,) + (n,) * d, frozen_on(1 + d))
+    okg = okg.reshape(slices, -1)
+    # screening stops before the first slice undefined on its own grid
+    live_slices = int(np.argmin(okg.all(axis=1))) if not okg.all() else slices
+    grid_shape = (n,) * ndim
+    cols = [_place(grids[a % d], (0, 1 + a), 1 + ndim) for a in range(2 * d)] + [
+        _place(np.linspace(0.0, 1.0, n), (1 + a,), 1 + ndim) for a in range(2 * d, ndim)
+    ]
+    F1 = _place(Fg, range(1 + d), 1 + ndim)
+    F2 = _place(Fg, (0, *range(1 + d, 1 + 2 * d)), 1 + ndim)
     # a grid pair is degenerate when its two point indices coincide
-    same = [_place(np.eye(n, dtype=bool), (a, d + a), ndim) for a in range(d)]
+    same = [_place(np.eye(n, dtype=bool), (1 + a, 1 + d + a), 1 + ndim) for a in range(d)]
     skip = _skipped(same, cols[:d], cols[d : 2 * d], ordered_only)
-    screen = _Screen()
-    start = 0
-    for prefix, lo, hi in _slabs(shape):
-        margin, over, ok = _lane_margins(
-            kind,
-            f,
-            d,
-            [_slab(c, prefix, lo, hi) for c in cols],
-            _slab(F1, prefix, lo, hi),
-            _slab(F2, prefix, lo, hi),
-            (hi - lo,) + shape[len(prefix) + 1 :],
-        )
-        live = ~_slab(skip, prefix, lo, hi)
-        if screen.add_chunk(
-            start, margin.ravel(), (ok & live & over).ravel(), (~ok & live).ravel()
-        ):
-            break
-        start += margin.size
+    fz = frozen_on(1 + ndim)
+    screen = _Screen(slices)
+    if live_slices and screen.scan(
+        (live_slices,) + grid_shape,
+        0,
+        lambda part, chunk: screened(
+            [part(c) for c in cols], part(F1), part(F2), chunk,
+            fz and tuple(map(part, fz)), ~part(skip),
+        ),
+    ):
+        live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
     halton: list = []
-    if m > 0 and screen.bad is None:
+    if m > 0 and live_slices:
         cube = _halton_cube(m, ndim)
+        lo, width = np.array([[(iv.lo, iv.hi - iv.lo) for iv in row] for row in ivs]).T
         halton = [
-            iv.lo + (iv.hi - iv.lo) * cube[:, a] for a, iv in enumerate(intervals * 2)
-        ] + [cube[:, a] for a in range(2 * d, ndim)]
-        p1, p2 = halton[:d], halton[d : 2 * d]
-        F1, ok1 = eval_array(f, *p1)
-        F2, ok2 = eval_array(f, *p2)
-        margin, over, ok = _lane_margins(kind, f, d, halton, F1, F2, (m,))
-        ok = ok & ok1 & ok2
-        live = ~_skipped([a == b for a, b in zip(p1, p2)], p1, p2, ordered_only)
-        screen.add_chunk(grid_total, margin, ok & live & over, ~ok & live)
-    samples = grid_total - n ** (ndim - d) + m  # diagonal pairs are degenerate
-    found = dict(resolution=resolution, samples=samples, seed=seed)
-    if screen.bad is not None:
+            lo[a % d, :, None] + width[a % d, :, None] * cube[:, a] for a in range(2 * d)
+        ] + [cube[None, :, a] for a in range(2 * d, ndim)]
+        hz = frozen_on(2)
+
+        def halton_lanes(part, chunk):
+            hcols = [part(c) for c in halton]
+            p1, p2, fzp = hcols[:d], hcols[d : 2 * d], hz and tuple(map(part, hz))
+            (F1, ok1), (F2, ok2) = _eval_lanes(f, [p1, p2], chunk, fzp)
+            live = ~_skipped([a == b for a, b in zip(p1, p2)], p1, p2, ordered_only)
+            return screened(hcols, F1, F2, chunk, fzp, live, ok1 & ok2)
+
+        screen.scan((live_slices, m), math.prod(grid_shape), halton_lanes)
+    per_slice = n**ndim - n ** (ndim - d) + m  # diagonal pairs are degenerate
+    found = dict(resolution=resolution, seed=seed)
+    undefined = [s for s, i in enumerate(screen.bad) if i >= 0]
+    if undefined:
         # the point the template failed at, or the last one it evaluated
         # when only its margin is NaN
+        s = undefined[0]
         seen: list[tuple] = []
 
         def traced(*pt: float) -> float:
+            pt = lift(pt, s)
             seen.append(pt)
             return f(*pt)
 
-        bad = _candidate(screen.bad, shape, axis_vals, halton, names)
+        vals = _candidate(s, screen.bad[s], cols, halton, grid_shape)
         try:
-            _template(class_id, traced, *bad)
+            _template(
+                class_id, traced, vals[:d], vals[d : 2 * d], dict(zip(names, vals[2 * d :]))
+            )
         except DomainError:
             pass
-        return Verdict(status="undefined", point=seen[-1], **found)
-    if screen.best is None:
+        return Verdict(
+            status="undefined", samples=(s + 1) * per_slice, point=seen[-1], **found
+        )
+    if live_slices < slices:
+        s = live_slices
+        at = np.unravel_index(int(np.argmin(okg[s])), (n,) * d)
+        point = lift(tuple(float(g[s, i]) for g, i in zip(grids, at)), s)
+        return Verdict(status="undefined", samples=s * per_slice, point=point, **found)
+    found["samples"] = slices * per_slice
+    hits = [s for s, i in enumerate(screen.best) if i >= 0]
+    if not hits:
         return Verdict(status="no_violation_found", **found)
-    # lanes and scalar calls run one tape, so the screened margin is the
-    # scalar margin, and refinement keeps only values that clear the
-    # tolerance: the witness holds
-    p1, p2, params = _candidate(screen.best[1], shape, axis_vals, halton, names)
-    refined = _refine_params(class_id, f, p1, p2, params, budget.refine_iters)
-    witness = make_witness(class_id, f, p1, p2, refined)
+    cands, margins = _refine(
+        kind,
+        names,
+        f,
+        d,
+        np.array([_candidate(s, screen.best[s], cols, halton, grid_shape) for s in hits]),
+        np.array([screen.margin[s] for s in hits]),
+        budget.refine_iters,
+        frozen and tuple(v[hits, None] for v in frozen),
+    )
+    # lanes and scalar calls run one tape, and a 2D lane at a frozen value
+    # is the restricted lane, so the refined margin is the witness's margin
+    win = int(np.argmax(margins))  # the earlier slice on a tie
+    row = cands[win].tolist()
+    p1, p2, params = row[:d], row[d : 2 * d], dict(zip(names, row[2 * d :]))
+    if frozen is None:
+        witness = make_witness(class_id, f, p1, p2, params)
+    else:
+        s = hits[win]
+        axis, value = (Axis.X if frozen[1][s] else Axis.Y), float(frozen[0][s])
+        witness = make_witness(
+            class_id, restrict(f, axis, value), p1, p2, params, axis.value, value
+        )
     return Verdict(status="violated", witness=witness, **found)
 
 
@@ -869,10 +1068,10 @@ def check_membership(
     if class_id.arity == 1:
         if not isinstance(domain, Interval) or f.arity != 1:
             raise ValueError("1D class needs an Interval domain and a 1D function")
-        return _screen(f, (domain,), class_id, budget, seed)
+        return _screen(f, [(domain,)], class_id, budget, seed)
     if not isinstance(domain, Box2) or f.arity != 2:
         raise ValueError("2D class needs a Box2 domain and a 2D function")
-    return _screen(f, (domain.x, domain.y), class_id, budget, seed)
+    return _screen(f, [(domain.x, domain.y)], class_id, budget, seed)
 
 
 def coordinate_check(
@@ -886,58 +1085,19 @@ def coordinate_check(
     """Check the 1D class on equally spaced frozen slices in both directions.
 
     Freezing ``y`` gives the partial mappings on [a, b]; freezing ``x`` the
-    ones on [c, d].  The returned witness records the frozen axis and value
-    and is the maximum-margin one over all slices under a deterministic
-    tie-break.
+    ones on [c, d].  All of them are screened in one pass, ``y``-frozen
+    slices first, each direction in ascending order.  The returned witness
+    records the frozen axis and value and is the maximum-margin one over all
+    slices, the earlier slice on a tie.
     """
     if not isinstance(f, Expr) or f.arity != 2:
         raise TypeError("co-ordinate checks need a parsed 2D expression")
     if class_id.arity != 1:
         raise ValueError(f"co-ordinate checks test a 1D class, got {class_id.value}")
     budget = budget or SearchBudget()
-    total_samples = 0
-    best: Optional[Witness] = None
-    for axis, frozen_iv, run_iv in (
-        (Axis.Y, box.y, box.x),
-        (Axis.X, box.x, box.y),
-    ):
-        for value in np.linspace(frozen_iv.lo, frozen_iv.hi, slices):
-            value = float(value)
-            slice_f = restrict(f, axis, value)
-            verdict = _screen(slice_f, (run_iv,), class_id, budget, seed)
-            total_samples += verdict.samples
-            if verdict.undefined:
-                u = verdict.point[0] if verdict.point else run_iv.lo
-                point = (u, value) if axis is Axis.Y else (value, u)
-                return Verdict(
-                    status="undefined",
-                    resolution=_coord_resolution(slices, budget),
-                    samples=total_samples,
-                    seed=seed,
-                    point=point,
-                )
-            if verdict.violated:
-                w = replace(verdict.witness, frozen_axis=axis.value, frozen_value=value)
-                if best is None or w.margin > best.margin:
-                    best = w
-    if best is not None:
-        return Verdict(
-            status="violated",
-            witness=best,
-            resolution=_coord_resolution(slices, budget),
-            samples=total_samples,
-            seed=seed,
-        )
-    return Verdict(
-        status="no_violation_found",
-        resolution=_coord_resolution(slices, budget),
-        samples=total_samples,
-        seed=seed,
+    values = np.concatenate(
+        [np.linspace(box.y.lo, box.y.hi, slices), np.linspace(box.x.lo, box.x.hi, slices)]
     )
-
-
-def _coord_resolution(slices: int, budget: SearchBudget) -> str:
-    return (
-        f"{slices} slices per axis, grid n={budget.grid_n},"
-        f" halton m={budget.halton_count}"
-    )
+    on_x = np.arange(2 * slices) >= slices
+    ivs = [(box.x,)] * slices + [(box.y,)] * slices
+    return _screen(f, ivs, class_id, budget, seed, (values, on_x))

@@ -113,11 +113,20 @@ _BINARY_FUNCS = ("min", "max")
 
 @dataclass(frozen=True)
 class Expr:
-    """An immutable parsed expression together with its declared arity."""
+    """An immutable parsed expression together with its declared arity.
+
+    ``source`` is the text it was parsed from; a derived expression
+    (``restrict``, ``chord_substitution``, ...) has none, and its ``text``
+    is unparsed from the tree when first read.
+    """
 
     root: _Node
     arity: int
-    text: str
+    source: Optional[str] = None
+
+    @cached_property
+    def text(self) -> str:
+        return unparse(self.root) if self.source is None else self.source
 
     @cached_property
     def _tape(self) -> tuple[tuple, bool]:
@@ -514,22 +523,48 @@ def restrict(expr: Expr, axis: Axis, value: float) -> Expr:
     """
     if expr.arity != 2:
         raise ArityError("restrict needs a 2D expression")
-    frozen = axis.value
-    value = float(value)
+    free = "y" if axis is Axis.X else "x"
+    root = _substitute(expr.root, {axis.value: _Const(float(value)), free: _Var("x")})
+    return Expr(root, 1)
 
-    def subst(node: _Node) -> _Node:
-        if isinstance(node, _Const):
-            return node
-        if isinstance(node, _Var):
-            if node.name == frozen:
-                return _Const(value)
-            return _Var("x")
+
+class _Build(NamedTuple):
+    """Marks where :func:`_fold` finishes ``node``, its children's results
+    being the last ones produced."""
+
+    node: _Node
+
+
+def _fold(root: _Node, leaf: Callable, build: Callable):
+    """Fold a tree bottom-up without recursion: ``leaf(node)`` for constants
+    and variables, ``build(node, *child_results)`` for operators."""
+    done: list = []
+    todo: list = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, _Build):
+            k = 1 if isinstance(item.node, _Unary) else 2
+            children = done[-k:]
+            del done[-k:]
+            done.append(build(item.node, *children))
+        elif isinstance(item, _Unary):
+            todo += (_Build(item), item.arg)
+        elif isinstance(item, _Binary):
+            todo += (_Build(item), item.right, item.left)
+        else:
+            done.append(leaf(item))
+    return done[0]
+
+
+def _substitute(root: _Node, nodes: dict[str, _Node]) -> _Node:
+    """``root`` with each variable named in ``nodes`` replaced by its node."""
+
+    def build(node: _Node, *args: _Node) -> _Node:
         if isinstance(node, _Unary):
-            return _Unary(node.op, subst(node.arg))
-        return _Binary(node.op, subst(node.left), subst(node.right))
+            return _Unary(node.op, *args)
+        return _Binary(node.op, *args)
 
-    root = subst(expr.root)
-    return Expr(root, 1, unparse(root))
+    return _fold(root, lambda n: nodes.get(n.name, n) if isinstance(n, _Var) else n, build)
 
 
 # ---------------------------------------------------------------------------
@@ -558,26 +593,14 @@ def chord_substitution(expr: Expr, axis: Axis, a: float, b: float, reverse: bool
             _Binary("*", var, _Const(a)),
             _Binary("*", _Binary("-", _Const(1.0), var), _Const(b)),
         )
-
-    def subst(node: _Node) -> _Node:
-        if isinstance(node, _Const):
-            return node
-        if isinstance(node, _Var):
-            return chord if node.name == axis.value else node
-        if isinstance(node, _Unary):
-            return _Unary(node.op, subst(node.arg))
-        return _Binary(node.op, subst(node.left), subst(node.right))
-
-    root = subst(expr.root)
-    return Expr(root, expr.arity, unparse(root))
+    return Expr(_substitute(expr.root, {axis.value: chord}), expr.arity)
 
 
 def difference(g: Expr, h: Expr) -> Expr:
     """The expression ``g - h`` (same arity)."""
     if g.arity != h.arity:
         raise ArityError("difference needs matching arities")
-    root = _Binary("-", g.root, h.root)
-    return Expr(root, g.arity, unparse(root))
+    return Expr(_Binary("-", g.root, h.root), g.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +614,20 @@ def unparse(node: _Node) -> str:
 
     The only structural difference a round trip can introduce is a negative
     constant coming back as a negation node, which evaluates to the same
-    double exactly.
+    double exactly.  The tree is walked without recursion.
     """
-    text, _ = _unparse(node)
-    return text
+    return _fold(node, _render, _render)[0]
 
 
-def _wrap(child: _Node, min_level: int) -> str:
-    text, level = _unparse(child)
+def _wrap(child: tuple[str, int], min_level: int) -> str:
+    text, level = child
     if level < min_level:
         return f"({text})"
     return text
 
 
-def _unparse(node: _Node) -> tuple[str, int]:
+def _render(node: _Node, *children: tuple[str, int]) -> tuple[str, int]:
+    """The text and precedence level of ``node``, given its children's."""
     if isinstance(node, _Const):
         v = node.value
         if v < 0 or math.copysign(1.0, v) < 0:
@@ -613,25 +636,18 @@ def _unparse(node: _Node) -> tuple[str, int]:
     if isinstance(node, _Var):
         return node.name, _LEVEL_ATOM
     if isinstance(node, _Unary):
+        (arg,) = children
         if node.op == "neg":
-            return f"-{_wrap(node.arg, _LEVEL_UNARY)}", _LEVEL_UNARY
-        inner, _ = _unparse(node.arg)
-        return f"{node.op}({inner})", _LEVEL_ATOM
-    assert isinstance(node, _Binary)
+            return f"-{_wrap(arg, _LEVEL_UNARY)}", _LEVEL_UNARY
+        return f"{node.op}({arg[0]})", _LEVEL_ATOM
+    left, right = children
     op = node.op
     if op in ("min", "max"):
-        left, _ = _unparse(node.left)
-        right, _ = _unparse(node.right)
-        return f"{op}({left}, {right})", _LEVEL_ATOM
+        return f"{op}({left[0]}, {right[0]})", _LEVEL_ATOM
     if op in ("+", "-"):
-        left = _wrap(node.left, _LEVEL_SUM)
-        right = _wrap(node.right, _LEVEL_PRODUCT)
-        return f"{left} {op} {right}", _LEVEL_SUM
+        return f"{_wrap(left, _LEVEL_SUM)} {op} {_wrap(right, _LEVEL_PRODUCT)}", _LEVEL_SUM
     if op in ("*", "/"):
-        left = _wrap(node.left, _LEVEL_PRODUCT)
-        right = _wrap(node.right, _LEVEL_UNARY)
-        return f"{left}{op}{right}", _LEVEL_PRODUCT
+        text = f"{_wrap(left, _LEVEL_PRODUCT)}{op}{_wrap(right, _LEVEL_UNARY)}"
+        return text, _LEVEL_PRODUCT
     # '^' is right-associative and parses its exponent as a unary
-    left = _wrap(node.left, _LEVEL_ATOM)
-    right = _wrap(node.right, _LEVEL_UNARY)
-    return f"{left}^{right}", _LEVEL_POWER
+    return f"{_wrap(left, _LEVEL_ATOM)}^{_wrap(right, _LEVEL_UNARY)}", _LEVEL_POWER

@@ -42,7 +42,6 @@ from .expressions import (
     _Var,
     parse,
     restrict,
-    unparse,
 )
 
 __all__ = [
@@ -341,7 +340,7 @@ class PiecewiseLinear:
             change = float(slopes[i + 1] - slopes[i])
             ramp = _Binary("max", _Binary("-", u, _const(k)), _const(0.0))
             root = _add(root, _mul(_const(change), ramp))
-        return Expr(root, arity, unparse(root))
+        return Expr(root, arity)
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,7 @@ class PolynomialBasis:
                 elif j > 1:
                     term = _mul(term, _Binary("^", _Var("y"), _const(float(j))))
                 root = _add(root, term)
-        return Expr(root, arity, unparse(root))
+        return Expr(root, arity)
 
 
 Family = Union[PiecewiseLinear, PolynomialBasis]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from quasiconv import (
     violation_tolerance,
 )
 from quasiconv.classifiers import _halton_cube
+from quasiconv import Axis, DomainError, restrict
+from quasiconv import classifiers
 from quasiconv.expressions import _Binary, _Const, _Unary, _Var, Expr, unparse
 
 BOX = Box2.from_bounds(-1, 1, -1, 1)
@@ -472,3 +475,207 @@ class TestReferenceScreen:
         monkeypatch.setattr(classifiers, "_CHUNK", 64)
         after = [repr(check_membership(*c, budget=FAST)) for c in cases]
         assert after == before
+
+
+def golden_reference(fn, iters):
+    """The sequential golden-section ascent over [0, 1]: (argmax, value)
+    seen, a value replacing the best only when strictly larger."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c = b - inv * (b - a)
+    d = a + inv * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = (c, fc) if fc >= fd else (d, fd)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = fn(c)
+            if fc > best[1]:
+                best = (c, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = fn(d)
+            if fd > best[1]:
+                best = (d, fd)
+    return best
+
+
+def refine_reference(cid, f, p1, p2, params, iters):
+    """Scalar co-ordinate-wise golden-section refinement of a witness's
+    parameters: a value is kept when its margin is larger and clears the
+    violation tolerance; an undefined trial counts as -inf."""
+    if not cid.param_names or iters <= 0:
+        return params
+    current = dict(params)
+
+    def margin_at(trial):
+        try:
+            lhs, rhs = defining_inequality(cid, f, p1, p2, trial)
+        except DomainError:
+            return -math.inf
+        return lhs - rhs
+
+    base = margin_at(current)
+    for name in cid.param_names:
+        t, m = golden_reference(lambda v: margin_at({**current, name: v}), iters)
+        if m > base:
+            trial = {**current, name: t}
+            lhs, rhs = defining_inequality(cid, f, p1, p2, trial)
+            if m > violation_tolerance(lhs, rhs):
+                current, base = trial, m
+    return current
+
+
+def reference_coordinate_check(f, box, cid, slices, budget):
+    """Per-slice oracle of ``coordinate_check``: ``restrict``, a 1D screen
+    without refinement, then the scalar reference refinement.  The first
+    undefined slice ends the check; otherwise the largest refined margin
+    wins, the earlier slice on a tie.  Returns (status, samples, point,
+    witness)."""
+    plain = replace(budget, refine_iters=0)
+    samples, best = 0, None
+    for axis, frozen_iv, run_iv in ((Axis.Y, box.y, box.x), (Axis.X, box.x, box.y)):
+        for value in np.linspace(frozen_iv.lo, frozen_iv.hi, slices):
+            value = float(value)
+            g = restrict(f, axis, value)
+            v = check_membership(g, run_iv, cid, budget=plain)
+            samples += v.samples
+            if v.undefined:
+                u = v.point[0]
+                point = (u, value) if axis is Axis.Y else (value, u)
+                return "undefined", samples, point, None
+            if v.violated:
+                w = v.witness
+                params = {k: w.params[k] for k in cid.param_names}
+                params = refine_reference(cid, g, w.p1, w.p2, params, budget.refine_iters)
+                w = make_witness(cid, g, w.p1, w.p2, params, axis.value, value)
+                if best is None or w.margin > best.margin:
+                    best = w
+    status = "no_violation_found" if best is None else "violated"
+    return status, samples, None, best
+
+
+COORD_FUNCTIONS = (
+    "x*x + y*y",  # separable and convex: nothing to find
+    "x*x - y*y",  # concave in y only
+    "-(x^2) - y^2",  # symmetric on the box: slices of both axes tie
+    "-(x^2)",  # every y-frozen slice is the same partial mapping
+    "max(x*y, x - y) - abs(x + 0.5*y)",
+    "exp(x*y) - 2*sin(3*x)*y",
+    "sqrt(0.3 - y) + x^2",  # undefined on the whole grid of the slice y = 0.5
+    "sqrt(abs(x - 0.25) - 0.05*y)",  # undefined only between grid points
+    "-(1.7e308*x*x) + y",  # NaN margins
+)
+COORD_BOX = Box2.from_bounds(-1.0, 1.0, -1.0, 1.0)
+COORD_BUDGETS = (
+    SearchBudget(grid_n=5, halton_count=32, refine_iters=12, slices=5),
+    SearchBudget(grid_n=4, halton_count=16, refine_iters=50, slices=3),
+)
+
+
+class TestCoordinateBatch:
+    @pytest.mark.parametrize("chunk", [None, 64])
+    @pytest.mark.parametrize("budget", COORD_BUDGETS, ids=["n5", "n4"])
+    @pytest.mark.parametrize(
+        "cid", [c for c in ClassId if c.is_coordinate], ids=lambda c: c.value
+    )
+    def test_matches_per_slice_loop(self, monkeypatch, cid, budget, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(classifiers, "_CHUNK", chunk)
+        one_d = classifiers.COORD_TO_1D[cid]
+        for text in COORD_FUNCTIONS:
+            f = parse(text, 2)
+            status, samples, point, witness = reference_coordinate_check(
+                f, COORD_BOX, one_d, budget.slices, budget
+            )
+            got = check_membership(f, COORD_BOX, cid, budget=budget)
+            assert (got.status, got.samples, got.point) == (status, samples, point), text
+            # repr compares every witness field bit for bit
+            assert repr(got.witness) == repr(witness), text
+
+    def test_inputs_reach_every_outcome(self):
+        # the differential inputs cover a grid-undefined slice after defined
+        # ones, an undefined mixed point, ties across slices and violations
+        budget = COORD_BUDGETS[0]
+        # candidates per slice: grid pairs off the diagonal, then Halton
+        per_c = 5**3 - 5**2 + 32
+        per_j = 5**2 - 5 + 32
+
+        def check(text, cid=ClassId.COORD_C2):
+            return check_membership(parse(text, 2), COORD_BOX, cid, budget=budget)
+
+        assert check("sqrt(0.3 - y) + x^2").samples == 3 * per_c
+        v = check("sqrt(abs(x - 0.25) - 0.05*y)", ClassId.COORD_J2)
+        assert v.undefined and v.samples == 4 * per_j and v.point == (0.25, 0.5)
+        w = check("-(x^2) - y^2").witness
+        assert (w.frozen_axis, w.frozen_value) == ("y", -1.0)
+        assert check("x*x + y*y").no_violation_found
+
+
+def lane_fn(scalars):
+    """Lanes of scalar functions, one per row: (values, defined), where a
+    point the function raises DomainError at is undefined."""
+
+    def value(g, t):
+        try:
+            return g(t), True
+        except DomainError:
+            return 0.0, False
+
+    def fn(ts):
+        pairs = np.array(
+            [[value(g, t) for t in row] for g, row in zip(scalars, ts.tolist())]
+        )
+        return pairs[..., 0], pairs[..., 1].astype(bool)
+
+    return fn
+
+
+def _off_path(t):
+    # the ascent of this increasing function keeps to [0.38, 1]; points
+    # below 0.3 are evaluated only ahead, off its path
+    if t < 0.3:
+        raise DomainError("off the path")
+    return t
+
+
+GOLDEN_CASES = (
+    lambda t: -((t - 0.3) ** 2),
+    lambda t: -math.inf if t < 0.5 else t,  # undefined lanes
+    lambda t: math.nan if 0.2 < t < 0.45 else -abs(t - 0.7),  # NaN margins
+    lambda t: math.nan,
+    lambda t: 1.0,  # every comparison a tie
+    lambda t: float(t > 0.5),  # ties on either side
+    lambda t: math.floor(8 * t) / 8,
+    _off_path,
+    lambda t: math.sin(40 * t),
+)
+
+
+class TestGoldenLanes:
+    @pytest.mark.parametrize("iters", [0, 1, 4, 5, 6, 13, 50])
+    def test_matches_sequential_reference(self, iters):
+        got = classifiers._golden_lanes(lane_fn(GOLDEN_CASES), len(GOLDEN_CASES), iters)
+        for k, g in enumerate(GOLDEN_CASES):
+
+            def scalar(t, g=g):
+                try:
+                    return g(t)
+                except DomainError:
+                    return -math.inf
+
+            want = golden_reference(scalar, iters)
+            # repr tells NaN, -inf and the argmax's last bit apart
+            assert repr((got[0][k], got[1][k])) == repr(want), k
+
+    def test_off_path_point_is_evaluated_ahead(self):
+        seen = []
+
+        def fn(ts):
+            seen.extend(ts.ravel().tolist())
+            return lane_fn([_off_path])(ts)
+
+        classifiers._golden_lanes(fn, 1, 50)
+        assert min(seen) < 0.3

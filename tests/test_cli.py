@@ -89,6 +89,33 @@ class TestCheck:
         assert "no violation found" in out
         assert err == ""
 
+    def test_long_chain_coordinate_check(self, capsys):
+        # slices are screened on the 2D tape, and restrict substitutes
+        # without recursion, so a chain 3000 deep checks like a short one
+        code, out, err = run(
+            capsys, "check", "--f", "+".join(["x"] * 3000), "--domain", "0,1,0,1",
+            "--class", "CoordJ2",
+        )
+        assert code == 0
+        assert "no violation found" in out
+        assert err == ""
+
+    def test_long_chain_coordinate_witness_rechecks(self, capsys):
+        from quasiconv import Axis, ClassId, defining_inequality, parse, restrict
+
+        chain = "+".join(["x"] * 3000) + "-x^2"  # concave in x on every slice
+        code, out, err = run(
+            capsys, "check", "--f", chain, "--domain", "0,1,0,1", "--class", "CoordC2",
+            "--json",
+        )
+        assert code == 1
+        assert err == ""
+        w = json.loads(out)["outcome"]["witness"]
+        assert w["class_id"] == "C1" and w["frozen_axis"] == "y"
+        sliced = restrict(parse(chain, 2), Axis(w["frozen_axis"]), w["frozen_value"])
+        lhs, rhs = defining_inequality(ClassId.C1, sliced, w["p1"], w["p2"], w["params"])
+        assert (lhs, rhs) == (w["lhs"], w["rhs"])
+
     @pytest.mark.parametrize("expr", ["sin(1e999)+x", "abs(1e999)"])
     def test_overflowing_literal_exits_two(self, capsys, expr):
         code, out, err = run(
@@ -215,14 +242,14 @@ class TestClosedStdout:
     def test_closed_pipe_exits_quietly(self):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "quasiconv", "verify", "--inequality", "HH1D",
              "--f", "x^2", "--domain", "0,1", "--json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        proc.stdout.close()  # gone before the record is written
-        err = proc.stderr.read()
-        assert proc.wait() == 0
+        ) as proc:
+            proc.stdout.close()  # gone before the record is written
+            err = proc.stderr.read()
+            assert proc.wait() == 0
         assert err == b""
 
 
