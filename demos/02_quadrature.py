@@ -1,8 +1,8 @@
 """Adaptive quadrature with embedded error estimates.
 
 The engine is a 15-point Kronrod rule with the 7-point Gauss rule embedded
-for the error estimate; adaptivity bisects whichever panel (or rectangle)
-currently carries the largest estimate.
+for the error estimate; adaptivity bisects whichever panels currently carry
+the largest estimates.
 """
 
 from quasiconv import (
@@ -24,10 +24,11 @@ print(f"int x^2 dx on [0,1]  = {q.value:.15f}  (err <= {q.abs_error_estimate:.1e
 q = integrate_1d(parse("abs(1 - 2*x)", 1), Interval(0, 1))
 print(f"int |1-2x| dx        = {q.value:.15f}  ({q.subdivisions} panels)")
 
-# 2D integration bisects the axis with the larger error component.
-q = integrate_2d(parse("x^2 + y^2", 2), Box2.from_bounds(0, 1, 0, 1))
-print(f"int x^2+y^2 over box = {q.value:.15f}  (err <= {q.abs_error_estimate:.1e}, "
-      f"{q.subdivisions} rectangles)")
+# 2D integration is iterated: an adaptive outer pass over x whose nodes'
+# y-rows are each cut where a kink of f crosses them, here the diagonal.
+q = integrate_2d(parse("abs(x - y)", 2), Box2.from_bounds(-1, 1, -1, 1))
+print(f"int |x-y| over box   = {q.value:.15f}  (err <= {q.abs_error_estimate:.1e}, "
+      f"{q.subdivisions} outer panels)")
 
 # Integrands of the form |g - h| get their sign changes located first on a
 # uniform scan, each root bisected to 1e-12, and the pieces integrated

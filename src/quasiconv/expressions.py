@@ -92,14 +92,64 @@ class _Var:
     name: str  # "x" or "y"
 
 
-@dataclass(frozen=True)
-class _Unary:
+class _Operator:
+    """Equality, hash and repr of operator nodes, computed without recursion
+    so that trees of any depth support them (the generated dataclass
+    methods recurse once per level).  Leaves keep their dataclass methods:
+    constants compare by value."""
+
+    __slots__ = ()
+
+    def _preorder(self) -> list:
+        """The operator names and leaves in pre-order.  They determine the
+        tree, since each name fixes its operator's arity."""
+        keys: list = []
+        todo: list = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, _Unary):
+                keys.append(node.op)
+                todo.append(node.arg)
+            elif isinstance(node, _Binary):
+                keys.append(node.op)
+                todo += (node.right, node.left)
+            else:
+                keys.append(node)
+        return keys
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Operator):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, _Unary):
+                todo += (")", item.arg, f"_Unary(op={item.op!r}, arg=")
+            elif isinstance(item, _Binary):
+                todo += (")", item.right, ", right=", item.left,
+                         f"_Binary(op={item.op!r}, left=")
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _Unary(_Operator):
     op: str  # neg abs sqrt exp log sin cos floor
     arg: "_Node"
 
 
-@dataclass(frozen=True)
-class _Binary:
+@dataclass(frozen=True, eq=False, repr=False)
+class _Binary(_Operator):
     op: str  # + - * / ^ min max
     left: "_Node"
     right: "_Node"
@@ -131,6 +181,38 @@ class Expr:
     @cached_property
     def _tape(self) -> tuple[tuple, bool]:
         return _lower(self.root)
+
+    @cached_property
+    def switches(self) -> tuple["Expr", ...]:
+        """Switching functions: expressions of the same arity whose sign
+        changes include every point where this one kinks or jumps.
+
+        ``abs(u)`` switches with ``u``, ``min(a, b)`` and ``max(a, b)`` with
+        ``a - b``, and ``floor(u)`` with ``sin(pi*u)``, which changes sign
+        where u crosses an integer.  Duplicates are dropped by their text.
+        """
+        found: dict[str, Expr] = {}
+        todo: list = [self.root]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, _Unary):
+                todo.append(node.arg)
+                if node.op == "abs":
+                    switch: _Node = node.arg
+                elif node.op == "floor":
+                    switch = _Unary("sin", _Binary("*", _Const(math.pi), node.arg))
+                else:
+                    continue
+            elif isinstance(node, _Binary):
+                todo += (node.right, node.left)
+                if node.op not in _BINARY_FUNCS:
+                    continue
+                switch = _Binary("-", node.left, node.right)
+            else:
+                continue
+            expr = Expr(switch, self.arity)
+            found.setdefault(expr.text, expr)
+        return tuple(found.values())
 
     def __call__(self, x: float, y: Optional[float] = None) -> float:
         if self.arity == 2 and y is None:

@@ -13,18 +13,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from .domains import Box2, Interval
 from .expressions import Axis, Expr, chord_substitution, difference, restrict
 from .quadrature import (
-    Batched,
     QuadConfig,
     QuadResult,
     integrate_1d,
     integrate_2d,
     integrate_abs_difference,
     integrate_abs_slices,
+    integrate_nested,
 )
 
 __all__ = [
@@ -343,19 +341,12 @@ def _chord_correction_2d(
         def diff(v: float, t: float) -> float:
             return f(v, t * lo + (1.0 - t) * hi) - f(v, (1.0 - t) * lo + t * hi)
 
-    inner_state = {"max_err": 0.0, "converged": True}
-
-    def inner(vs: np.ndarray) -> np.ndarray:
-        results = integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG)
-        for q in results:
-            if q.abs_error_estimate > inner_state["max_err"]:
-                inner_state["max_err"] = q.abs_error_estimate
-            inner_state["converged"] = inner_state["converged"] and q.converged
-        return np.array([q.value for q in results])
-
-    q = integrate_1d(Batched(inner), outer_iv, _OUTER_CFG)
-    err = q.abs_error_estimate + outer_iv.length * inner_state["max_err"]
-    return q.value, err, q.converged and inner_state["converged"]
+    q = integrate_nested(
+        lambda vs: integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG),
+        outer_iv,
+        _OUTER_CFG,
+    )
+    return q.value, q.abs_error_estimate, q.converged
 
 
 def thm_jqc_coord(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> InequalityReport:

@@ -1,11 +1,14 @@
-"""Adaptive 1D and 2D quadrature with embedded error estimates.
+"""Adaptive quadrature with embedded error estimates.
 
-The base rule is the 15-point Kronrod extension of 7-point Gauss.  Adaptivity
-bisects the segment (or rectangle) with the worst error estimate, driven by a
-max-heap, until the summed estimate meets tolerance or the subdivision budget
-runs out.  Integrands of the form ``|g - h|`` get their kinks located first
-(sign changes of ``g - h``) and are integrated piecewise, since those are the
-only non-smooth integrands the inequality reports produce.
+The base rule is the 15-point Kronrod extension of 7-point Gauss.  One
+adaptive driver integrates many pieces per integrand call, bisecting the
+panels with the worst error estimates until each piece's summed estimate
+meets tolerance or the subdivision budget runs out.  A row integrator cuts
+each 1D integral first where a split function changes sign (``g - h`` for
+``|g - h|``, a switching function of the integrand in 2D), so every piece it
+integrates is free of the kinks those functions mark.  ``integrate_2d`` is
+an iterated integral on the same two parts: an adaptive outer pass over x
+whose integrand calls hand their nodes' y-rows to the row integrator.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,13 +24,13 @@ from .domains import Interval, Box2
 from .expressions import ArityError, Axis, DomainError, Expr, difference, eval_array
 
 __all__ = [
-    "Batched",
     "QuadConfig",
     "QuadResult",
     "integrate_1d",
     "integrate_2d",
     "integrate_abs_difference",
     "integrate_abs_slices",
+    "integrate_nested",
 ]
 
 _EPS = np.finfo(float).eps
@@ -78,7 +81,6 @@ class QuadConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 4096
-    kink_split: bool = True
     # starting panel count; several panels keep one accidental agreement of
     # the embedded rules from terminating adaptivity on a non-smooth integrand
     initial_panels: int = 8
@@ -108,17 +110,10 @@ class QuadResult:
 
 
 VectorFn = Callable[[np.ndarray], np.ndarray]
+Vector2Fn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class Batched:
-    """A 1D integrand that maps the whole array of quadrature nodes of one
-    integrand call to their values at once."""
-
-    fn: VectorFn
-
-
-def _as_vector_1d(f: Union[Expr, Batched, Callable[[float], float]]) -> VectorFn:
+def _as_vector_1d(f: Union[Expr, Callable[[float], float]]) -> VectorFn:
     """Adapt an expression or callable to batch evaluation over nodes."""
     if isinstance(f, Expr):
         if f.arity != 1:
@@ -134,17 +129,6 @@ def _as_vector_1d(f: Union[Expr, Batched, Callable[[float], float]]) -> VectorFn
 
         return fv
 
-    if isinstance(f, Batched):
-
-        def fv(pts: np.ndarray) -> np.ndarray:
-            out = np.asarray(f.fn(pts), dtype=float)
-            bad = ~np.isfinite(out)
-            if bad.any():
-                raise DomainError("non-finite value", (float(pts[int(np.argmax(bad))]),))
-            return out
-
-        return fv
-
     def fv(pts: np.ndarray) -> np.ndarray:
         out = np.empty(pts.shape, dtype=float)
         for i, p in enumerate(pts):
@@ -157,9 +141,7 @@ def _as_vector_1d(f: Union[Expr, Batched, Callable[[float], float]]) -> VectorFn
     return fv
 
 
-def _as_vector_2d(
-    f: Union[Expr, Callable[[float, float], float]]
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _as_vector_2d(f: Union[Expr, Callable[[float, float], float]]) -> Vector2Fn:
     if isinstance(f, Expr):
         if f.arity != 2:
             raise ArityError("integrate_2d needs a 2D expression")
@@ -366,14 +348,13 @@ def _adaptive(
 
 
 def integrate_1d(
-    f: Union[Expr, Batched, Callable[[float], float]],
+    f: Union[Expr, Callable[[float], float]],
     iv: Interval,
     cfg: Optional[QuadConfig] = None,
 ) -> QuadResult:
     """Adaptively integrate ``f`` over ``iv``.
 
-    ``f`` is an expression, a scalar callable, or a :class:`Batched`
-    integrand called once per array of nodes.  On budget exhaustion the
+    ``f`` is an expression or a scalar callable.  On budget exhaustion the
     best estimate is still returned with ``converged`` set to False.
     DomainError from the integrand propagates.
     """
@@ -388,194 +369,16 @@ def integrate_1d(
     )[0]
 
 
-Rect = tuple[float, float, float, float]
-
-
-def _contract(w: np.ndarray, zs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``w @ Z @ v`` for every slab Z of ``zs``, as stacked matrix products.
-
-    Each slab gets the same two products, in the same order, as it would
-    alone, so its bits do not depend on the rest of the stack (``einsum``
-    does not keep them).
-    """
-    return ((w @ zs)[:, None, :] @ v[:, None])[:, 0, 0]
-
-
-def _gk15_2d(
-    fv2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rects: list[Rect],
-) -> list[tuple[float, float, float]]:
-    """Tensor GK panels on rectangles (xlo, xhi, ylo, yhi), evaluated in one
-    integrand call: (value, error_x, error_y) per rectangle.
-
-    The per-axis errors compare the full Kronrod tensor against the mixed
-    Gauss/Kronrod tensors, attributing error to the axis whose downgrade
-    moves the value most.  Each rectangle is contracted from its own
-    (15, 15) slab, so its value does not depend on the others in the call.
-    """
-    r = np.array(rects)
-    xh = 0.5 * (r[:, 1] - r[:, 0])
-    yh = 0.5 * (r[:, 3] - r[:, 2])
-    xs = (0.5 * (r[:, 0] + r[:, 1]))[:, None] + xh[:, None] * _NODES
-    ys = (0.5 * (r[:, 2] + r[:, 3]))[:, None] + yh[:, None] * _NODES
-    # node (i, j) of a rectangle sits at (xs[i], ys[j]), in C order
-    Zs = fv2(np.repeat(xs, 15, axis=1).ravel(), np.tile(ys, 15).ravel())
-    Zs = Zs.reshape(len(rects), 15, 15)
-    scale = xh * yh
-    kk = scale * _contract(_WK, Zs, _WK)
-    gk = scale * _contract(_WG, Zs[:, _GAUSS_IDX, :], _WK)
-    kg = scale * _contract(_WK, Zs[:, :, _GAUSS_IDX], _WG)
-    floor = 50.0 * _EPS * (scale * _contract(_WK, np.abs(Zs), _WK))
-    ex = np.maximum(np.abs(kk - gk), floor)
-    ey = np.maximum(np.abs(kk - kg), floor)
-    return list(zip(kk.tolist(), ex.tolist(), ey.tolist()))
-
-
-# heap-top rectangles whose children one integrand call evaluates ahead
-_LOOKAHEAD = 32
-
-
-def _halves(rect: Rect, ex: float, ey: float) -> Optional[tuple[Rect, Rect]]:
-    """``rect`` bisected across its worse axis (x on a tie); None when that
-    axis cannot be split at double precision."""
-    xlo, xhi, ylo, yhi = rect
-    if ex >= ey:
-        m = 0.5 * (xlo + xhi)
-        if xlo < m < xhi:
-            return (xlo, m, ylo, yhi), (m, xhi, ylo, yhi)
-    else:
-        m = 0.5 * (ylo + yhi)
-        if ylo < m < yhi:
-            return (xlo, xhi, ylo, m), (xlo, xhi, m, yhi)
-    return None
-
-
-def _heap_top(heap: list, k: int) -> list:
-    """The ``k`` smallest entries of a binary heap in ascending order, found
-    by a best-first walk down its tree (``heapq.nsmallest`` without scanning
-    the whole heap)."""
-    out: list = []
-    frontier = [(heap[0], 0)] if heap else []
-    while frontier and len(out) < k:
-        entry, i = heapq.heappop(frontier)
-        out.append(entry)
-        for j in (2 * i + 1, 2 * i + 2):
-            if j < len(heap):
-                heapq.heappush(frontier, (heap[j], j))
-    return out
-
-
-def _look_ahead(
-    fv2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    entry: tuple,
-    heap: list,
-    ahead: dict[int, list[tuple[Rect, tuple[float, float, float]]]],
-    limit: int,
-) -> None:
-    """Evaluate the children of the popped heap ``entry`` and of up to
-    ``limit - 1`` of the next heap-top rectangles in one integrand call,
-    into ``ahead`` by insertion counter as (child, (value, error_x,
-    error_y)) pairs.
-
-    The rectangles evaluated ahead are only guesses at the next pops.  If
-    the call fails, the popped rectangle's children are evaluated alone, so
-    an error comes only from a rectangle the sequential loop splits.
-    """
-    keys: list[int] = []
-    rects: list[Rect] = []
-    for _, key, rect, _, ex, ey in [entry] + _heap_top(heap, limit - 1):
-        children = None if key in ahead else _halves(rect, ex, ey)
-        if children is not None:
-            keys.append(key)
-            rects += children
-    try:
-        results = _gk15_2d(fv2, rects)
-    except Exception:
-        # any error, since a callable integrand may raise anything: if it
-        # belongs to the popped rectangle, the redo raises it again
-        keys, rects = keys[:1], rects[:2]
-        results = _gk15_2d(fv2, rects)
-    for i, key in enumerate(keys):
-        ahead[key] = list(zip(rects[2 * i : 2 * i + 2], results[2 * i : 2 * i + 2]))
-
-
-def integrate_2d(
-    f: Union[Expr, Callable[[float, float], float]],
-    box: Box2,
-    cfg: Optional[QuadConfig] = None,
-) -> QuadResult:
-    """Adaptively integrate ``f`` over a rectangle, bisecting the worse axis
-    of the worst rectangle.
-
-    The rectangles are split one at a time in heap order, but the children
-    of the next ``_LOOKAHEAD`` heap-top rectangles are evaluated ahead in
-    one integrand call, so the result is bit-identical to evaluating each
-    split on its own.
-    """
-    cfg = cfg or QuadConfig()
-    fv2 = _as_vector_2d(f)
-    a, b, c, d = box.bounds
-    per_axis = 2 if cfg.initial_panels > 1 and cfg.max_subdivisions >= 4 else 1
-    xs = np.linspace(a, b, per_axis + 1).tolist()
-    ys = np.linspace(c, d, per_axis + 1).tolist()
-    rects = [
-        (xs[i], xs[i + 1], ys[j], ys[j + 1])
-        for i in range(per_axis)
-        for j in range(per_axis)
-    ]
-    heap = []
-    total_val, total_err = 0.0, 0.0
-    for counter, (rect, (val, ex, ey)) in enumerate(zip(rects, _gk15_2d(fv2, rects))):
-        heap.append((-(ex + ey), counter, rect, val, ex, ey))
-        total_val += val
-        total_err += ex + ey
-    counter = len(rects)
-    heapq.heapify(heap)
-    ahead: dict[int, list[tuple[Rect, tuple[float, float, float]]]] = {}
-    done: list[tuple[float, float]] = []  # frozen (value, err)
-    nrect = len(rects)
-    converged = True
-    while True:
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-            break
-        if not heap:
-            converged = False
-            break
-        if nrect >= cfg.max_subdivisions:
-            converged = False
-            break
-        entry = heapq.heappop(heap)
-        _, key, rect, v, ex, ey = entry
-        if key not in ahead:
-            if _halves(rect, ex, ey) is None:
-                done.append((v, ex + ey))  # cannot split at double precision
-                continue
-            _look_ahead(fv2, entry, heap, ahead, min(_LOOKAHEAD, cfg.max_subdivisions - nrect))
-        total_val -= v
-        total_err -= ex + ey
-        for rect, (cv, cex, cey) in ahead.pop(key):
-            total_val += cv
-            total_err += cex + cey
-            heapq.heappush(heap, (-(cex + cey), counter, rect, cv, cex, cey))
-            counter += 1
-        nrect += 1
-    # fsum is exact, so the order of the cells does not matter
-    cells = [(v, ex + ey) for _, _, _, v, ex, ey in heap] + done
-    return QuadResult(
-        math.fsum(v for v, _ in cells), math.fsum(e for _, e in cells), nrect, converged
-    )
-
-
 # Slices integrated together.  This bounds the lanes of one integrand call
 # (a 257-point scan per slice, times every intermediate array of the
 # expression walk) and with them the peak memory; larger batches save
 # little time, since the calls are already few.
 _SLICES_PER_BATCH = 16
 
-# bisection steps taken per call of the difference (2^5 - 1 points a bracket)
+# bisection steps taken per call of a split function (2^5 - 1 points a bracket)
 _BISECT_LEVELS = 5
 
-# A batch of 1D differences: (parameters t, the row of each t) -> d_row(t).
+# A batch of 1D functions: (parameters t, the row of each t) -> f_row(t).
 RowsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -658,25 +461,29 @@ def _bisect_steps(
     return live[going & (hi[live] - lo[live] > tol)]
 
 
-def _integrate_abs_rows(
-    d: RowsFn, nrows: int, iv: Interval, cfg: QuadConfig
+def _integrate_rows(
+    f: RowsFn, splits: Sequence[RowsFn], nrows: int, iv: Interval, cfg: QuadConfig
 ) -> list[QuadResult]:
-    """Integrate |d_row| over ``iv`` for every row, kinks split out first.
+    """Integrate f_row over ``iv`` for every row, cut first wherever a split
+    function of the row changes sign.
 
-    Sign changes of each d_row are bracketed on a 257-point uniform scan and
-    bisected to 1e-12; |d_row| is then integrated on each kink-free piece to
+    Sign changes of each split function are bracketed on a 257-point uniform
+    scan and bisected to 1e-12; f_row is then integrated on each piece to
     ``abs_tol`` over the row's piece count.  Every row's scan, every
-    bisection step and every wave of the adaptive pieces share one call of d.
+    bisection step and every wave of the adaptive pieces share one call of
+    f or of a split function.  A split function returns NaN where it has no
+    value; such a point cuts nothing.
     """
     cuts: list[list[float]] = [[] for _ in range(nrows)]
-    if cfg.kink_split:
-        grid = np.linspace(iv.lo, iv.hi, 257)
-        dv = d(np.tile(grid, nrows), np.repeat(np.arange(nrows), 257))
-        dv = dv.reshape(nrows, 257)
-        # an isolated zero with a sign change across it is itself the kink
-        zrow, zcol = np.nonzero((dv[:, 1:-1] == 0.0) & (dv[:, :-2] * dv[:, 2:] < 0.0))
-        brow, bcol = np.nonzero(dv[:, :-1] * dv[:, 1:] < 0.0)
-        roots = _bisect_roots(d, brow, grid[bcol], grid[bcol + 1], dv[brow, bcol])
+    grid = np.linspace(iv.lo, iv.hi, 257)
+    for split in splits:
+        sv = split(np.tile(grid, nrows), np.repeat(np.arange(nrows), 257))
+        sv = sv.reshape(nrows, 257)
+        with np.errstate(over="ignore"):  # only the sign of a product counts
+            # an isolated zero with a sign change across it is itself the kink
+            zrow, zcol = np.nonzero((sv[:, 1:-1] == 0.0) & (sv[:, :-2] * sv[:, 2:] < 0.0))
+            brow, bcol = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
+        roots = _bisect_roots(split, brow, grid[bcol], grid[bcol + 1], sv[brow, bcol])
         for r, t in zip(zrow.tolist(), grid[zcol + 1].tolist()):
             cuts[r].append(t)
         for r, t in zip(brow.tolist(), roots.tolist()):
@@ -694,9 +501,7 @@ def _integrate_abs_rows(
     lo, hi = np.array(pieces).T
     abs_tol = [cfg.abs_tol / per_row[r] for r in rows]
     results = _adaptive(
-        lambda pts, owner: np.abs(
-            d(pts.ravel(), np.repeat(piece_row[owner], 15))
-        ).reshape(pts.shape),
+        lambda pts, owner: f(pts.ravel(), np.repeat(piece_row[owner], 15)).reshape(pts.shape),
         lo,
         hi,
         abs_tol,
@@ -715,6 +520,35 @@ def _integrate_abs_rows(
                 all(r.converged for r in rs),
             )
         )
+    return out
+
+
+def _integrate_slices(
+    f: Vector2Fn,
+    splits: Sequence[Vector2Fn],
+    along: Axis,
+    values: np.ndarray,
+    iv: Interval,
+    cfg: QuadConfig,
+) -> list[QuadResult]:
+    """Integrate the 1D slices of a 2D function, cut where its split
+    functions change sign: for each ``v`` in ``values``, the ``along``
+    co-ordinate runs over ``iv`` and the other one is frozen at ``v``.
+
+    Up to ``_SLICES_PER_BATCH`` slices share each call of ``f`` and of each
+    split function; a slice's result does not depend on the others.
+    """
+    vs = np.asarray(values, dtype=float)
+    out: list[QuadResult] = []
+    for start in range(0, vs.size, _SLICES_PER_BATCH):
+        batch = vs[start : start + _SLICES_PER_BATCH]
+
+        def on_rows(fn: Vector2Fn, batch: np.ndarray = batch) -> RowsFn:
+            if along is Axis.X:
+                return lambda ts, rows: fn(ts, batch[rows])
+            return lambda ts, rows: fn(batch[rows], ts)
+
+        out += _integrate_rows(on_rows(f), [on_rows(s) for s in splits], batch.size, iv, cfg)
     return out
 
 
@@ -739,7 +573,9 @@ def integrate_abs_difference(
             return g(t) - h(t)
 
     dv = _as_vector_1d(diff)
-    return _integrate_abs_rows(lambda ts, rows: dv(ts), 1, iv, cfg)[0]
+    return _integrate_rows(
+        lambda ts, rows: np.abs(dv(ts)), [lambda ts, rows: dv(ts)], 1, iv, cfg
+    )[0]
 
 
 def integrate_abs_slices(
@@ -757,17 +593,97 @@ def integrate_abs_slices(
     adaptive wave, so their evaluations of ``d`` are batched.  Each result
     is bit-identical to ``integrate_abs_difference`` run on that slice alone.
     """
-    cfg = cfg or QuadConfig()
     fv2 = _as_vector_2d(d)
-    vs = np.asarray(values, dtype=float)
-    out: list[QuadResult] = []
-    for start in range(0, vs.size, _SLICES_PER_BATCH):
-        batch = vs[start : start + _SLICES_PER_BATCH]
+    return _integrate_slices(
+        lambda xs, ys: np.abs(fv2(xs, ys)), [fv2], along, values, iv, cfg or QuadConfig()
+    )
 
-        def slices(ts: np.ndarray, rows: np.ndarray, batch=batch) -> np.ndarray:
-            if along is Axis.X:
-                return fv2(ts, batch[rows])
-            return fv2(batch[rows], ts)
 
-        out += _integrate_abs_rows(slices, batch.size, iv, cfg)
-    return out
+def integrate_nested(
+    inner: Callable[[np.ndarray], list[QuadResult]],
+    iv: Interval,
+    cfg: QuadConfig,
+    splits: Sequence[VectorFn] = (),
+) -> QuadResult:
+    """Integrate over ``iv`` the inner integrals that ``inner`` computes for
+    each array of outer nodes, the interval first cut where a split
+    function changes sign (NaN cuts nothing).
+
+    The error estimate is the outer one plus the length of ``iv`` times the
+    worst inner estimate, and the result has converged when the outer pass
+    and every inner integral have.
+    """
+    worst = 0.0
+    inner_converged = True
+
+    def outer(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        nonlocal worst, inner_converged
+        results = inner(xs)
+        for q in results:
+            worst = max(worst, q.abs_error_estimate)
+            inner_converged = inner_converged and q.converged
+        return np.array([q.value for q in results])
+
+    q = _integrate_rows(outer, [lambda ts, rows, s=s: s(ts) for s in splits], 1, iv, cfg)[0]
+    return QuadResult(
+        q.value,
+        q.abs_error_estimate + iv.length * worst,
+        q.subdivisions,
+        q.converged and inner_converged,
+    )
+
+
+def _switch_values(switch: Expr) -> Vector2Fn:
+    """Lanes of a 2D switching function, NaN where it has no finite value
+    (a switching function may overflow where f is finite)."""
+
+    def sv(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        vals, ok = eval_array(switch, xs, ys)
+        return np.where(ok, vals, np.nan)
+
+    return sv
+
+
+def integrate_2d(
+    f: Union[Expr, Callable[[float, float], float]],
+    box: Box2,
+    cfg: Optional[QuadConfig] = None,
+) -> QuadResult:
+    """Integrate ``f`` over a rectangle as an iterated integral: an adaptive
+    outer pass over x, each of whose integrand calls integrates the y-rows
+    at its nodes, ``_SLICES_PER_BATCH`` rows at a time.
+
+    Each row is cut where a switching function of ``f``
+    (:attr:`Expr.switches`) changes sign, so a kink crossing the rectangle
+    is a breakpoint of every row it meets; the outer interval is cut where
+    one changes sign along the bottom or the top edge, which catches kinks
+    along x.  A callable ``f`` has no switching functions and runs unsplit.
+
+    ``cfg`` governs the outer pass.  The rows run an order tighter, at
+    ``rel_tol / 10`` and ``abs_tol / (10 * width)`` with the same
+    ``max_subdivisions`` and ``initial_panels``, since the error estimate
+    is the outer one plus the width times the worst row's.  The result has
+    converged when the outer pass and every row have; ``subdivisions``
+    counts the outer panels.  DomainError comes only from ``f`` at a node
+    the rule integrates.
+    """
+    cfg = cfg or QuadConfig()
+    fv2 = _as_vector_2d(f)
+    switches = [_switch_values(s) for s in f.switches] if isinstance(f, Expr) else []
+    row_cfg = QuadConfig(
+        rel_tol=cfg.rel_tol / 10.0,
+        abs_tol=cfg.abs_tol / 10.0 / box.x.length,
+        max_subdivisions=cfg.max_subdivisions,
+        initial_panels=cfg.initial_panels,
+    )
+    edges = [
+        lambda xs, s=s, y=y: s(xs, np.full(xs.shape, y))
+        for s in switches
+        for y in (box.y.lo, box.y.hi)
+    ]
+    return integrate_nested(
+        lambda xs: _integrate_slices(fv2, switches, Axis.Y, xs, box.y, row_cfg),
+        box.x,
+        cfg,
+        edges,
+    )

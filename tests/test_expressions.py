@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -167,6 +168,41 @@ class TestRestrict:
             x0, y0 = rng.uniform(-2, 2, 2)
             assert restrict(f, Axis.X, x0)(y0) == f(x0, y0)
             assert restrict(f, Axis.Y, y0)(x0) == f(x0, y0)
+
+
+class TestSwitches:
+    def test_each_non_smooth_node_has_one(self):
+        f = parse("abs(x - y) + max(x, y) + min(2*y, 1) + floor(3*x) + exp(y)", 2)
+        texts = [s.text for s in f.switches]
+        # max(x, y) repeats the switch of abs(x - y); the text keeps one
+        assert texts == ["x - y", "2.0*y - 1.0", f"sin({math.pi!r}*(3.0*x))"]
+        assert all(s.arity == 2 for s in f.switches)
+        assert parse("exp(x)*sin(y) + x^2", 2).switches == ()
+
+    def test_floor_switch_changes_sign_at_each_jump(self):
+        (switch,) = parse("floor(3*x)", 1).switches
+        for jump in (-2 / 3, -1 / 3, 1 / 3, 2 / 3):
+            assert switch(jump - 1e-9) * switch(jump + 1e-9) < 0.0
+
+    def test_deep_chain_builds_switches(self):
+        f = parse("+".join(["abs(x - 0.5)"] * 3000), 1)
+        assert [s.text for s in f.switches] == ["x - 0.5"]
+
+
+class TestDeepTrees:
+    def test_repr_eq_hash_do_not_recurse(self):
+        text = "+".join(["x"] * 3000)
+        f, g = parse(text, 1), parse(text, 1)
+        assert f == g and hash(f) == hash(g)
+        assert repr(f).count("_Var(name='x')") == 3000
+        assert f != parse(text + "+1", 1)
+        assert f.root != parse(text.replace("x", "y", 1), 2).root
+
+    def test_constants_compare_by_value(self):
+        assert _Binary("^", _Var("x"), _Const(2.0)).right == _Const(2.0)
+        assert _Unary("neg", _Const(0.0)) == _Unary("neg", _Const(-0.0))
+        assert hash(_Unary("neg", _Const(0.0))) == hash(_Unary("neg", _Const(-0.0)))
+        assert repr(_Unary("abs", _Var("x"))) == "_Unary(op='abs', arg=_Var(name='x'))"
 
 
 class TestVectorisedEvaluation:

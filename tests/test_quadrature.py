@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quasiconv import (
+    Axis,
     Box2,
     DomainError,
     Interval,
@@ -109,13 +111,6 @@ class TestAbsDifference:
         )
         # 8 half-waves, each of area 1/(4 pi)
         assert abs(q.value - 2.0 / math.pi) <= 1e-8
-
-    def test_without_kink_split(self):
-        cfg = QuadConfig(kink_split=False)
-        q = integrate_abs_difference(
-            lambda t: 1.0 - t, lambda t: t, Interval(0, 1), cfg
-        )
-        assert abs(q.value - 0.5) <= 1e-9
 
 
 class TestRuleProperties:
@@ -453,206 +448,135 @@ class TestAdaptivePolicy:
             assert q.converged == all(p[3] for p in parts)
 
 
-def _slab_panel(Z, sx, sy):
-    """Reference: one (15, 15) slab contracted on its own."""
-    from quasiconv.quadrature import _EPS, _GAUSS_IDX, _WG, _WK
+def _benchmark_2d_inputs(seeds):
+    """The 2D functions of the first ``verify`` round of each seed, as the
+    benchmark generates them."""
+    import random
+    import sys
+    from pathlib import Path
 
-    scale = sx * sy
-    kk = scale * float(_WK @ Z @ _WK)
-    gk = scale * float(_WG @ Z[_GAUSS_IDX, :] @ _WK)
-    kg = scale * float(_WK @ Z[:, _GAUSS_IDX] @ _WG)
-    floor = 50.0 * _EPS * (scale * float(_WK @ np.abs(Z) @ _WK))
-    return kk, max(abs(kk - gk), floor), max(abs(kk - kg), floor)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    texts = []
+    for seed in seeds:
+        ops = workloads.verify_round(random.Random(f"verify:{seed}"))
+        texts += [op.expr for op in ops[:2]]
+    return texts
 
 
-def _reference_integrate_2d(fv2, box, cfg):
-    """Reference: the adaptive 2D rule as one sequential heap loop, each
-    split's two children evaluated together and contracted slab by slab."""
-    import heapq
-
-    from quasiconv.quadrature import _NODES
-
-    def panels(rects):
-        out = []
-        for xlo, xhi, ylo, yhi in rects:
-            xh, yh = 0.5 * (xhi - xlo), 0.5 * (yhi - ylo)
-            xs = 0.5 * (xlo + xhi) + xh * _NODES
-            ys = 0.5 * (ylo + yhi) + yh * _NODES
-            out.append((np.repeat(xs, 15), np.tile(ys, 15), xh, yh))
-        zs = fv2(np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out]))
-        zs = zs.reshape(len(rects), 15, 15)
-        return [_slab_panel(z, xh, yh) for z, (_, _, xh, yh) in zip(zs, out)]
+def _nested_scipy(fn, box, y_kinks):
+    """Reference: nested QUADPACK, each y-row handed its kinks as explicit
+    breakpoints."""
+    from scipy.integrate import quad
 
     a, b, c, d = box.bounds
-    per_axis = 2 if cfg.initial_panels > 1 and cfg.max_subdivisions >= 4 else 1
-    xs = np.linspace(a, b, per_axis + 1).tolist()
-    ys = np.linspace(c, d, per_axis + 1).tolist()
-    rects = [(xs[i], xs[i + 1], ys[j], ys[j + 1]) for i in range(per_axis) for j in range(per_axis)]
-    heap = []
-    total_val = total_err = 0.0
-    for counter, (rect, (v, ex, ey)) in enumerate(zip(rects, panels(rects))):
-        heap.append((-(ex + ey), counter, rect, v, ex, ey))
-        total_val += v
-        total_err += ex + ey
-    heapq.heapify(heap)
-    counter = nrect = len(rects)
-    done = []
-    converged = True
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        if not heap or nrect >= cfg.max_subdivisions:
-            converged = False
-            break
-        _, _, (xlo, xhi, ylo, yhi), v, ex, ey = heapq.heappop(heap)
-        if ex >= ey:
-            m = 0.5 * (xlo + xhi)
-            ok = xlo < m < xhi
-            children = [(xlo, m, ylo, yhi), (m, xhi, ylo, yhi)]
-        else:
-            m = 0.5 * (ylo + yhi)
-            ok = ylo < m < yhi
-            children = [(xlo, xhi, ylo, m), (xlo, xhi, m, yhi)]
-        if not ok:
-            done.append((v, ex + ey))
-            continue
-        total_val -= v
-        total_err -= ex + ey
-        for rect, (cv, cex, cey) in zip(children, panels(children)):
-            total_val += cv
-            total_err += cex + cey
-            heapq.heappush(heap, (-(cex + cey), counter, rect, cv, cex, cey))
-            counter += 1
-        nrect += 1
-    cells = [(v, ex + ey) for _, _, _, v, ex, ey in heap] + done
-    return (math.fsum(v for v, _ in cells), math.fsum(e for _, e in cells), nrect, converged)
+
+    def row(x):
+        points = sorted(p for p in y_kinks(x) if c < p < d)
+        return quad(lambda y: fn(x, y), c, d, points=points or None,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    return quad(row, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+class TestIterated2D:
+    """integrate_2d as an outer adaptive pass over x of kink-split y-rows."""
+
+    BOX = Box2.from_bounds(-1, 1, -1, 1)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("abs(x - y)", 8.0 / 3.0),
+            ("max(x, y)", 4.0 / 3.0),
+            ("min(x, y)", -4.0 / 3.0),
+            ("floor(3*x) + floor(5*y)", -4.0),
+            # oblique jumps; floor(u) + floor(-u) = -1 off the jumps
+            ("floor(3*x + 0.5*y)", -2.0),
+            # a kink along x just past the panel edge at 0.25, inside the
+            # sliver that no node of the panel [0.25, 0.5] reaches
+            ("abs(x - 0.251) + y", 2.126002),
+        ],
+    )
+    def test_closed_forms(self, text, want):
+        q = integrate_2d(parse(text, 2), self.BOX)
+        assert q.converged
+        assert abs(q.value - want) <= 1e-12, q
+
+    def test_benchmark_inputs_match_nested_scipy(self):
+        texts = _benchmark_2d_inputs(range(5))
+        assert len(texts) == 10
+        for text in texts:
+            f = parse(text, 2)
+            # the diagonal kinks of abs(x - y) and max(x, y), and the
+            # axis-aligned kink of abs(y - s) where present
+            shifts = re.findall(r"abs\(y ([-+]) (\d\.\d+)\)", text)
+            ys = [float(v) if sign == "-" else -float(v) for sign, v in shifts]
+            want = _nested_scipy(lambda x, y: f(x, y), self.BOX, lambda x: [x, *ys])
+            q = integrate_2d(f, self.BOX)
+            assert q.converged
+            assert abs(q.value - want) <= 1e-12 * abs(want), (text, q.value, want)
+
+    def test_domain_error_comes_from_a_point_where_f_is_undefined(self):
+        # undefined only on a small diamond around (0.35, 0.45)
+        f = parse("abs(x - y) + sqrt(abs(x - 0.35) + abs(y - 0.45) - 0.01)", 2)
+        with pytest.raises(DomainError) as info:
+            integrate_2d(f, self.BOX)
+        x, y = info.value.point
+        assert abs(x - 0.35) + abs(y - 0.45) < 0.01
+
+    def test_callable_integrand(self):
+        q = integrate_2d(lambda x, y: math.exp(x) * math.cos(y), Box2.from_bounds(0, 1, 0, 2))
+        assert q.converged
+        assert abs(q.value - (math.e - 1.0) * math.sin(2.0)) <= 1e-12
+
+    def test_starved_budget_is_flagged(self):
+        cfg = QuadConfig(max_subdivisions=2)
+        q = integrate_2d(parse("sin(30*x*y) + abs(x - y)", 2), self.BOX, cfg)
+        assert not q.converged
+        assert q.subdivisions <= 2
+
+    def test_rows_run_an_order_tighter(self, monkeypatch):
+        from quasiconv import quadrature
+
+        seen = []
+        integrate_slices = quadrature._integrate_slices
+
+        def spy(f, splits, along, values, iv, cfg):
+            seen.append(cfg)
+            return integrate_slices(f, splits, along, values, iv, cfg)
+
+        monkeypatch.setattr(quadrature, "_integrate_slices", spy)
+        cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=300, initial_panels=5)
+        integrate_2d(parse("exp(x)*abs(x - y)", 2), Box2.from_bounds(0, 4, -1, 1), cfg)
+        want = QuadConfig(rel_tol=1e-7 / 10, abs_tol=1e-10 / 10 / 4,
+                          max_subdivisions=300, initial_panels=5)
+        assert seen and all(c == want for c in seen)
+
+    def test_rows_do_not_depend_on_the_batch(self, monkeypatch):
+        from quasiconv import quadrature
+        from quasiconv.expressions import eval_array
+
+        text = _benchmark_2d_inputs([1])[1] + " + floor(4*y) + 0.1*exp(x*y)"
+        f = parse(text, 2)
+
+        def fv2(xs, ys):
+            return eval_array(f, xs, ys)[0]
+
+        switches = [quadrature._switch_values(s) for s in f.switches]
+        xs = np.linspace(-1, 1, 37)
+        runs = {}
+        for size in (1, 16):
+            monkeypatch.setattr(quadrature, "_SLICES_PER_BATCH", size)
+            rows = quadrature._integrate_slices(
+                fv2, switches, Axis.Y, xs, Interval(-1, 1), QuadConfig()
+            )
+            runs[size] = ([_as_tuple(q) for q in rows], _as_tuple(integrate_2d(f, self.BOX)))
+        assert runs[1] == runs[16]
 
 
 def _as_tuple(q):
     return (q.value, q.abs_error_estimate, q.subdivisions, q.converged)
-
-
-class TestLookahead2D:
-    """integrate_2d evaluates the children of the next heap-top rectangles
-    ahead; every result must equal the sequential rule's, bit for bit."""
-
-    CFGS = [
-        QuadConfig(),
-        QuadConfig(max_subdivisions=4),
-        QuadConfig(max_subdivisions=5),
-        QuadConfig(max_subdivisions=37),
-        QuadConfig(initial_panels=1),
-    ]
-
-    def test_matches_sequential_reference(self):
-        from quasiconv.expressions import eval_array
-
-        texts = [
-            "x*y",  # smooth, converges at once
-            "exp(x)*sin(3*y) + 1/(1 + 25*(x^2 + y^2))",  # smooth, adaptive
-            "min(x, y) + abs(x + 0.3)",  # kinked, converges
-            # kinks on the diagonal: the budget runs out
-            "0.7*abs(x - y) + 0.4*max(x, y) + 0.3*abs(y - 0.21) + 0.5*(x - 0.1)^2",
-            "floor(3*x) + floor(5*y)",
-        ]
-        box = Box2.from_bounds(-1, 1, -1, 1)
-        budget_spent = 0
-        for text in texts:
-            f = parse(text, 2)
-            for cfg in self.CFGS:
-                q = integrate_2d(f, box, cfg)
-                want = _reference_integrate_2d(lambda x, y: eval_array(f, x, y)[0], box, cfg)
-                assert _as_tuple(q) == want, (text, cfg)
-                budget_spent += q.subdivisions == 4096 and not q.converged
-        assert budget_spent >= 2
-
-    @pytest.mark.parametrize("failure", ["nan", "raise"])
-    def test_failure_ahead_of_the_sequential_loop_is_not_raised(self, failure):
-        # a rectangle whose children are evaluated ahead but that the
-        # sequential loop never splits must not decide the result
-        box = Box2.from_bounds(-1, 1, -1, 1)
-        cfg = QuadConfig(max_subdivisions=37)
-
-        def g(x, y):
-            return abs(x - y) + max(x, 0.5 * y) + x * x
-
-        seen_ahead, seen_ref = set(), set()
-
-        def g_ahead(x, y):
-            seen_ahead.add((x, y))
-            return g(x, y)
-
-        def g_ref(xs, ys):
-            pts = list(zip(xs.tolist(), ys.tolist()))
-            seen_ref.update(pts)
-            return np.array([g(x, y) for x, y in pts])
-
-        integrate_2d(g_ahead, box, cfg)
-        want = _reference_integrate_2d(g_ref, box, cfg)
-        only_ahead = sorted(seen_ahead - seen_ref)
-        assert only_ahead, "the lookahead evaluated nothing beyond the sequential loop"
-        poison = only_ahead[len(only_ahead) // 2]
-
-        def f(x, y):
-            if (x, y) == poison:
-                if failure == "raise":
-                    raise ValueError("poisoned node")
-                return math.nan
-            return g(x, y)
-
-        assert _as_tuple(integrate_2d(f, box, cfg)) == want
-
-    def test_failure_in_a_sequential_split_is_raised_there(self):
-        from quasiconv.expressions import eval_array
-        from quasiconv.quadrature import _gk15_2d
-
-        # undefined on a small diamond around (0.35, 0.45) that no node of
-        # the four initial rectangles reaches; splits reach it
-        f = parse("abs(x - y) + sqrt(abs(x - 0.35) + abs(y - 0.45) - 0.01)", 2)
-        box = Box2.from_bounds(-1, 1, -1, 1)
-
-        def fv2(x, y):
-            vals, ok = eval_array(f, x, y)
-            if not ok.all():
-                i = int(np.argmax(~ok))
-                raise DomainError("non-finite value", (float(x[i]), float(y[i])))
-            return vals
-
-        _gk15_2d(fv2, [(-1, 0, -1, 0), (-1, 0, 0, 1), (0, 1, -1, 0), (0, 1, 0, 1)])
-        with pytest.raises(DomainError) as want:
-            _reference_integrate_2d(fv2, box, QuadConfig())
-        with pytest.raises(DomainError) as got:
-            integrate_2d(f, box)
-        assert got.value.point == want.value.point
-
-    @pytest.mark.parametrize("n", [1, 2, 64, 65])
-    def test_batched_contraction_matches_each_slab(self, n):
-        from quasiconv.quadrature import _NODES, _gk15_2d
-
-        rng = np.random.default_rng(n)
-        lo = rng.uniform(-1, 1, (n, 2)).tolist()
-        size = rng.uniform(1e-3, 1, (n, 2)).tolist()
-        rects = [(x, x + w, y, y + h) for (x, y), (w, h) in zip(lo, size)]
-
-        def fv2(x, y):
-            return np.exp(3.0 * np.sin(40.0 * x * y)) * (1.0 + 1e3 * x**2) - y
-
-        got = _gk15_2d(fv2, rects)
-        for rect, panel in zip(rects, got):
-            xlo, xhi, ylo, yhi = rect
-            xh, yh = 0.5 * (xhi - xlo), 0.5 * (yhi - ylo)
-            xs = 0.5 * (xlo + xhi) + xh * _NODES
-            ys = 0.5 * (ylo + yhi) + yh * _NODES
-            Z = fv2(np.repeat(xs, 15), np.tile(ys, 15)).reshape(15, 15)
-            assert panel == _slab_panel(Z, xh, yh)
-            assert panel == _gk15_2d(fv2, [rect])[0]
-
-    def test_heap_top_is_nsmallest(self):
-        import heapq
-
-        from quasiconv.quadrature import _heap_top
-
-        rng = np.random.default_rng(3)
-        for size in (0, 1, 2, 7, 100):
-            heap = [(float(v), i) for i, v in enumerate(rng.integers(0, 5, size))]
-            heapq.heapify(heap)
-            for k in (0, 1, 3, 31, size, size + 1):
-                assert _heap_top(heap, k) == heapq.nsmallest(k, heap)
