@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .domains import Box2, Interval
-from .expressions import Axis, DomainError, Expr, eval_array, restrict
+from .expressions import Axis, DomainError, Expr, Registers, eval_array, restrict
 
 __all__ = [
     "ClassId",
@@ -524,8 +525,82 @@ def strengthen_witness(w: Witness, f: Union[Expr, Callable, None] = None) -> Wit
 # ---------------------------------------------------------------------------
 # Candidate screening engine
 
-_CHUNK = 1 << 21
-_SHARED_CALL = 1 << 16  # most lanes that point sets evaluate together
+_CHUNK = 1 << 15  # most lanes per slab and per call: its arrays stay in L2
+_POOL_VIEWS = 1024  # views the pool keeps before it forgets them all
+_INPUTS = ("in0", "in1")  # pool names of the contiguous co-ordinate lanes
+
+
+class _Pool(threading.local):
+    """The lane buffers screening computes into, one flat array per name,
+    kept for the thread's life so that no chunk allocates a lane-sized
+    array: the allocator would hand large ones back to the system and
+    fault them in again.  A request views the named buffer at its shape,
+    growing it first if it is too small, so a short last slab fits.  The
+    screen asks for at most two point sets of ``_CHUNK`` lanes per buffer,
+    so the pool stays at a few megabytes."""
+
+    def __init__(self) -> None:
+        self.flat: dict[str, np.ndarray] = {}
+        # the views handed out, by name and shape: a small check asks for
+        # the same few dozen thousands of times
+        self.views: dict[tuple, object] = {}
+
+    def take(self, name: str, shape: tuple, dtype: type = float) -> np.ndarray:
+        view = self.views.get((name, shape))
+        if view is None:
+            view = self.views[name, shape] = self._view(name, shape, dtype)
+        return view
+
+    def takes(self, names: tuple, shape: tuple, dtype: type = float) -> tuple:
+        """``take`` of each of ``names``."""
+        views = self.views.get((names, shape))
+        if views is None:
+            views = self.views[names, shape] = tuple(
+                self._view(name, shape, dtype) for name in names
+            )
+        return views
+
+    def _view(self, name: str, shape: tuple, dtype: type) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.flat.get(name)
+        if buf is None or buf.size < size:
+            buf = self.flat[name] = np.empty(size, dtype)
+            self.views.clear()  # they may view the buffer just replaced
+        if len(self.views) >= _POOL_VIEWS:
+            self.views.clear()
+        return buf[:size].reshape(shape)
+
+    def registers(self, f: Expr, home: str, shape: tuple, i: int, step: int) -> Registers:
+        """A register file for f on the point sets ``i:i + step`` of the
+        (k, *rest) lanes ``shape``, whose values and mask land in those of
+        the buffers named by ``home``."""
+        key = (home, f.registers, shape, i, step)
+        regs = self.views.get(key)
+        if regs is None:
+            lanes = (step,) + shape[1:]
+            values = self.takes(_register_names(f.registers), lanes)
+            regs = Registers(
+                (self.take(home, shape)[i : i + step], *values),
+                self.take(home + "_ok", shape, bool)[i : i + step],
+                self.take("scratch", lanes, bool),
+            )
+            self.views[key] = regs
+        return regs
+
+
+@lru_cache(maxsize=None)
+def _register_names(count: int) -> tuple[str, ...]:
+    """Pool names of the registers after the first of ``count``."""
+    return tuple(f"reg{k}" for k in range(1, count))
+
+
+@lru_cache(maxsize=1024)
+def _broadcast(a: tuple, b: tuple) -> tuple:
+    """The broadcast shape of two shapes of one length."""
+    return tuple(map(max, a, b))
+
+
+_POOL = _Pool()
 
 
 @lru_cache(maxsize=64)
@@ -549,12 +624,28 @@ def _halton_cube(m: int, dims: int) -> np.ndarray:
     return out
 
 
-def _mix_a_vec(t, a, b):
-    return np.where(a == b, a, t * a + (1.0 - t) * b)
+def _temp(name: str, x, y, dtype: type = float) -> np.ndarray:
+    """A pool view for the result of a ufunc of ``x`` and ``y``, arrays of
+    one ndim or a float and an array, at their broadcast shape."""
+    if not isinstance(x, np.ndarray):
+        return _POOL.take(name, y.shape, dtype)
+    return _POOL.take(name, _broadcast(x.shape, y.shape), dtype)
 
 
-def _mix_b_vec(t, a, b):
-    return np.where(a == b, a, (1.0 - t) * a + t * b)
+def _mix_vec(t, a, b, out: np.ndarray, second: bool = False) -> None:
+    """``_mix_a`` (``_mix_b`` when ``second``) lane by lane, into ``out``.
+    Each step runs at the broadcast shape of its operands, which on the
+    grid is far smaller than ``out``; so does the mix, copied into ``out``
+    when smaller."""
+    s = 1.0 - t
+    u, v = (s, t) if second else (t, s)
+    ua = np.multiply(u, a, out=_temp("ua", u, a))
+    vb = np.multiply(v, b, out=_temp("vb", v, b))
+    mixed = _temp("mixed", ua, vb)
+    mixed = np.add(ua, vb, out=out if mixed.shape == out.shape else mixed)
+    np.copyto(mixed, a, where=np.equal(a, b, out=_temp("same", a, b, bool)))
+    if mixed is not out:
+        np.copyto(out, mixed)
 
 
 _GOLDEN_STEPS = 5  # golden-section steps per call of the margin in refinement
@@ -675,7 +766,7 @@ def _refine(
         return cands, margins
     rows = len(cands)
     cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
-    (F1, _), (F2, _) = _eval_lanes(f, [cols[:d], cols[d : 2 * d]], (rows, 1), frozen)
+    (F1, F2), _ = _eval_lanes(f, [cols[:d], cols[d : 2 * d]], (rows, 1), frozen)
     for j in range(2 * d, cands.shape[1]):
         cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
 
@@ -707,27 +798,40 @@ class _Screen:
         self.best = [-1] * slices
         self.bad = [-1] * slices
 
-    def scan(self, shape: tuple[int, ...], id0: int, lanes: Callable) -> bool:
+    def scan(self, shape: tuple[int, ...], id0: int, views: list, lanes: Callable) -> bool:
         """Screen a C-order tensor of ``shape``, slices on its first axis,
         in slabs in id order; a slice's ids start at ``id0``.
-        ``lanes(part, chunk)`` gives (margin, violating, undefined) on the
-        slab of that shape that ``part`` cuts out of a broadcast view.
-        Returns True at the first slab with an undefined lane, where it
-        stops."""
+
+        A slab fixes the leading indices and spans a range of the next axis:
+        the largest whole slab that holds at most ``_CHUNK`` lanes.
+        ``lanes(parts, chunk)`` gives (margin, violating, undefined) on the
+        slab of shape ``chunk``, ``parts`` being the ``views``, arrays that
+        broadcast to ``shape``, cut down to it.  Returns True at the first
+        slab with an undefined lane, where it stops."""
+        j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
+        rest = shape[j + 1 :]
+        step = min(shape[j], _CHUNK // math.prod(rest))
         per = math.prod(shape[1:])
+        # the axes up to j that each view spans rather than broadcasts on
+        spans = [[size > 1 for size in v.shape[: j + 1]] for v in views]
         flat = 0
-        for prefix, lo, hi in _slabs(shape):
-            margin, viol, bad = lanes(
-                lambda v: _slab(v, prefix, lo, hi), (hi - lo,) + shape[len(prefix) + 1 :]
-            )
-            s, at = divmod(flat, per)
-            flat += margin.size
-            rows = 1 if prefix else hi - lo
-            if self._add(
-                s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
-                bad.reshape(rows, -1),
-            ):
-                return True
+        for prefix in itertools.product(*map(range, shape[:j])):
+            heads = [
+                v[tuple(i if full else 0 for i, full in zip(prefix, span))]
+                for v, span in zip(views, spans)
+            ]
+            for lo in range(0, shape[j], step):
+                hi = min(lo + step, shape[j])
+                parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
+                margin, viol, bad = lanes(parts, (hi - lo,) + rest)
+                s, at = divmod(flat, per)
+                flat += margin.size
+                rows = hi - lo if j == 0 else 1
+                if self._add(
+                    s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
+                    bad.reshape(rows, -1),
+                ):
+                    return True
         return False
 
     def _add(
@@ -738,11 +842,16 @@ class _Screen:
             for r in np.flatnonzero(bad.any(axis=1)).tolist():
                 self.bad[s + r] = start + int(np.argmax(bad[r]))
             return True
-        for r in np.flatnonzero(viol.any(axis=1)).tolist():
-            idx = np.flatnonzero(viol[r])
-            i = int(idx[np.argmax(margin[r, idx])])  # the lowest id among equals
-            if margin[r, i] > self.margin[s + r]:
-                self.margin[s + r], self.best[s + r] = float(margin[r, i]), start + i
+        if not viol.any():
+            return False
+        # violating margins exceed their tolerance, so they are neither NaN
+        # nor -inf, and the first largest is the lowest id among equals
+        best = _POOL.take("best", margin.shape)
+        best.fill(-math.inf)
+        np.copyto(best, margin, where=viol)
+        for r, i in enumerate(best.argmax(axis=1).tolist()):
+            if best[r, i] > self.margin[s + r]:
+                self.margin[s + r], self.best[s + r] = float(best[r, i]), start + i
         return False
 
 
@@ -752,26 +861,6 @@ def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
     for ax, size in zip(axes, arr.shape):
         shape[ax] = size
     return arr.reshape(shape)
-
-
-def _slabs(shape: tuple[int, ...]):
-    """Chunks of a C-order tensor in id order, as (prefix, lo, hi).
-
-    A chunk fixes the leading ``prefix`` indices and spans ``lo:hi`` on the
-    next axis: the largest whole slab that holds at most ``_CHUNK`` lanes.
-    """
-    j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
-    step = min(shape[j], _CHUNK // math.prod(shape[j + 1 :]))
-    for prefix in itertools.product(*map(range, shape[:j])):
-        for lo in range(0, shape[j], step):
-            yield prefix, lo, min(lo + step, shape[j])
-
-
-def _slab(view: np.ndarray, prefix: tuple, lo: int, hi: int) -> np.ndarray:
-    """The chunk ``prefix, lo:hi`` of a view that may broadcast on any axis."""
-    j = len(prefix)
-    head = tuple(i if view.shape[a] > 1 else 0 for a, i in enumerate(prefix))
-    return view[head + (slice(lo, hi) if view.shape[j] > 1 else slice(None),)]
 
 
 def _skipped(same: list, p1: list, p2: list, ordered_only: bool):
@@ -786,45 +875,62 @@ def _skipped(same: list, p1: list, p2: list, ordered_only: bool):
     return skip
 
 
+def _screened_pairs(p1: list, p2: list, ordered_only: bool, shape: tuple) -> np.ndarray:
+    """The lanes of ``shape`` that ``_skipped`` keeps, telling coincident
+    points by value, as a pool view."""
+    live = _POOL.take("live", shape, bool)
+    scratch = _POOL.take("scratch", shape, bool)
+    np.not_equal(p1[0], p2[0], out=live)
+    for a, b in zip(p1[1:], p2[1:]):
+        live |= np.not_equal(a, b, out=scratch)
+    if ordered_only:
+        for a, b in zip(p1, p2):
+            live &= np.less_equal(a, b, out=scratch)
+    return live
+
+
 def _eval_lanes(
-    f: Expr, points: list, shape: tuple, frozen: Optional[tuple] = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """f at each point set in ``points``, a list of co-ordinate lists
-    broadcastable to ``shape``, copied onto contiguous lanes; returns
-    (values, defined) per set.  Small sets share one call, whose fixed cost
-    outweighs their lanes; large ones take a call each, so that no call
-    holds more lanes than one set.
+    f: Expr, points: list, shape: tuple, frozen: Optional[tuple] = None, home: str = "ends"
+) -> tuple[np.ndarray, np.ndarray]:
+    """f at each of the k point sets in ``points``, lists of co-ordinates
+    broadcastable to ``shape``: see :func:`_eval_sets`, which this calls
+    after copying them onto contiguous lanes."""
+    ins = _POOL.takes(_INPUTS[: len(points[0])], (len(points),) + shape)
+    for i, coords in enumerate(points):
+        for lane, c in zip(ins, coords):
+            np.copyto(lane[i], c)
+    return _eval_sets(f, ins, frozen, home)
+
+
+def _eval_sets(
+    f: Expr, ins: list, frozen: Optional[tuple], home: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """f on k point sets at once: ``ins`` holds one (k, *shape) array of
+    lanes per co-ordinate.  Returns (values, defined), each (k, *shape),
+    in the pool buffers named by ``home``, where they stay until the next
+    request for that home.  Sets that fit in ``_CHUNK`` lanes together
+    share one call, whose fixed cost outweighs their lanes; larger ones
+    take a call each, so that no call holds more lanes than one set.
 
     With ``frozen``, a (value, on_x) pair broadcastable to ``shape``, the one
     co-ordinate is a partial mapping's free variable u, and the 2D f runs at
     (value, u) where ``on_x`` holds and at (u, value) elsewhere: bit for bit
     what ``restrict`` of f would give at u.
     """
-    k = len(points)
-    if k > 1 and k * math.prod(shape) <= _SHARED_CALL:
-        lanes = [np.empty((k,) + shape) for _ in points[0]]
-        for i, coords in enumerate(points):
-            for lane, c in zip(lanes, coords):
-                lane[i] = c
-        return list(zip(*_eval_frozen(f, lanes, frozen)))
-    out = []
-    for coords in points:
-        lanes = list(coords)
-        for i, c in enumerate(coords):
-            if c.shape != shape:
-                lanes[i] = np.empty(shape)
-                np.copyto(lanes[i], c)
-        out.append(_eval_frozen(f, lanes, frozen))
-    return out
-
-
-def _eval_frozen(f: Expr, lanes: list, frozen: Optional[tuple]) -> tuple:
-    """eval_array of f on ``lanes``, with the frozen co-ordinate put in."""
-    if frozen is not None:
-        value, on_x = frozen
-        (u,) = lanes
-        lanes = [np.where(on_x, value, u), np.where(on_x, u, value)]
-    return eval_array(f, *lanes)
+    k, shape = ins[0].shape[0], ins[0].shape[1:]
+    step = k if k * math.prod(shape) <= _CHUNK else 1
+    for i in range(0, k, step):
+        lanes = ins if step == k else [c[i : i + step] for c in ins]
+        if frozen is not None:
+            value, on_x = frozen
+            (u,) = lanes
+            lanes = _POOL.takes(("x", "y"), u.shape)
+            # np.where(on_x, value, u) and np.where(on_x, u, value)
+            for lane, at_x, elsewhere in zip(lanes, (value, u), (u, value)):
+                np.copyto(lane, elsewhere)
+                np.copyto(lane, at_x, where=on_x)
+        eval_array(f, *lanes, regs=_POOL.registers(f, home, ins[0].shape, i, step))
+    return _POOL.take(home, ins[0].shape), _POOL.take(home + "_ok", ins[0].shape, bool)
 
 
 def _lane_margins(
@@ -835,36 +941,47 @@ def _lane_margins(
     ``cols`` holds the candidates' co-ordinates and parameters, ordered
     (x1[, y1], x2[, y2], t[, s]) and broadcastable to ``shape``; F1 and F2
     are f at the two points, and ``frozen`` is passed to
-    :func:`_eval_lanes`.  Returns (margin, over, ok): ``over`` marks
-    margins that clear the violation tolerance, ``ok`` lanes whose mixed
-    points all evaluate.
+    :func:`_eval_sets`.  Returns (margin, over, ok), pool views of
+    ``shape``: ``over`` marks margins that clear the violation tolerance,
+    ``ok`` lanes whose mixed points all evaluate.
     """
     p1, p2, params = cols[:d], cols[d : 2 * d], cols[2 * d :]
     # one parameter mixes every axis; W2's (t, s) mix x and y separately
     ts = [params[a % len(params)] if params else 0.5 for a in range(d)]
-    mixes = (_mix_a_vec, _mix_b_vec) if kind in ("W", "WQC") else (_mix_a_vec,)
-    # unpacked at once, so that no list keeps the first side alive once
-    # the two are summed
-    (lhs, ok), *other = _eval_lanes(
-        f, [[mix(*m) for m in zip(ts, p1, p2)] for mix in mixes], shape, frozen
-    )
+    # W and WQC also evaluate the second chord point, _mix_b's
+    second = (False, True) if kind in ("W", "WQC") else (False,)
+    ins = _POOL.takes(_INPUTS[:d], (len(second),) + shape)
+    for i, flip in enumerate(second):
+        for a in range(d):
+            _mix_vec(ts[a], p1[a], p2[a], ins[a][i], flip)
+    sides, oks = _eval_sets(f, ins, frozen, "sides")
+    lhs, ok = sides[0], oks[0]
+    rhs, margin, tau = _POOL.takes(("rhs", "margin", "tau"), shape)
+    over = _POOL.take("over", shape, bool)
     # sums of values near the float range overflow, and inf - inf is NaN
     with np.errstate(all="ignore"):
-        if kind in ("W", "WQC"):
-            [(vb, okb)] = other
-            ok = ok & okb
-            lhs = vb + lhs if kind == "W" else 0.5 * (lhs + vb)
-        if kind == "C":
-            rhs = params[0] * F1 + (1.0 - params[0]) * F2
-        elif kind == "J":
-            rhs = 0.5 * F1 + 0.5 * F2
+        if kind == "W":
+            ok &= oks[1]
+            np.add(sides[1], lhs, out=lhs)
+        elif kind == "WQC":
+            ok &= oks[1]
+            np.multiply(0.5, np.add(lhs, sides[1], out=lhs), out=lhs)
+        if kind in ("C", "J"):
+            # the terms at their own shape, on the grid far smaller than rhs
+            a, b = (params[0], 1.0 - params[0]) if kind == "C" else (0.5, 0.5)
+            term_a = np.multiply(a, F1, out=_temp("term_a", a, F1))
+            term_b = np.multiply(b, F2, out=_temp("term_b", b, F2))
+            np.add(term_a, term_b, out=rhs)
         elif kind == "W":
-            rhs = F1 + F2
+            np.add(F1, F2, out=rhs)
         else:  # QC, JQC, WQC
-            rhs = np.maximum(F1, F2)
-        margin = lhs - rhs
-        tau = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return margin, margin > tau, ok
+            np.maximum(F1, F2, out=rhs)
+        # tau = 1e-9 * max(1, max(|lhs|, |rhs|)); margin holds |rhs| first
+        np.maximum(np.abs(lhs, out=tau), np.abs(rhs, out=margin), out=tau)
+        np.multiply(1e-9, np.maximum(1.0, tau, out=tau), out=tau)
+        np.subtract(lhs, rhs, out=margin)
+        np.greater(margin, tau, out=over)
+    return margin, over, ok
 
 
 def _candidate(
@@ -928,17 +1045,24 @@ def _screen(
 
     def screened(cols, F1, F2, chunk, fz, live, ok=None):
         margin, over, ok_mixed = _lane_margins(kind, f, d, cols, F1, F2, chunk, fz)
-        ok = ok_mixed if ok is None else ok & ok_mixed
+        if ok is not None:
+            ok_mixed &= ok
+        ok = ok_mixed
         # a NaN margin decides nothing: the lane counts as undefined (min
         # propagates NaN, so the mask is built only when there is one)
         if np.isnan(margin.min()):
-            ok = ok & ~np.isnan(margin)
-        return margin, ok & live & over, ~ok & live
+            nan = np.isnan(margin, out=_POOL.take("scratch", chunk, bool))
+            ok &= np.logical_not(nan, out=nan)
+        viol = np.logical_and(over, live, out=over)
+        viol &= ok
+        bad = np.logical_not(ok, out=ok)
+        bad &= live
+        return margin, viol, bad
 
     lin = {iv: np.linspace(iv.lo, iv.hi, n) for iv in set().union(*ivs)}
     grids = [np.array([lin[row[a]] for row in ivs]) for a in range(d)]
     points = [_place(g, (0, 1 + a), 1 + d) for a, g in enumerate(grids)]
-    [(Fg, okg)] = _eval_lanes(f, [points], (slices,) + (n,) * d, frozen_on(1 + d))
+    (Fg,), (okg,) = _eval_lanes(f, [points], (slices,) + (n,) * d, frozen_on(1 + d), "grid")
     okg = okg.reshape(slices, -1)
     # screening stops before the first slice undefined on its own grid
     live_slices = int(np.argmin(okg.all(axis=1))) if not okg.all() else slices
@@ -950,17 +1074,17 @@ def _screen(
     F2 = _place(Fg, (0, *range(1 + d, 1 + 2 * d)), 1 + ndim)
     # a grid pair is degenerate when its two point indices coincide
     same = [_place(np.eye(n, dtype=bool), (1 + a, 1 + d + a), 1 + ndim) for a in range(d)]
-    skip = _skipped(same, cols[:d], cols[d : 2 * d], ordered_only)
-    fz = frozen_on(1 + ndim)
+    live = ~_skipped(same, cols[:d], cols[d : 2 * d], ordered_only)
     screen = _Screen(slices)
-    if live_slices and screen.scan(
-        (live_slices,) + grid_shape,
-        0,
-        lambda part, chunk: screened(
-            [part(c) for c in cols], part(F1), part(F2), chunk,
-            fz and tuple(map(part, fz)), ~part(skip),
-        ),
-    ):
+
+    def grid_lanes(parts, chunk):
+        c = len(cols)
+        return screened(
+            parts[:c], parts[c], parts[c + 1], chunk, parts[c + 3 :] or None, parts[c + 2]
+        )
+
+    views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or ())]
+    if live_slices and screen.scan((live_slices,) + grid_shape, 0, views, grid_lanes):
         live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
     halton: list = []
     if m > 0 and live_slices:
@@ -969,16 +1093,17 @@ def _screen(
         halton = [
             lo[a % d, :, None] + width[a % d, :, None] * cube[:, a] for a in range(2 * d)
         ] + [cube[None, :, a] for a in range(2 * d, ndim)]
-        hz = frozen_on(2)
 
-        def halton_lanes(part, chunk):
-            hcols = [part(c) for c in halton]
-            p1, p2, fzp = hcols[:d], hcols[d : 2 * d], hz and tuple(map(part, hz))
-            (F1, ok1), (F2, ok2) = _eval_lanes(f, [p1, p2], chunk, fzp)
-            live = ~_skipped([a == b for a, b in zip(p1, p2)], p1, p2, ordered_only)
-            return screened(hcols, F1, F2, chunk, fzp, live, ok1 & ok2)
+        def halton_lanes(parts, chunk):
+            hcols, fzp = parts[:ndim], parts[ndim:] or None
+            p1, p2 = hcols[:d], hcols[d : 2 * d]
+            (F1, F2), (ok, ok2) = _eval_lanes(f, [p1, p2], chunk, fzp)
+            ok &= ok2
+            live = _screened_pairs(p1, p2, ordered_only, chunk)
+            return screened(hcols, F1, F2, chunk, fzp, live, ok)
 
-        screen.scan((live_slices, m), math.prod(grid_shape), halton_lanes)
+        views = halton + list(frozen_on(2) or ())
+        screen.scan((live_slices, m), math.prod(grid_shape), views, halton_lanes)
     per_slice = n**ndim - n ** (ndim - d) + m  # diagonal pairs are degenerate
     found = dict(resolution=resolution, seed=seed)
     undefined = [s for s, i in enumerate(screen.bad) if i >= 0]

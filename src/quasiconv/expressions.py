@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "Expr",
     "ExprSyntaxError",
     "FunctionSpec",
+    "Registers",
     "evaluate",
     "eval_array",
     "parse",
@@ -179,8 +180,13 @@ class Expr:
         return unparse(self.root) if self.source is None else self.source
 
     @cached_property
-    def _tape(self) -> tuple[tuple, bool]:
+    def _tape(self) -> tuple[tuple, bool, int]:
         return _lower(self.root)
+
+    @property
+    def registers(self) -> int:
+        """How many value arrays :func:`eval_array` needs in its ``regs``."""
+        return self._tape[2]
 
     @cached_property
     def switches(self) -> tuple["Expr", ...]:
@@ -429,14 +435,20 @@ def _on_floats(ufunc: np.ufunc) -> Callable[..., float]:
 _POW_SHORTCUTS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
 
 
-def _power(a, b):
+def _power(a, b, out=None):
+    if not np.ndim(b):
+        return np.power(a, b, out=out)
+    # the shortcut lanes read the base again, so the result cannot
+    # overwrite it: a varying exponent computes into a new array
     r = np.power(a, b)
-    if np.ndim(b):
-        for c, shortcut in _POW_SHORTCUTS:
-            hit = b == c
-            if hit.any():
-                r[hit] = shortcut(np.broadcast_to(a, r.shape)[hit])
-    return r
+    for c, shortcut in _POW_SHORTCUTS:
+        hit = b == c
+        if hit.any():
+            r[hit] = shortcut(np.broadcast_to(a, r.shape)[hit])
+    if out is None:
+        return r
+    np.copyto(out, r)
+    return out
 
 
 def _pow(a: float, b: float) -> float:
@@ -489,24 +501,31 @@ _SQUARE = _Op(1, np.square, lambda v: v * v, "{0!r} ^ 2.0 is not a finite real")
 _TWO = _Const(2.0)
 
 
-def _lower(root: _Node) -> tuple[tuple, bool]:
-    """The postfix tape of ``root``, built without recursion, and whether
-    the root is computed (not a bare constant or variable).
+def _lower(root: _Node) -> tuple[tuple, bool, int]:
+    """The postfix tape of ``root``, built without recursion, whether the
+    root is computed (not a bare constant or variable), and how many
+    registers its lane results need.
 
     A step is ``(op, arg)``: the value of a constant, the index of a
-    variable, or for an operator which of its operands are computed.
+    variable, or for an operator which of its operands are computed and
+    the stack depth of its result, None when that depends on no variable
+    and so stays a scalar.
     """
     steps: list[tuple[_Op, object]] = []
     computed: list[bool] = []  # for each value the tape has pushed
+    lanes: list[bool] = []  # whether it depends on a variable
+    registers = 1
     todo: list = [root]
     while todo:
         item = todo.pop()
         if isinstance(item, _Const):
             steps.append((_CONST, item.value))
             computed.append(False)
+            lanes.append(False)
         elif isinstance(item, _Var):
             steps.append((_VAR, 0 if item.name == "x" else 1))
             computed.append(False)
+            lanes.append(True)
         elif isinstance(item, _Unary):
             todo += (_OPS[item.op], item.arg)
         elif isinstance(item, _Binary) and item.op == "^" and item.right == _TWO:
@@ -514,10 +533,15 @@ def _lower(root: _Node) -> tuple[tuple, bool]:
         elif isinstance(item, _Binary):
             todo += (_OPS[item.op], item.right, item.left)
         else:
-            steps.append((item, tuple(computed[len(computed) - item.nargs :])))
-            del computed[len(computed) - item.nargs :]
+            depth = len(computed) - item.nargs
+            lane = any(lanes[depth:])
+            steps.append((item, (tuple(computed[depth:]), depth if lane else None)))
+            del computed[depth:], lanes[depth:]
+            if lane:
+                registers = max(registers, depth + 1)
             computed.append(True)
-    return tuple(steps), computed[0]
+            lanes.append(lane)
+    return tuple(steps), computed[0], registers
 
 
 def _run_scalar(steps: tuple, point: tuple[float, ...]) -> float:
@@ -552,8 +576,26 @@ def evaluate(expr: Expr, x: float, y: Optional[float] = None) -> float:
     return expr(x, y)
 
 
+class Registers(NamedTuple):
+    """A register file for :func:`eval_array`: arrays of the lanes' shape
+    that it computes into instead of allocating, none of them a lane.
+
+    ``values`` holds at least ``Expr.registers`` float arrays; the value an
+    operator leaves at stack depth k is computed into ``values[k]``, so
+    the root's lands in ``values[0]``.  ``ok`` receives the mask, and the
+    bool ``scratch`` holds each finiteness test before it joins the mask.
+    """
+
+    values: Sequence[np.ndarray]
+    ok: np.ndarray
+    scratch: np.ndarray
+
+
 def eval_array(
-    expr: Expr, xs: np.ndarray, ys: Optional[np.ndarray] = None
+    expr: Expr,
+    xs: np.ndarray,
+    ys: Optional[np.ndarray] = None,
+    regs: Optional[Registers] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values of ``expr`` on the lanes ``xs`` (and ``ys``), plus the mask of
     lanes where it is defined.  The values may share memory with the inputs
@@ -563,14 +605,23 @@ def eval_array(
     Only the root and the computed operands of guard opcodes are tested: the
     other opcodes keep a non-finite operand non-finite, and literals are
     finite.
+
+    With ``regs`` the values and the mask are ``regs.values[0]`` and
+    ``regs.ok``, the inputs being copied there when the root is a bare
+    variable or constant, and nothing lane-sized is allocated (except by a
+    ``^`` whose exponent varies across lanes).  The bits are the same.
     """
     if expr.arity == 2 and ys is None:
         raise ArityError("2D expression needs both co-ordinate arrays")
     xs = np.asarray(xs, dtype=float)
     lanes = (xs, xs if ys is None else np.asarray(ys, dtype=float))
-    steps, check_root = expr._tape
+    steps, check_root, _ = expr._tape
     stack: list = []
-    ok = np.ones(xs.shape, dtype=bool)
+    if regs is None:
+        ok = np.ones(xs.shape, dtype=bool)
+    else:
+        ok = regs.ok
+        ok.fill(True)
     with np.errstate(all="ignore"):
         for op, arg in steps:
             if not op.nargs:
@@ -578,14 +629,23 @@ def eval_array(
                 continue
             operands = stack[-op.nargs :]
             del stack[-op.nargs :]
+            computed, depth = arg
+            # a guard tests its operands before its result can overwrite one
             if op.guard:
-                for value, computed in zip(operands, arg):
-                    if computed:
-                        ok &= np.isfinite(value)
-            stack.append(op.lanes(*operands))
+                for value, tested in zip(operands, computed):
+                    if tested:
+                        ok &= np.isfinite(value, out=regs and regs.scratch)
+            if regs is None or depth is None:
+                stack.append(op.lanes(*operands))
+            else:
+                stack.append(op.lanes(*operands, out=regs.values[depth]))
         vals = stack[0]
         if check_root:
-            ok &= np.isfinite(vals)
+            ok &= np.isfinite(vals, out=regs and regs.scratch)
+    if regs is not None:
+        if vals is not regs.values[0]:
+            np.copyto(regs.values[0], vals)
+        return regs.values[0], ok
     if not isinstance(vals, np.ndarray) or vals.shape != xs.shape:
         vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape)
     return vals, ok

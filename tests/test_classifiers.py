@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -463,18 +466,63 @@ class TestReferenceScreen:
             assert repr(got.witness) == repr(witness), text
 
     def test_chunk_size_does_not_change_verdicts(self, monkeypatch):
-        from quasiconv import classifiers
-
         cases = [
             (parse("max(x*y, x - y) - abs(x + 0.5*y)", 2), BOX, ClassId.W2),
             (parse("x*x - y*y", 2), BOX, ClassId.QC2),
             (parse("x*x - y*y", 2), BOX, ClassId.COORD_JQC2),
             (parse("min(x, 0.3) - abs(x)*x", 1), Interval(-1.0, 0.8), ClassId.WQC1),
         ]
+        # at the default chunk the W2 and QC2 tensors span several slabs
+        assert 9**5 > classifiers._CHUNK
         before = [repr(check_membership(*c, budget=FAST)) for c in cases]
-        monkeypatch.setattr(classifiers, "_CHUNK", 64)
-        after = [repr(check_membership(*c, budget=FAST)) for c in cases]
-        assert after == before
+        # 1000 divides none of the tensors, so the last slab is short
+        for chunk in (64, 1000):
+            monkeypatch.setattr(classifiers, "_CHUNK", chunk)
+            after = [repr(check_membership(*c, budget=FAST)) for c in cases]
+            assert after == before, chunk
+
+    def test_default_w2_screens_in_bounded_memory(self, monkeypatch):
+        # the screen computes into a pool of lane buffers, so its memory
+        # does not grow with the 24.1M candidates, and a second check
+        # reuses the pool as it is
+        monkeypatch.setattr(classifiers, "_POOL", classifiers._Pool())
+        f = parse("0.7*(x - 0.2)^2 + 1.1*(y + 0.1)^2", 2)
+        tracemalloc.start()
+        try:
+            verdict = check_membership(f, BOX, ClassId.W2)
+            _, peak = tracemalloc.get_traced_memory()
+            pool = {name: buf.nbytes for name, buf in classifiers._POOL.flat.items()}
+            again = check_membership(f, BOX, ClassId.W2)
+        finally:
+            tracemalloc.stop()
+        assert verdict.no_violation_found and verdict.samples > 24_000_000
+        assert peak < 16 * 2**20
+        assert {name: buf.nbytes for name, buf in classifiers._POOL.flat.items()} == pool
+        assert repr(again) == repr(verdict)
+
+
+def test_threads_screen_on_their_own_pools():
+    # each thread computes into its own lane buffers
+    cases = [
+        (parse("max(x*y, x - y) - abs(x + 0.5*y)", 2), BOX, ClassId.W2),
+        (parse("x*x - y*y", 2), BOX, ClassId.COORD_WQC2),
+        (parse("min(x, 0.3) - abs(x)*x", 1), Interval(-1.0, 0.8), ClassId.WQC1),
+        (parse("x*x + y*y", 2), BOX, ClassId.C2),
+    ]
+    budget = SearchBudget(grid_n=7, halton_count=128, slices=5)
+
+    def screen(case):
+        return repr(check_membership(*case, budget=budget))
+
+    want = [screen(c) for c in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(screen, cases * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3
 
 
 def golden_reference(fn, iters):
@@ -576,7 +624,7 @@ COORD_BUDGETS = (
 
 
 class TestCoordinateBatch:
-    @pytest.mark.parametrize("chunk", [None, 64])
+    @pytest.mark.parametrize("chunk", [None, 64, 1000])
     @pytest.mark.parametrize("budget", COORD_BUDGETS, ids=["n5", "n4"])
     @pytest.mark.parametrize(
         "cid", [c for c in ClassId if c.is_coordinate], ids=lambda c: c.value

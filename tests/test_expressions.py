@@ -15,8 +15,10 @@ from quasiconv import (
     parse,
     restrict,
 )
+from quasiconv import classifiers
 from quasiconv.expressions import (
     Expr,
+    Registers,
     _Binary,
     _Const,
     _Unary,
@@ -388,6 +390,78 @@ def test_reduced_checks_give_the_every_node_mask(root, pts):
         _, want = _every_node_mask(root, xs, ys)
     _, ok = eval_array(f, xs, ys)
     assert np.array_equal(ok, want), f.text
+
+
+def _register_file(f, n):
+    """Registers for f on n lanes, each a view shorter than its buffer and
+    holding stale values, as the screening pool hands them out."""
+    rng = np.random.default_rng(n)
+
+    def values():
+        buf = rng.uniform(-1e300, 1e300, n + 7)
+        buf[::3] = np.nan
+        return buf[:n]
+
+    def mask():
+        return rng.integers(0, 2, n + 7).astype(bool)[:n]
+
+    return Registers([values() for _ in range(f.registers)], mask(), mask())
+
+
+def _same_bits(a, b):
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _points)
+@example(parse("x", 2).root, [(1.0, 2.0), (-0.0, 1e300)])
+@example(parse("sqrt(2)*x", 2).root, [(1.0, 2.0), (-3.0, 0.0)])
+# the exponents numpy takes shortcuts at, varying across lanes
+@example(parse("x^y", 2).root, [(3.7, 2.0), (3.7, 0.5), (3.7, -1.0), (-2.0, 0.5), (0.0, -1.0)])
+@example(parse("(x + 1)^y - x", 2).root, [(3.7, 2.0), (3.7, 0.5), (3.7, -1.0), (1.5, 3.0)])
+# guard opcodes whose computed operands are not finite on some lanes
+@example(parse("x/(y*1e300)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("exp(y*(-1e300))", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("1^(y*1e300)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("min(y*1e300, x)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
+@example(parse("max(-(y*1e300), x) + exp(x)", 2).root, [(1.0, 1e300), (800.0, 1.0)])
+def test_registers_give_the_same_bits(root, pts):
+    # computing into a register file changes no value bit and no mask bit,
+    # and writes into no input lane
+    f = Expr(root, 2, unparse(root))
+    xs, ys = _lanes(pts)
+    want, want_ok = eval_array(f, xs, ys)
+    regs = _register_file(f, xs.size)
+    vals, ok = eval_array(f, xs, ys, regs=regs)
+    assert vals is regs.values[0] and ok is regs.ok
+    assert _same_bits(vals, want), f.text
+    assert np.array_equal(ok, want_ok), f.text
+    assert all(map(_same_bits, (xs, ys), _lanes(pts)))
+
+
+def test_constant_operators_stay_scalars():
+    f = parse("sqrt(2)*x - exp(-1)", 1)
+    # one register for the lanes; sqrt(2) and exp(-1) are never lanes
+    assert f.registers == 1
+    xs = np.linspace(-1.0, 1.0, 5)
+    vals, _ = eval_array(f, xs, regs=_register_file(f, xs.size))
+    assert _same_bits(vals, eval_array(f, xs)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, _points, st.sampled_from((-1.0, -0.0, 0.5, 2.0)) | st.floats(-20, 20))
+def test_frozen_lanes_give_the_restricted_bits(root, pts, value):
+    # a co-ordinate screen runs the 2D tape on register files at (value, u)
+    # or (u, value): the bits of the restricted expression at u
+    f = Expr(root, 2, unparse(root))
+    us = np.array([p[0] for p in pts])
+    for axis, on_x in ((Axis.Y, False), (Axis.X, True)):
+        want, want_ok = eval_array(restrict(f, axis, value), us)
+        frozen = (np.array(value), np.array(on_x))
+        (vals,), (ok,) = classifiers._eval_lanes(f, [[us]], us.shape, frozen)
+        assert _same_bits(vals, want), (f.text, axis)
+        assert np.array_equal(ok, want_ok), (f.text, axis)
 
 
 _FLOAT = r"-?(?:inf|nan|\d+\.\d+(?:e[+-]\d+)?|\d+e[+-]\d+)"
