@@ -6,6 +6,8 @@ a concrete, re-checkable witness; finding nothing is only "no violation found
 at this resolution", never a proof.
 """
 
+from dataclasses import replace
+
 from quasiconv import (
     Box2,
     ClassId,
@@ -45,7 +47,7 @@ print("strengthened:", w_wqc.class_id.value, "margin", w_wqc.margin,
 # check is clean, yet the joint classes all fail: the co-ordinate classes
 # are strictly larger.
 saddle = parse("x*y", 2)
-coord = coordinate_check(saddle, box, ClassId.C1, slices=9, budget=budget)
+coord = coordinate_check(saddle, box, ClassId.C1, budget=replace(budget, slices=9))
 joint = check_membership(saddle, box, ClassId.C2, budget=budget)
 print("saddle slices:", coord.describe())
 print("saddle joint:", joint.describe())

@@ -30,7 +30,6 @@ from .expressions import (
     DomainError,
     Expr,
     ExprSyntaxError,
-    FunctionSpec,
     evaluate,
     parse,
     restrict,
@@ -74,7 +73,6 @@ __all__ = [
     "DomainError",
     "Expr",
     "ExprSyntaxError",
-    "FunctionSpec",
     "GalleryDrift",
     "GalleryEntry",
     "InequalityReport",

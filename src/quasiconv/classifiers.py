@@ -204,8 +204,10 @@ class Verdict:
     witness: Optional[Witness] = None
     resolution: str = ""
     samples: int = 0
-    seed: Optional[int] = None
     point: Optional[tuple] = None
+    # (class id, p1, p2, params) of an undefined verdict whose inequality is
+    # not finite at a candidate where f is defined, in f's co-ordinates
+    candidate: Optional[tuple] = None
 
     @property
     def violated(self) -> bool:
@@ -228,17 +230,28 @@ class Verdict:
         if self.status == "violated":
             assert self.witness is not None
             return self.witness.describe()
+        if self.candidate is not None:
+            class_id, p1, p2, params = self.candidate
+            return (
+                f"undefined: the {class_id.value} inequality is not finite at p1={p1},"
+                f" p2={p2}, params={params}; f is defined there"
+            )
         return f"function undefined at {self.point}"
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "status": self.status,
             "witness": self.witness.to_dict() if self.witness else None,
             "resolution": self.resolution,
             "samples": self.samples,
-            "seed": self.seed,
             "point": list(self.point) if self.point else None,
         }
+        if self.candidate is not None:
+            class_id, p1, p2, params = self.candidate
+            out["candidate"] = {
+                "class_id": class_id.value, "p1": list(p1), "p2": list(p2), "params": params
+            }
+        return out
 
 
 @dataclass(frozen=True)
@@ -863,21 +876,10 @@ def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _skipped(same: list, p1: list, p2: list, ordered_only: bool):
-    """Lanes the template skips: coincident points and, for W2-ordered,
-    pairs that are not componentwise ordered."""
-    skip = same[0]
-    for extra in same[1:]:
-        skip = skip & extra
-    if ordered_only:
-        for a, b in zip(p1, p2):
-            skip = skip | (a > b)
-    return skip
-
-
 def _screened_pairs(p1: list, p2: list, ordered_only: bool, shape: tuple) -> np.ndarray:
-    """The lanes of ``shape`` that ``_skipped`` keeps, telling coincident
-    points by value, as a pool view."""
+    """The lanes of ``shape`` whose pair is screened, as a pool view: the two
+    points differ in some co-ordinate and, for W2-ordered, are componentwise
+    ordered.  The grid and the Halton batch both tell pairs by value."""
     live = _POOL.take("live", shape, bool)
     scratch = _POOL.take("scratch", shape, bool)
     np.not_equal(p1[0], p2[0], out=live)
@@ -1005,7 +1007,6 @@ def _screen(
     ivs: Sequence[tuple[Interval, ...]],
     class_id: ClassId,
     budget: SearchBudget,
-    seed: Optional[int],
     frozen: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Verdict:
     """Screen a 1D or 2D class: the tensor grid, then the Halton batch.
@@ -1072,9 +1073,10 @@ def _screen(
     ]
     F1 = _place(Fg, range(1 + d), 1 + ndim)
     F2 = _place(Fg, (0, *range(1 + d, 1 + 2 * d)), 1 + ndim)
-    # a grid pair is degenerate when its two point indices coincide
-    same = [_place(np.eye(n, dtype=bool), (1 + a, 1 + d + a), 1 + ndim) for a in range(d)]
-    live = ~_skipped(same, cols[:d], cols[d : 2 * d], ordered_only)
+    live = _screened_pairs(
+        cols[:d], cols[d : 2 * d], ordered_only,
+        np.broadcast_shapes(*(c.shape for c in cols[: 2 * d])),
+    )
     screen = _Screen(slices)
 
     def grid_lanes(parts, chunk):
@@ -1105,35 +1107,28 @@ def _screen(
         views = halton + list(frozen_on(2) or ())
         screen.scan((live_slices, m), math.prod(grid_shape), views, halton_lanes)
     per_slice = n**ndim - n ** (ndim - d) + m  # diagonal pairs are degenerate
-    found = dict(resolution=resolution, seed=seed)
     undefined = [s for s, i in enumerate(screen.bad) if i >= 0]
     if undefined:
-        # the point the template failed at, or the last one it evaluated
-        # when only its margin is NaN
         s = undefined[0]
-        seen: list[tuple] = []
-
-        def traced(*pt: float) -> float:
-            pt = lift(pt, s)
-            seen.append(pt)
-            return f(*pt)
-
+        found = dict(status="undefined", resolution=resolution, samples=(s + 1) * per_slice)
         vals = _candidate(s, screen.bad[s], cols, halton, grid_shape)
+        p1, p2, params = vals[:d], vals[d : 2 * d], dict(zip(names, vals[2 * d :]))
         try:
-            _template(
-                class_id, traced, vals[:d], vals[d : 2 * d], dict(zip(names, vals[2 * d :]))
-            )
-        except DomainError:
-            pass
+            _template(class_id, lambda *pt: f(*lift(pt, s)), p1, p2, params)
+        except DomainError as err:  # the point the template failed at
+            return Verdict(point=err.point, **found)
+        # f is defined at every point of the candidate; its inequality overflows
         return Verdict(
-            status="undefined", samples=(s + 1) * per_slice, point=seen[-1], **found
+            candidate=(class_id, lift(tuple(p1), s), lift(tuple(p2), s), params), **found
         )
     if live_slices < slices:
         s = live_slices
         at = np.unravel_index(int(np.argmin(okg[s])), (n,) * d)
         point = lift(tuple(float(g[s, i]) for g, i in zip(grids, at)), s)
-        return Verdict(status="undefined", samples=s * per_slice, point=point, **found)
-    found["samples"] = slices * per_slice
+        return Verdict(
+            status="undefined", resolution=resolution, samples=s * per_slice, point=point
+        )
+    found = dict(resolution=resolution, samples=slices * per_slice)
     hits = [s for s, i in enumerate(screen.best) if i >= 0]
     if not hits:
         return Verdict(status="no_violation_found", **found)
@@ -1168,7 +1163,6 @@ def check_membership(
     domain: Union[Interval, Box2],
     class_id: ClassId,
     budget: Optional[SearchBudget] = None,
-    seed: Optional[int] = None,
 ) -> Verdict:
     """Search for a violation of ``class_id`` by ``f`` over ``domain``.
 
@@ -1178,7 +1172,8 @@ def check_membership(
     locally refined with golden-section ascent on its parameters and returned
     as a sound witness; otherwise the verdict records the resolution searched.
     A DomainError anywhere in the candidate set yields the ``undefined``
-    verdict carrying the offending point.
+    verdict carrying the offending point; an inequality that is not finite
+    at a candidate where f is defined yields it carrying that candidate.
     """
     if not isinstance(f, Expr):
         raise TypeError("membership checks need a parsed expression")
@@ -1186,26 +1181,22 @@ def check_membership(
     if class_id.is_coordinate:
         if not isinstance(domain, Box2):
             raise ValueError("co-ordinate classes need a Box2 domain")
-        return coordinate_check(
-            f, domain, COORD_TO_1D[class_id], slices=budget.slices, budget=budget,
-            seed=seed,
-        )
+        return coordinate_check(f, domain, COORD_TO_1D[class_id], budget=budget)
     if class_id.arity == 1:
         if not isinstance(domain, Interval) or f.arity != 1:
             raise ValueError("1D class needs an Interval domain and a 1D function")
-        return _screen(f, [(domain,)], class_id, budget, seed)
+        return _screen(f, [(domain,)], class_id, budget)
     if not isinstance(domain, Box2) or f.arity != 2:
         raise ValueError("2D class needs a Box2 domain and a 2D function")
-    return _screen(f, [(domain.x, domain.y)], class_id, budget, seed)
+    return _screen(f, [(domain.x, domain.y)], class_id, budget)
 
 
 def coordinate_check(
     f: Expr,
     box: Box2,
     class_id: ClassId,
-    slices: int = 9,
+    slices: Optional[int] = None,
     budget: Optional[SearchBudget] = None,
-    seed: Optional[int] = None,
 ) -> Verdict:
     """Check the 1D class on equally spaced frozen slices in both directions.
 
@@ -1214,15 +1205,22 @@ def coordinate_check(
     slices first, each direction in ascending order.  The returned witness
     records the frozen axis and value and is the maximum-margin one over all
     slices, the earlier slice on a tie.
+
+    ``slices`` per axis comes from ``budget``; given alone, it sets the
+    default budget's, and given with a budget it must agree with it.
     """
     if not isinstance(f, Expr) or f.arity != 2:
         raise TypeError("co-ordinate checks need a parsed 2D expression")
     if class_id.arity != 1:
         raise ValueError(f"co-ordinate checks test a 1D class, got {class_id.value}")
-    budget = budget or SearchBudget()
+    if budget is None:
+        budget = SearchBudget() if slices is None else SearchBudget(slices=slices)
+    elif slices is not None and slices != budget.slices:
+        raise ValueError(f"slices={slices} disagrees with the budget's {budget.slices}")
+    n = budget.slices
     values = np.concatenate(
-        [np.linspace(box.y.lo, box.y.hi, slices), np.linspace(box.x.lo, box.x.hi, slices)]
+        [np.linspace(box.y.lo, box.y.hi, n), np.linspace(box.x.lo, box.x.hi, n)]
     )
-    on_x = np.arange(2 * slices) >= slices
-    ivs = [(box.x,)] * slices + [(box.y,)] * slices
-    return _screen(f, ivs, class_id, budget, seed, (values, on_x))
+    on_x = np.arange(2 * n) >= n
+    ivs = [(box.x,)] * n + [(box.y,)] * n
+    return _screen(f, ivs, class_id, budget, (values, on_x))

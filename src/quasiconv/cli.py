@@ -98,16 +98,11 @@ def cmd_check(args) -> int:
     except (ExprSyntaxError, ArityError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    verdict = check_membership(f, domain, class_id, budget=budget, seed=args.seed)
+    verdict = check_membership(f, domain, class_id, budget=budget)
     record = _run_record(
         "check",
         {"expression": args.f, "domain": args.domain, "class_id": class_id.value},
-        {
-            "resolution": args.resolution,
-            "halton": args.halton,
-            "slices": args.slices,
-            "seed": args.seed,
-        },
+        {"resolution": args.resolution, "halton": args.halton, "slices": args.slices},
         verdict.to_dict(),
         t0,
     )
@@ -251,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--resolution", type=int, default=17, help="grid side")
     p_check.add_argument("--halton", type=int, default=4096)
     p_check.add_argument("--slices", type=int, default=9)
-    p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 

@@ -33,7 +33,6 @@ __all__ = [
     "DomainError",
     "Expr",
     "ExprSyntaxError",
-    "FunctionSpec",
     "Registers",
     "evaluate",
     "eval_array",
@@ -231,16 +230,8 @@ class Expr:
         except DomainError as err:
             raise DomainError(err.reason, point) from None
 
-    def restrict(self, axis: Axis, value: float) -> "Expr":
-        return restrict(self, axis, value)
-
     def __str__(self) -> str:
         return self.text
-
-
-# The checker modules take a "function spec" as their universal input;
-# it is exactly a parsed expression.
-FunctionSpec = Expr
 
 
 # ---------------------------------------------------------------------------

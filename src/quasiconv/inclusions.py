@@ -126,7 +126,6 @@ class GalleryEntry:
     grid_n: int = 9
     halton: int = 512
     slices: int = 7
-    seed: int = 0
     notes: str = ""
 
     @property
@@ -165,7 +164,6 @@ def parse_catalog(text: str) -> list[GalleryEntry]:
                 grid_n=int(current.get("grid", 9)),
                 halton=int(current.get("halton", 512)),
                 slices=int(current.get("slices", 7)),
-                seed=int(current.get("seed", 0)),
                 notes=current.get("notes", ""),
             )
         )
@@ -262,9 +260,7 @@ def validate_gallery(
             else:
                 record(ClaimResult(entry.name, cnot.value, "chain", True))
         for cin in entry.claimed_in:
-            verdict = check_membership(
-                f, entry.domain, cin, budget=entry.budget, seed=entry.seed
-            )
+            verdict = check_membership(f, entry.domain, cin, budget=entry.budget)
             if verdict.no_violation_found:
                 record(ClaimResult(entry.name, cin.value, "in", True))
             else:
@@ -456,14 +452,10 @@ def search_separation(cfg: SearchConfig) -> SearchResult:
     """
     for trial in range(cfg.trials):
         f = sample_trial(cfg, trial)
-        v_not = check_membership(
-            f, cfg.domain, cfg.target_not_in, budget=cfg.budget, seed=cfg.seed
-        )
+        v_not = check_membership(f, cfg.domain, cfg.target_not_in, budget=cfg.budget)
         if not v_not.violated:
             continue
-        v_in = check_membership(
-            f, cfg.domain, cfg.target_in, budget=cfg.budget, seed=cfg.seed
-        )
+        v_in = check_membership(f, cfg.domain, cfg.target_in, budget=cfg.budget)
         if v_in.no_violation_found:
             return SearchResult(
                 found=True,

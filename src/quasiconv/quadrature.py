@@ -113,54 +113,31 @@ VectorFn = Callable[[np.ndarray], np.ndarray]
 Vector2Fn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _as_vector_1d(f: Union[Expr, Callable[[float], float]]) -> VectorFn:
-    """Adapt an expression or callable to batch evaluation over nodes."""
+def _as_vector(f: Union[Expr, Callable], arity: int) -> Callable[..., np.ndarray]:
+    """Adapt an expression or callable of ``arity`` co-ordinates to batch
+    evaluation over nodes: one 1D array of lanes per co-ordinate."""
     if isinstance(f, Expr):
-        if f.arity != 1:
-            raise ArityError("integrate_1d needs a 1D expression")
+        if f.arity != arity:
+            raise ArityError(f"integrate_{arity}d needs a {arity}D expression")
 
-        def fv(pts: np.ndarray) -> np.ndarray:
-            vals, ok = eval_array(f, pts)
+        def fv(*coords: np.ndarray) -> np.ndarray:
+            vals, ok = eval_array(f, *coords)
             if not ok.all():
                 # the scalar call runs the same tape: it raises DomainError
                 # with the precise reason
-                f(float(pts[int(np.argmax(~ok))]))
-            return vals
-
-        return fv
-
-    def fv(pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape, dtype=float)
-        for i, p in enumerate(pts):
-            v = float(f(float(p)))
-            if not math.isfinite(v):
-                raise DomainError("non-finite value", (float(p),))
-            out[i] = v
-        return out
-
-    return fv
-
-
-def _as_vector_2d(f: Union[Expr, Callable[[float, float], float]]) -> Vector2Fn:
-    if isinstance(f, Expr):
-        if f.arity != 2:
-            raise ArityError("integrate_2d needs a 2D expression")
-
-        def fv(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-            vals, ok = eval_array(f, xs, ys)
-            if not ok.all():
                 i = int(np.argmax(~ok))
-                f(float(xs[i]), float(ys[i]))  # raises, as in _as_vector_1d
+                f(*(float(c[i]) for c in coords))
             return vals
 
         return fv
 
-    def fv(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = np.empty(xs.shape, dtype=float)
-        for i in range(xs.size):
-            v = float(f(float(xs[i]), float(ys[i])))
+    def fv(*coords: np.ndarray) -> np.ndarray:
+        out = np.empty(coords[0].shape, dtype=float)
+        for i in range(out.size):
+            point = tuple(float(c[i]) for c in coords)
+            v = float(f(*point))
             if not math.isfinite(v):
-                raise DomainError("non-finite value", (float(xs[i]), float(ys[i])))
+                raise DomainError("non-finite value", point)
             out[i] = v
         return out
 
@@ -359,7 +336,7 @@ def integrate_1d(
     DomainError from the integrand propagates.
     """
     cfg = cfg or QuadConfig()
-    fv = _as_vector_1d(f)
+    fv = _as_vector(f, 1)
     return _adaptive(
         lambda pts, owner: fv(pts.ravel()).reshape(pts.shape),
         np.array([iv.lo]),
@@ -572,7 +549,7 @@ def integrate_abs_difference(
         def diff(t: float) -> float:
             return g(t) - h(t)
 
-    dv = _as_vector_1d(diff)
+    dv = _as_vector(diff, 1)
     return _integrate_rows(
         lambda ts, rows: np.abs(dv(ts)), [lambda ts, rows: dv(ts)], 1, iv, cfg
     )[0]
@@ -593,7 +570,7 @@ def integrate_abs_slices(
     adaptive wave, so their evaluations of ``d`` are batched.  Each result
     is bit-identical to ``integrate_abs_difference`` run on that slice alone.
     """
-    fv2 = _as_vector_2d(d)
+    fv2 = _as_vector(d, 2)
     return _integrate_slices(
         lambda xs, ys: np.abs(fv2(xs, ys)), [fv2], along, values, iv, cfg or QuadConfig()
     )
@@ -668,7 +645,7 @@ def integrate_2d(
     the rule integrates.
     """
     cfg = cfg or QuadConfig()
-    fv2 = _as_vector_2d(f)
+    fv2 = _as_vector(f, 2)
     switches = [_switch_values(s) for s in f.switches] if isinstance(f, Expr) else []
     row_cfg = QuadConfig(
         rel_tol=cfg.rel_tol / 10.0,

@@ -340,6 +340,21 @@ class TestCoordinate:
         assert v.undefined
         assert len(v.point) == 2
 
+    def test_slices_come_from_the_budget(self):
+        f = parse("x^2+y^2", 2)
+        budget = SearchBudget(grid_n=5, halton_count=8, slices=2)
+        v = coordinate_check(f, BOX, ClassId.QC1, budget=budget)
+        assert v.resolution.startswith("2 slices per axis")
+        assert v.samples == 2 * 2 * (5**3 - 5**2 + 8)
+        assert v == check_membership(f, BOX, ClassId.COORD_QC2, budget=budget)
+        assert v == coordinate_check(f, BOX, ClassId.QC1, slices=2, budget=budget)
+        alone = coordinate_check(f, BOX, ClassId.QC1, slices=2)
+        assert alone == check_membership(
+            f, BOX, ClassId.COORD_QC2, budget=SearchBudget(slices=2)
+        )
+        with pytest.raises(ValueError, match="disagrees"):
+            coordinate_check(f, BOX, ClassId.QC1, slices=3, budget=budget)
+
 
 class TestSearchPhases:
     def test_halton_phase_catches_off_grid_spike(self):
@@ -581,7 +596,7 @@ def reference_coordinate_check(f, box, cid, slices, budget):
     without refinement, then the scalar reference refinement.  The first
     undefined slice ends the check; otherwise the largest refined margin
     wins, the earlier slice on a tie.  Returns (status, samples, point,
-    witness)."""
+    candidate, witness), points in f's co-ordinates."""
     plain = replace(budget, refine_iters=0)
     samples, best = 0, None
     for axis, frozen_iv, run_iv in ((Axis.Y, box.y, box.x), (Axis.X, box.x, box.y)):
@@ -591,9 +606,14 @@ def reference_coordinate_check(f, box, cid, slices, budget):
             v = check_membership(g, run_iv, cid, budget=plain)
             samples += v.samples
             if v.undefined:
-                u = v.point[0]
-                point = (u, value) if axis is Axis.Y else (value, u)
-                return "undefined", samples, point, None
+
+                def lift(p):
+                    return (p[0], value) if axis is Axis.Y else (value, p[0])
+
+                if v.candidate is not None:
+                    c, p1, p2, params = v.candidate
+                    return "undefined", samples, None, (c, lift(p1), lift(p2), params), None
+                return "undefined", samples, lift(v.point), None, None
             if v.violated:
                 w = v.witness
                 params = {k: w.params[k] for k in cid.param_names}
@@ -602,7 +622,7 @@ def reference_coordinate_check(f, box, cid, slices, budget):
                 if best is None or w.margin > best.margin:
                     best = w
     status = "no_violation_found" if best is None else "violated"
-    return status, samples, None, best
+    return status, samples, None, None, best
 
 
 COORD_FUNCTIONS = (
@@ -635,17 +655,20 @@ class TestCoordinateBatch:
         one_d = classifiers.COORD_TO_1D[cid]
         for text in COORD_FUNCTIONS:
             f = parse(text, 2)
-            status, samples, point, witness = reference_coordinate_check(
+            status, samples, point, candidate, witness = reference_coordinate_check(
                 f, COORD_BOX, one_d, budget.slices, budget
             )
             got = check_membership(f, COORD_BOX, cid, budget=budget)
-            assert (got.status, got.samples, got.point) == (status, samples, point), text
+            assert (got.status, got.samples, got.point, got.candidate) == (
+                status, samples, point, candidate
+            ), text
             # repr compares every witness field bit for bit
             assert repr(got.witness) == repr(witness), text
 
     def test_inputs_reach_every_outcome(self):
         # the differential inputs cover a grid-undefined slice after defined
-        # ones, an undefined mixed point, ties across slices and violations
+        # ones, an undefined mixed point, an inequality that overflows where
+        # f is defined, ties across slices and violations
         budget = COORD_BUDGETS[0]
         # candidates per slice: grid pairs off the diagonal, then Halton
         per_c = 5**3 - 5**2 + 32
@@ -657,6 +680,9 @@ class TestCoordinateBatch:
         assert check("sqrt(0.3 - y) + x^2").samples == 3 * per_c
         v = check("sqrt(abs(x - 0.25) - 0.05*y)", ClassId.COORD_J2)
         assert v.undefined and v.samples == 4 * per_j and v.point == (0.25, 0.5)
+        v = check("-(1.7e308*x*x) + y", ClassId.COORD_W2)
+        assert v.undefined and v.point is None
+        assert v.candidate == (ClassId.W1, (-1.0, -1.0), (-0.5, -1.0), {"t": 0.0})
         w = check("-(x^2) - y^2").witness
         assert (w.frozen_axis, w.frozen_value) == ("y", -1.0)
         assert check("x*x + y*y").no_violation_found

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from quasiconv import cli
 from quasiconv.cli import main
+from quasiconv.expressions import parse
 
 
 def run(capsys, *argv):
@@ -139,6 +141,31 @@ class TestCheck:
         assert code == 2
         assert "undefined" in out
         assert err == ""
+
+    def test_template_overflow_names_the_inequality_not_f(self, capsys):
+        # f is finite at both points and at the mixed ones; only the W1
+        # sums overflow, so f must not be called undefined
+        argv = ["check", "--f", "-(1.7e308*x*x)", "--domain", "-1,1", "--class", "W1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "the W1 inequality is not finite at p1=" in out
+        assert "f is defined there" in out
+        assert "function undefined" not in out and err == ""
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        outcome = json.loads(out)["outcome"]
+        assert outcome["status"] == "undefined" and outcome["point"] is None
+        candidate = outcome["candidate"]
+        assert candidate["class_id"] == "W1"
+        f = parse("-(1.7e308*x*x)", 1)
+        assert all(math.isfinite(f(*p)) for p in (candidate["p1"], candidate["p2"]))
+
+    def test_check_has_no_seed_flag(self, capsys):
+        # the grid and the Halton batch are fixed: a check has nothing to seed
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--f", "x", "--domain", "0,1", "--class", "C1", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_json_round_trip(self, capsys):
         args = [

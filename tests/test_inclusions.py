@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +63,14 @@ class TestGallery:
         results = validate_gallery()
         assert results and all(r.ok for r in results)
 
+    def test_shipped_catalog_is_the_regenerated_one(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "regenerate_gallery.py"
+        spec = importlib.util.spec_from_file_location("regenerate_gallery", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        shipped = resources.files("quasiconv").joinpath("data/gallery.txt").read_text()
+        assert tool.catalog_text() == shipped
+
     def test_tampered_witness_drifts(self):
         entries = load_gallery()
         target = next(e for e in entries if e.name == "dome")
@@ -112,9 +123,7 @@ class TestGallery:
                 continue
             f = entry.function()
             stored = entry.witnesses[ClassId.JQC2]
-            verdict = check_membership(
-                f, entry.domain, ClassId.JQC2, budget=entry.budget, seed=entry.seed
-            )
+            verdict = check_membership(f, entry.domain, ClassId.JQC2, budget=entry.budget)
             assert verdict.violated
             w = verdict.witness
             w_wqc = strengthen_witness(w)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quasiconv import (
+    ArityError,
     Axis,
     Box2,
     DomainError,
@@ -264,6 +265,24 @@ class TestDomainErrorInBatches:
                 parse("1/(x - 0.501953125)", 1), parse("0*x", 1), Interval(0, 1)
             )
         assert info.value.point == (0.501953125,)
+
+
+class TestVectorAdaptor:
+    def test_arity_mismatch_names_the_integrator(self):
+        with pytest.raises(ArityError, match="integrate_1d needs a 1D expression"):
+            integrate_1d(parse("x + y", 2), Interval(0, 1))
+        with pytest.raises(ArityError, match="integrate_2d needs a 2D expression"):
+            integrate_2d(parse("x", 1), Box2.from_bounds(0, 1, 0, 1))
+
+    def test_callable_non_finite_value_raises_at_its_point(self):
+        with pytest.raises(DomainError) as info:
+            integrate_1d(lambda x: math.inf if x > 0.5 else x, Interval(0, 1))
+        (x,) = info.value.point
+        assert x > 0.5
+        with pytest.raises(DomainError) as info:
+            integrate_2d(lambda x, y: math.nan if y > 0.5 else x, Box2.from_bounds(0, 1, 0, 1))
+        x, y = info.value.point
+        assert 0 <= x <= 1 and y > 0.5
 
 
 class TestBatchedPanels:
