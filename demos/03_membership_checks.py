@@ -54,7 +54,7 @@ print("saddle joint:", joint.describe())
 
 # A slice violation embeds into the plane with identical sides.
 dome = parse("-(x^2) - y^2", 2)
-slice_w = coordinate_check(dome, box, ClassId.JQC1, slices=5, budget=budget).witness
+slice_w = coordinate_check(dome, box, ClassId.JQC1, budget=budget).witness
 lifted = lift_witness(slice_w)
 print("lifted witness:", lifted.describe())
 

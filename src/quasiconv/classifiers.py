@@ -205,8 +205,9 @@ class Verdict:
     resolution: str = ""
     samples: int = 0
     point: Optional[tuple] = None
-    # (class id, p1, p2, params) of an undefined verdict whose inequality is
-    # not finite at a candidate where f is defined, in f's co-ordinates
+    # (class id, p1, p2, params, frozen axis, frozen value) of an undefined
+    # verdict whose inequality is not finite at a candidate where f is
+    # defined; as in a witness, a co-ordinate check gives 1D points on a slice
     candidate: Optional[tuple] = None
 
     @property
@@ -231,10 +232,11 @@ class Verdict:
             assert self.witness is not None
             return self.witness.describe()
         if self.candidate is not None:
-            class_id, p1, p2, params = self.candidate
+            class_id, p1, p2, params, axis, value = self.candidate
+            where = "" if axis is None else f" on slice {axis}={value!r}"
             return (
-                f"undefined: the {class_id.value} inequality is not finite at p1={p1},"
-                f" p2={p2}, params={params}; f is defined there"
+                f"undefined: the {class_id.value} inequality is not finite{where} at"
+                f" p1={p1}, p2={p2}, params={params}; f is defined there"
             )
         return f"function undefined at {self.point}"
 
@@ -247,9 +249,14 @@ class Verdict:
             "point": list(self.point) if self.point else None,
         }
         if self.candidate is not None:
-            class_id, p1, p2, params = self.candidate
+            class_id, p1, p2, params, axis, value = self.candidate
             out["candidate"] = {
-                "class_id": class_id.value, "p1": list(p1), "p2": list(p2), "params": params
+                "class_id": class_id.value,
+                "p1": list(p1),
+                "p2": list(p2),
+                "params": params,
+                "frozen_axis": axis,
+                "frozen_value": value,
             }
         return out
 
@@ -550,7 +557,9 @@ class _Pool(threading.local):
     fault them in again.  A request views the named buffer at its shape,
     growing it first if it is too small, so a short last slab fits.  The
     screen asks for at most two point sets of ``_CHUNK`` lanes per buffer,
-    so the pool stays at a few megabytes."""
+    besides f on the grid's points (slices times n^d lanes), so the pool
+    stays at a few megabytes at the default budget; the grid's per-check
+    pair mask, which outgrows a slab at large resolutions, is not pooled."""
 
     def __init__(self) -> None:
         self.flat: dict[str, np.ndarray] = {}
@@ -876,12 +885,13 @@ def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _screened_pairs(p1: list, p2: list, ordered_only: bool, shape: tuple) -> np.ndarray:
-    """The lanes of ``shape`` whose pair is screened, as a pool view: the two
-    points differ in some co-ordinate and, for W2-ordered, are componentwise
-    ordered.  The grid and the Halton batch both tell pairs by value."""
-    live = _POOL.take("live", shape, bool)
-    scratch = _POOL.take("scratch", shape, bool)
+def _screened_pairs(
+    p1: list, p2: list, ordered_only: bool, live: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Mark in ``live`` the lanes whose pair is screened, and return it: the
+    two points differ in some co-ordinate and, for W2-ordered, are
+    componentwise ordered.  ``scratch`` is a bool array of live's shape.
+    The grid and the Halton batch both tell pairs by value."""
     np.not_equal(p1[0], p2[0], out=live)
     for a, b in zip(p1[1:], p2[1:]):
         live |= np.not_equal(a, b, out=scratch)
@@ -1044,6 +1054,10 @@ def _screen(
         value = float(frozen[0][s])
         return (value, *pt) if frozen[1][s] else (*pt, value)
 
+    def frozen_at(s: int) -> tuple:
+        """Slice s's frozen axis and value."""
+        return (Axis.X if frozen[1][s] else Axis.Y), float(frozen[0][s])
+
     def screened(cols, F1, F2, chunk, fz, live, ok=None):
         margin, over, ok_mixed = _lane_margins(kind, f, d, cols, F1, F2, chunk, fz)
         if ok is not None:
@@ -1073,9 +1087,11 @@ def _screen(
     ]
     F1 = _place(Fg, range(1 + d), 1 + ndim)
     F2 = _place(Fg, (0, *range(1 + d, 1 + 2 * d)), 1 + ndim)
+    # one mask per check, at the pairs' own shape: a temporary, since it
+    # outgrows the pool's slab-sized buffers at large resolutions
+    pairs = np.broadcast_shapes(*(c.shape for c in cols[: 2 * d]))
     live = _screened_pairs(
-        cols[:d], cols[d : 2 * d], ordered_only,
-        np.broadcast_shapes(*(c.shape for c in cols[: 2 * d])),
+        cols[:d], cols[d : 2 * d], ordered_only, np.empty(pairs, bool), np.empty(pairs, bool)
     )
     screen = _Screen(slices)
 
@@ -1101,12 +1117,14 @@ def _screen(
             p1, p2 = hcols[:d], hcols[d : 2 * d]
             (F1, F2), (ok, ok2) = _eval_lanes(f, [p1, p2], chunk, fzp)
             ok &= ok2
-            live = _screened_pairs(p1, p2, ordered_only, chunk)
+            live = _screened_pairs(
+                p1, p2, ordered_only, *_POOL.takes(("live", "scratch"), chunk, bool)
+            )
             return screened(hcols, F1, F2, chunk, fzp, live, ok)
 
         views = halton + list(frozen_on(2) or ())
         screen.scan((live_slices, m), math.prod(grid_shape), views, halton_lanes)
-    per_slice = n**ndim - n ** (ndim - d) + m  # diagonal pairs are degenerate
+    per_slice = n**ndim - n ** (ndim - d) + m  # by index: see the README
     undefined = [s for s, i in enumerate(screen.bad) if i >= 0]
     if undefined:
         s = undefined[0]
@@ -1118,8 +1136,10 @@ def _screen(
         except DomainError as err:  # the point the template failed at
             return Verdict(point=err.point, **found)
         # f is defined at every point of the candidate; its inequality overflows
+        axis, value = frozen_at(s) if frozen is not None else (None, None)
         return Verdict(
-            candidate=(class_id, lift(tuple(p1), s), lift(tuple(p2), s), params), **found
+            candidate=(class_id, tuple(p1), tuple(p2), params, axis and axis.value, value),
+            **found,
         )
     if live_slices < slices:
         s = live_slices
@@ -1150,8 +1170,7 @@ def _screen(
     if frozen is None:
         witness = make_witness(class_id, f, p1, p2, params)
     else:
-        s = hits[win]
-        axis, value = (Axis.X if frozen[1][s] else Axis.Y), float(frozen[0][s])
+        axis, value = frozen_at(hits[win])
         witness = make_witness(
             class_id, restrict(f, axis, value), p1, p2, params, axis.value, value
         )
@@ -1195,28 +1214,22 @@ def coordinate_check(
     f: Expr,
     box: Box2,
     class_id: ClassId,
-    slices: Optional[int] = None,
     budget: Optional[SearchBudget] = None,
 ) -> Verdict:
-    """Check the 1D class on equally spaced frozen slices in both directions.
+    """Check the 1D class on ``budget.slices`` equally spaced frozen slices
+    in each direction.
 
     Freezing ``y`` gives the partial mappings on [a, b]; freezing ``x`` the
     ones on [c, d].  All of them are screened in one pass, ``y``-frozen
     slices first, each direction in ascending order.  The returned witness
     records the frozen axis and value and is the maximum-margin one over all
     slices, the earlier slice on a tie.
-
-    ``slices`` per axis comes from ``budget``; given alone, it sets the
-    default budget's, and given with a budget it must agree with it.
     """
     if not isinstance(f, Expr) or f.arity != 2:
         raise TypeError("co-ordinate checks need a parsed 2D expression")
     if class_id.arity != 1:
         raise ValueError(f"co-ordinate checks test a 1D class, got {class_id.value}")
-    if budget is None:
-        budget = SearchBudget() if slices is None else SearchBudget(slices=slices)
-    elif slices is not None and slices != budget.slices:
-        raise ValueError(f"slices={slices} disagrees with the budget's {budget.slices}")
+    budget = budget or SearchBudget()
     n = budget.slices
     values = np.concatenate(
         [np.linspace(box.y.lo, box.y.hi, n), np.linspace(box.x.lo, box.x.hi, n)]

@@ -162,7 +162,7 @@ def test_criterion_5_lemma_suite_on_gallery():
                 continue
             verdict = coordinate_check(
                 f, entry.domain, GLOBAL_2D_TO_1D[claim],
-                slices=entry.slices, budget=entry.budget,
+                budget=entry.budget,
             )
             assert verdict.no_violation_found, (entry.name, claim.value, verdict.describe())
             checked_members += 1
@@ -171,7 +171,7 @@ def test_criterion_5_lemma_suite_on_gallery():
                 continue
             verdict = coordinate_check(
                 f, entry.domain, COORD_TO_1D[claim],
-                slices=entry.slices, budget=entry.budget,
+                budget=entry.budget,
             )
             assert verdict.violated, (entry.name, claim.value)
             lifted = lift_witness(verdict.witness)

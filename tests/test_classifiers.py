@@ -283,25 +283,26 @@ class TestStrengthen:
 
 class TestCoordinate:
     def test_paraboloid_qc1_slices(self):
-        verdict = coordinate_check(parse("x^2+y^2", 2), BOX, ClassId.QC1, slices=9)
+        f = parse("x^2+y^2", 2)
+        verdict = coordinate_check(f, BOX, ClassId.QC1, budget=SearchBudget(slices=9))
         assert verdict.no_violation_found
 
     def test_saddle_slices_convex_but_global_fails(self):
         f = parse("x*y", 2)
-        coord = coordinate_check(f, BOX, ClassId.C1, slices=9)
+        coord = coordinate_check(f, BOX, ClassId.C1, budget=SearchBudget(slices=9))
         assert coord.no_violation_found
         glob = check_membership(f, BOX, ClassId.C2, budget=FAST)
         assert glob.violated
 
     def test_negative_parabola_every_slice(self):
         f = parse("-(x^2)", 2)
-        verdict = coordinate_check(f, BOX, ClassId.JQC1, slices=5)
+        verdict = coordinate_check(f, BOX, ClassId.JQC1, budget=SearchBudget(slices=5))
         assert verdict.violated
         assert verdict.witness.frozen_axis in ("x", "y")
 
     def test_lift_jqc_witness(self):
         f = parse("-(x^2)", 2)
-        w = coordinate_check(f, BOX, ClassId.JQC1, slices=5).witness
+        w = coordinate_check(f, BOX, ClassId.JQC1, budget=SearchBudget(slices=5)).witness
         lifted = lift_witness(w)
         assert lifted.class_id is ClassId.JQC2
         lhs, rhs = defining_inequality(ClassId.JQC2, f, lifted.p1, lifted.p2, lifted.params)
@@ -311,7 +312,7 @@ class TestCoordinate:
 
     def test_lift_qc_preserves_lambda(self):
         f = parse("-abs(x - 0.2)", 2)
-        w = coordinate_check(f, BOX, ClassId.QC1, slices=5).witness
+        w = coordinate_check(f, BOX, ClassId.QC1, budget=SearchBudget(slices=5)).witness
         lifted = lift_witness(w)
         assert lifted.class_id is ClassId.QC2
         assert lifted.params["lam"] == w.params["lam"]
@@ -321,7 +322,7 @@ class TestCoordinate:
     def test_lift_w1_delta_parameterisation(self):
         # concave slices break the Wright increments in both directions
         f = parse("-(y^2) - x^2", 2)
-        w = coordinate_check(f, BOX, ClassId.W1, slices=5).witness
+        w = coordinate_check(f, BOX, ClassId.W1, budget=SearchBudget(slices=5)).witness
         assert "delta" in w.params or w.params["t"] in (0.0, 1.0)
         lifted = lift_witness(w)
         assert lifted.class_id is ClassId.W2
@@ -336,7 +337,7 @@ class TestCoordinate:
         assert v.no_violation_found
 
     def test_undefined_slice_point_is_2d(self):
-        v = coordinate_check(parse("sqrt(x)", 2), BOX, ClassId.QC1, slices=3)
+        v = coordinate_check(parse("sqrt(x)", 2), BOX, ClassId.QC1, budget=SearchBudget(slices=3))
         assert v.undefined
         assert len(v.point) == 2
 
@@ -347,13 +348,6 @@ class TestCoordinate:
         assert v.resolution.startswith("2 slices per axis")
         assert v.samples == 2 * 2 * (5**3 - 5**2 + 8)
         assert v == check_membership(f, BOX, ClassId.COORD_QC2, budget=budget)
-        assert v == coordinate_check(f, BOX, ClassId.QC1, slices=2, budget=budget)
-        alone = coordinate_check(f, BOX, ClassId.QC1, slices=2)
-        assert alone == check_membership(
-            f, BOX, ClassId.COORD_QC2, budget=SearchBudget(slices=2)
-        )
-        with pytest.raises(ValueError, match="disagrees"):
-            coordinate_check(f, BOX, ClassId.QC1, slices=3, budget=budget)
 
 
 class TestSearchPhases:
@@ -606,14 +600,11 @@ def reference_coordinate_check(f, box, cid, slices, budget):
             v = check_membership(g, run_iv, cid, budget=plain)
             samples += v.samples
             if v.undefined:
-
-                def lift(p):
-                    return (p[0], value) if axis is Axis.Y else (value, p[0])
-
                 if v.candidate is not None:
-                    c, p1, p2, params = v.candidate
-                    return "undefined", samples, None, (c, lift(p1), lift(p2), params), None
-                return "undefined", samples, lift(v.point), None, None
+                    candidate = (*v.candidate[:4], axis.value, value)
+                    return "undefined", samples, None, candidate, None
+                lift = (v.point[0], value) if axis is Axis.Y else (value, v.point[0])
+                return "undefined", samples, lift, None, None
             if v.violated:
                 w = v.witness
                 params = {k: w.params[k] for k in cid.param_names}
@@ -680,9 +671,14 @@ class TestCoordinateBatch:
         assert check("sqrt(0.3 - y) + x^2").samples == 3 * per_c
         v = check("sqrt(abs(x - 0.25) - 0.05*y)", ClassId.COORD_J2)
         assert v.undefined and v.samples == 4 * per_j and v.point == (0.25, 0.5)
-        v = check("-(1.7e308*x*x) + y", ClassId.COORD_W2)
+        f = parse("-(1.7e308*x*x) + y", 2)
+        v = check_membership(f, COORD_BOX, ClassId.COORD_W2, budget=budget)
         assert v.undefined and v.point is None
-        assert v.candidate == (ClassId.W1, (-1.0, -1.0), (-0.5, -1.0), {"t": 0.0})
+        assert v.candidate == (ClassId.W1, (-1.0,), (-0.5,), {"t": 0.0}, "y", -1.0)
+        # like a witness, the candidate re-evaluates through its slice
+        c, p1, p2, params, axis, value = v.candidate
+        lhs, rhs = defining_inequality(c, restrict(f, Axis(axis), value), p1, p2, params)
+        assert not math.isfinite(lhs - rhs)
         w = check("-(x^2) - y^2").witness
         assert (w.frozen_axis, w.frozen_value) == ("y", -1.0)
         assert check("x*x + y*y").no_violation_found

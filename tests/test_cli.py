@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from quasiconv import cli
+from quasiconv.classifiers import ClassId, defining_inequality
 from quasiconv.cli import main
 from quasiconv.expressions import parse
 
@@ -156,9 +157,13 @@ class TestCheck:
         outcome = json.loads(out)["outcome"]
         assert outcome["status"] == "undefined" and outcome["point"] is None
         candidate = outcome["candidate"]
-        assert candidate["class_id"] == "W1"
+        assert candidate["class_id"] == "W1" and candidate["frozen_axis"] is None
         f = parse("-(1.7e308*x*x)", 1)
-        assert all(math.isfinite(f(*p)) for p in (candidate["p1"], candidate["p2"]))
+        p1, p2 = candidate["p1"], candidate["p2"]
+        assert all(math.isfinite(f(*p)) for p in (p1, p2))
+        # the recorded candidate reproduces the overflow
+        lhs, rhs = defining_inequality(ClassId.W1, f, p1, p2, candidate["params"])
+        assert not math.isfinite(lhs - rhs)
 
     def test_check_has_no_seed_flag(self, capsys):
         # the grid and the Halton batch are fixed: a check has nothing to seed
