@@ -30,7 +30,6 @@ from .expressions import (
     DomainError,
     Expr,
     ExprSyntaxError,
-    evaluate,
     parse,
     restrict,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "coord_convex_chain",
     "coordinate_check",
     "defining_inequality",
-    "evaluate",
     "hadamard_1d",
     "integrate_1d",
     "integrate_2d",

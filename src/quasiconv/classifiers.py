@@ -177,7 +177,9 @@ class Witness:
             "params": dict(self.params),
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "margin": self.margin,
+            # lhs - rhs overflows when the sides are near the float range;
+            # JSON has no infinity, and the finite sides hold the violation
+            "margin": self.margin if math.isfinite(self.margin) else None,
             "frozen_axis": self.frozen_axis,
             "frozen_value": self.frozen_value,
         }
@@ -273,6 +275,18 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.grid_n < 2 or self.halton_count < 0 or self.slices < 1:
             raise ValueError("degenerate search budget")
+
+    def validate_for(self, class_id: ClassId) -> None:
+        """Raise ValueError if this budget tests a one-parameter class only
+        at the parameter's ends 0 and 1, where its inequality holds with
+        equality for every function: a grid of side 2 and no Halton points."""
+        names = class_id.param_names
+        if len(names) == 1 and self.grid_n == 2 and self.halton_count == 0:
+            raise ValueError(
+                f"a grid of side 2 without Halton points tests the {class_id.value}"
+                f" parameter {names[0]} only at 0 and 1, where the inequality holds"
+                " for every function; use a larger grid or Halton points"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +455,7 @@ def make_witness(
 # Witness transport
 
 
-def lift_witness(
-    w: Witness, axis: Optional[str] = None, frozen: Optional[float] = None
-) -> Witness:
+def lift_witness(w: Witness) -> Witness:
     """Embed a slice witness as a global 2D witness with identical sides.
 
     A violation of the 1D class on a partial mapping is a violation of the
@@ -453,11 +465,9 @@ def lift_witness(
     """
     if w.class_id not in LIFT_1D_TO_2D:
         raise NotApplicableError(f"cannot lift class {w.class_id.value}")
-    axis = axis if axis is not None else w.frozen_axis
-    frozen = frozen if frozen is not None else w.frozen_value
+    axis, frozen = w.frozen_axis, w.frozen_value
     if axis is None or frozen is None:
         raise ValueError("lift needs the frozen axis and value")
-    axis = axis.value if hasattr(axis, "value") else str(axis)
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     u1, u2 = w.p1[0], w.p2[0]
@@ -1187,7 +1197,9 @@ def check_membership(
 
     The candidate set is a deterministic tensor grid of side ``budget.grid_n``
     (points and, where applicable, mixing parameters) plus
-    ``budget.halton_count`` Halton points.  The best-margin candidate is
+    ``budget.halton_count`` Halton points; a budget that tests the class's
+    one parameter only at 0 and 1 is a ValueError
+    (:meth:`SearchBudget.validate_for`).  The best-margin candidate is
     locally refined with golden-section ascent on its parameters and returned
     as a sound witness; otherwise the verdict records the resolution searched.
     A DomainError anywhere in the candidate set yields the ``undefined``
@@ -1197,6 +1209,7 @@ def check_membership(
     if not isinstance(f, Expr):
         raise TypeError("membership checks need a parsed expression")
     budget = budget or SearchBudget()
+    budget.validate_for(class_id)
     if class_id.is_coordinate:
         if not isinstance(domain, Box2):
             raise ValueError("co-ordinate classes need a Box2 domain")
@@ -1230,6 +1243,7 @@ def coordinate_check(
     if class_id.arity != 1:
         raise ValueError(f"co-ordinate checks test a 1D class, got {class_id.value}")
     budget = budget or SearchBudget()
+    budget.validate_for(class_id)
     n = budget.slices
     values = np.concatenate(
         [np.linspace(box.y.lo, box.y.hi, n), np.linspace(box.x.lo, box.x.hi, n)]

@@ -55,7 +55,10 @@ _INEQUALITIES = {
 
 
 def _emit(args, record: dict, human: str) -> None:
-    text = json.dumps(record, indent=2) if getattr(args, "json", False) else human
+    if getattr(args, "json", False):
+        text = json.dumps(record, indent=2, allow_nan=False)
+    else:
+        text = human
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -95,6 +98,7 @@ def cmd_check(args) -> int:
             halton_count=args.halton,
             slices=args.slices,
         )
+        budget.validate_for(class_id)
     except (ExprSyntaxError, ArityError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

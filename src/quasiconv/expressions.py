@@ -34,7 +34,6 @@ __all__ = [
     "Expr",
     "ExprSyntaxError",
     "Registers",
-    "evaluate",
     "eval_array",
     "parse",
     "restrict",
@@ -555,16 +554,6 @@ def _run_scalar(steps: tuple, point: tuple[float, ...]) -> float:
             r = arg if op is _CONST else point[arg]
         push(r)
     return stack[0]
-
-
-def evaluate(expr: Expr, x: float, y: Optional[float] = None) -> float:
-    """Evaluate ``expr`` at a point in IEEE double precision.
-
-    Raises :class:`DomainError` carrying the offending point when the function
-    is undefined there; callers must treat that as "f undefined here" rather
-    than skip it.
-    """
-    return expr(x, y)
 
 
 class Registers(NamedTuple):

@@ -228,17 +228,14 @@ def _revalidate_witness(
     return False, f"stored witness no longer violates (margin {margin:.3e})"
 
 
-def validate_gallery(
-    entries: Optional[list[GalleryEntry]] = None,
-    raise_on_drift: bool = True,
-) -> list[ClaimResult]:
+def validate_gallery(entries: Optional[list[GalleryEntry]] = None) -> list[ClaimResult]:
     """Re-run every claim of every entry; fails loudly on drift."""
     entries = load_gallery() if entries is None else entries
     results: list[ClaimResult] = []
 
     def record(result: ClaimResult) -> None:
         results.append(result)
-        if raise_on_drift and not result.ok:
+        if not result.ok:
             raise GalleryDrift(result.entry, result.claim, result.detail)
 
     for entry in entries:

@@ -1,20 +1,22 @@
 """Hadamard-type inequality reports: every term, every slack, pass/fail.
 
-Each operation computes the named terms of one inequality chain with the
-quadrature engine, lists the consecutive slacks, and marks a link as holding
-when its slack is at least ``-VERIFY_TOL``.  Quadrature runs two to three
-orders tighter than that tolerance so integration error cannot flip a
-verdict; a non-converged integral is surfaced in the report instead.
+Each operation takes a parsed expression and its domain, computes the named
+terms of one inequality chain with the quadrature engine, lists the
+consecutive slacks, and marks a link as holding when its slack is at least
+``-VERIFY_TOL``.  Quadrature runs two to three orders tighter than that
+tolerance so integration error cannot flip a verdict; a non-converged
+integral is surfaced in the report instead, and a value that is not finite
+refuses the report with DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .domains import Box2, Interval
-from .expressions import Axis, Expr, chord_substitution, difference, restrict
+from .expressions import Axis, DomainError, Expr, chord_substitution, difference, restrict
 from .quadrature import (
     QuadConfig,
     QuadResult,
@@ -136,6 +138,15 @@ def _report(
 ) -> InequalityReport:
     values = [v for _, v in terms]
     slacks = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
+    # a value that is not finite would read as a verdict, and is not JSON
+    named = [*terms, *(components or {}).items()]
+    named += [(f"slack {terms[i][0]!r} -> {terms[i + 1][0]!r}", s) for i, s in enumerate(slacks)]
+    for side in sides:
+        named += [(f"{k} of {side.name!r}", getattr(side, k)) for k in ("lhs", "rhs", "slack")]
+    named += [(f"quadrature error {i}", e) for i, e in enumerate(quad_errors)]
+    for name, value in named:
+        if not math.isfinite(value):
+            raise DomainError(f"{inequality_id}: {name} is not finite ({value!r})")
     holds = tuple(s >= -VERIFY_TOL for s in slacks)
     return InequalityReport(
         inequality_id=inequality_id,
@@ -149,50 +160,16 @@ def _report(
     )
 
 
-Fn1 = Union[Expr, Callable[[float], float]]
-Fn2 = Union[Expr, Callable[[float, float], float]]
-
-
-def _eval1(f: Fn1, x: float) -> float:
-    return float(f(x))
-
-
-def _eval2(f: Fn2, x: float, y: float) -> float:
-    return float(f(x, y))
-
-
-def _slice_fn(f: Fn2, axis: Axis, value: float) -> Fn1:
-    """Partial mapping with one co-ordinate frozen."""
-    if isinstance(f, Expr):
-        return restrict(f, axis, value)
-    if axis is Axis.X:
-        return lambda v: f(value, v)
-    return lambda u: f(u, value)
-
-
-def _chord_pair(f: Fn1, a: float, b: float) -> tuple[Fn1, Fn1]:
-    """The two chord evaluations t -> f(t a + (1-t) b) and t -> f((1-t) a + t b)."""
-    if isinstance(f, Expr):
-        return (
-            chord_substitution(f, Axis.X, a, b),
-            chord_substitution(f, Axis.X, a, b, reverse=True),
-        )
-    return (
-        lambda t: f(t * a + (1.0 - t) * b),
-        lambda t: f((1.0 - t) * a + t * b),
-    )
-
-
 # ---------------------------------------------------------------------------
 # 1D bounds
 
 
-def hadamard_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> InequalityReport:
+def hadamard_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Midpoint value <= integral mean <= endpoint average (for convex f)."""
-    mid_val = _eval1(f, iv.midpoint)
-    q = integrate_1d(f, iv, cfg)
+    mid_val = f(iv.midpoint)
+    q = integrate_1d(f, iv)
     mean = q.value / iv.length
-    ends = 0.5 * (_eval1(f, iv.lo) + _eval1(f, iv.hi))
+    ends = 0.5 * (f(iv.lo) + f(iv.hi))
     return _report(
         "HH1D",
         [("f(midpoint)", mid_val), ("integral mean", mean), ("endpoint average", ends)],
@@ -201,21 +178,19 @@ def hadamard_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> Inequ
     )
 
 
-def jqc_bound_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> InequalityReport:
+def jqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Midpoint value <= integral mean + chord correction (for J-quasi-convex f).
 
     The correction is half the integral over t in [0,1] of the absolute
-    difference of the two chord evaluations of f between the endpoints.
-    ``cfg`` governs both integrals (the correction defaults to
-    ``_INNER_CFG``): the correction is a single kink-split integral, so one
-    tolerance means the same for both terms.  The nested chord terms of
-    :func:`thm_jqc_coord` run at fixed configurations instead.
+    difference of the two chord evaluations of f between the endpoints,
+    integrated at ``_INNER_CFG``.
     """
-    mid_val = _eval1(f, iv.midpoint)
-    q = integrate_1d(f, iv, cfg)
+    mid_val = f(iv.midpoint)
+    q = integrate_1d(f, iv)
     mean = q.value / iv.length
-    g, h = _chord_pair(f, iv.lo, iv.hi)
-    qI = integrate_abs_difference(g, h, _UNIT, cfg or _INNER_CFG)
+    g = chord_substitution(f, Axis.X, iv.lo, iv.hi)
+    h = chord_substitution(f, Axis.X, iv.lo, iv.hi, reverse=True)
+    qI = integrate_abs_difference(g, h, _UNIT, _INNER_CFG)
     correction = 0.5 * qI.value
     rhs = mean + correction
     return _report(
@@ -227,12 +202,12 @@ def jqc_bound_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> Ineq
     )
 
 
-def wqc_bound_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> InequalityReport:
+def wqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Integral mean <= max of the endpoint values (for Wright-quasi-convex f)."""
-    q = integrate_1d(f, iv, cfg)
+    q = integrate_1d(f, iv)
     mean = q.value / iv.length
-    fa = _eval1(f, iv.lo)
-    fb = _eval1(f, iv.hi)
+    fa = f(iv.lo)
+    fb = f(iv.hi)
     return _report(
         "WQC1D",
         [("integral mean", mean), ("max endpoint value", max(fa, fb))],
@@ -246,37 +221,35 @@ def wqc_bound_1d(f: Fn1, iv: Interval, cfg: Optional[QuadConfig] = None) -> Ineq
 # Rectangle chains
 
 
-def _line_means(
-    f: Fn2, box: Box2, cfg: Optional[QuadConfig]
-) -> tuple[dict[str, QuadResult], dict[str, float]]:
+def _line_means(f: Expr, box: Box2) -> tuple[dict[str, QuadResult], dict[str, float]]:
     """Means of f along the two midlines and the four edges of the rectangle."""
     a, b, c, d = box.bounds
     results: dict[str, QuadResult] = {}
     means: dict[str, float] = {}
 
-    def add(name: str, fn: Fn1, iv: Interval) -> None:
-        q = integrate_1d(fn, iv, cfg)
+    def add(name: str, fn: Expr, iv: Interval) -> None:
+        q = integrate_1d(fn, iv)
         results[name] = q
         means[name] = q.value / iv.length
 
-    add("horizontal midline", _slice_fn(f, Axis.Y, box.y.midpoint), box.x)
-    add("vertical midline", _slice_fn(f, Axis.X, box.x.midpoint), box.y)
-    add("bottom edge", _slice_fn(f, Axis.Y, c), box.x)
-    add("top edge", _slice_fn(f, Axis.Y, d), box.x)
-    add("left edge", _slice_fn(f, Axis.X, a), box.y)
-    add("right edge", _slice_fn(f, Axis.X, b), box.y)
+    add("horizontal midline", restrict(f, Axis.Y, box.y.midpoint), box.x)
+    add("vertical midline", restrict(f, Axis.X, box.x.midpoint), box.y)
+    add("bottom edge", restrict(f, Axis.Y, c), box.x)
+    add("top edge", restrict(f, Axis.Y, d), box.x)
+    add("left edge", restrict(f, Axis.X, a), box.y)
+    add("right edge", restrict(f, Axis.X, b), box.y)
     return results, means
 
 
-def coord_convex_chain(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> InequalityReport:
+def coord_convex_chain(f: Expr, box: Box2) -> InequalityReport:
     """Five-term chain for co-ordinate-wise convex f: centre value, averaged
     midline means, double integral mean, averaged edge means, corner average.
     The chain is sharp for functions affine in each variable."""
     a, b, c, d = box.bounds
-    t1 = _eval2(f, box.x.midpoint, box.y.midpoint)
-    line_results, line_means = _line_means(f, box, cfg)
+    t1 = f(box.x.midpoint, box.y.midpoint)
+    line_results, line_means = _line_means(f, box)
     t2 = 0.5 * (line_means["horizontal midline"] + line_means["vertical midline"])
-    q2 = integrate_2d(f, box, cfg)
+    q2 = integrate_2d(f, box)
     t3 = q2.value / box.area
     t4 = 0.25 * (
         line_means["bottom edge"]
@@ -284,9 +257,7 @@ def coord_convex_chain(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> I
         + line_means["left edge"]
         + line_means["right edge"]
     )
-    t5 = 0.25 * (
-        _eval2(f, a, c) + _eval2(f, b, c) + _eval2(f, a, d) + _eval2(f, b, d)
-    )
+    t5 = 0.25 * (f(a, c) + f(b, c) + f(a, d) + f(b, d))
     quad_errors = [
         line_results["horizontal midline"].abs_error_estimate / box.x.length,
         line_results["vertical midline"].abs_error_estimate / box.y.length,
@@ -312,9 +283,7 @@ def coord_convex_chain(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> I
     )
 
 
-def _chord_correction_2d(
-    f: Fn2, box: Box2, along: Axis
-) -> tuple[float, float, bool]:
+def _chord_correction_2d(f: Expr, box: Box2, along: Axis) -> tuple[float, float, bool]:
     """Outer integral (over the other axis) of the inner chord-difference
     integral along ``along``; returns (value, error estimate, converged).
 
@@ -326,21 +295,10 @@ def _chord_correction_2d(
     """
     chord_iv, outer_iv = (box.x, box.y) if along is Axis.X else (box.y, box.x)
     lo, hi = chord_iv.lo, chord_iv.hi
-    if isinstance(f, Expr):
-        diff: Fn2 = difference(
-            chord_substitution(f, along, lo, hi),
-            chord_substitution(f, along, lo, hi, reverse=True),
-        )
-    elif along is Axis.X:
-
-        def diff(t: float, v: float) -> float:
-            return f(t * lo + (1.0 - t) * hi, v) - f((1.0 - t) * lo + t * hi, v)
-
-    else:
-
-        def diff(v: float, t: float) -> float:
-            return f(v, t * lo + (1.0 - t) * hi) - f(v, (1.0 - t) * lo + t * hi)
-
+    diff = difference(
+        chord_substitution(f, along, lo, hi),
+        chord_substitution(f, along, lo, hi, reverse=True),
+    )
     q = integrate_nested(
         lambda vs: integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG),
         outer_iv,
@@ -349,27 +307,24 @@ def _chord_correction_2d(
     return q.value, q.abs_error_estimate, q.converged
 
 
-def thm_jqc_coord(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> InequalityReport:
+def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
     """Midline-mean average <= double integral mean + H, for f J-quasi-convex
     on the co-ordinates.  H sums the two chord-difference double integrals
     with prefactors 1/(4 (d-c)) and 1/(4 (b-a)); it depends only on the
     rectangle, both inner variables being integrated out.
 
-    ``cfg`` governs the line means and the double integral only.  The chord
-    double integrals always run at ``_INNER_CFG`` inside ``_OUTER_CFG``: a
-    nested integral's error is the outer error plus the outer length times
-    the worst inner error, so the inner pass must be tighter than the outer
-    one, and its cost is the product of the two budgets.  One ``QuadConfig``
-    cannot say both, and the fixed pair keeps H two orders inside
-    ``VERIFY_TOL`` whatever ``cfg`` is.
+    The chord double integrals run at ``_INNER_CFG`` inside ``_OUTER_CFG``:
+    a nested integral's error is the outer error plus the outer length
+    times the worst inner error, so the inner pass must be tighter than the
+    outer one, and its cost is the product of the two budgets.  One
+    ``QuadConfig`` cannot say both, and the fixed pair keeps H two orders
+    inside ``VERIFY_TOL``.
     """
-    cfg = cfg or QuadConfig()
-    a, b, c, d = box.bounds
-    line_results, line_means = _line_means(f, box, cfg)
+    line_results, line_means = _line_means(f, box)
     mean_h = line_means["horizontal midline"]
     mean_v = line_means["vertical midline"]
     lhs = 0.5 * (mean_h + mean_v)
-    q2 = integrate_2d(f, box, cfg)
+    q2 = integrate_2d(f, box)
     double_mean = q2.value / box.area
     hx, hx_err, hx_conv = _chord_correction_2d(f, box, Axis.X)
     hy, hy_err, hy_conv = _chord_correction_2d(f, box, Axis.Y)
@@ -416,12 +371,11 @@ def thm_jqc_coord(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> Inequa
     )
 
 
-def thm_wqc_coord(f: Fn2, box: Box2, cfg: Optional[QuadConfig] = None) -> InequalityReport:
+def thm_wqc_coord(f: Expr, box: Box2) -> InequalityReport:
     """Double integral mean <= half-sum of the two maxima of opposite edge
     means, for f Wright-quasi-convex on the co-ordinates."""
-    cfg = cfg or QuadConfig()
-    line_results, line_means = _line_means(f, box, cfg)
-    q2 = integrate_2d(f, box, cfg)
+    line_results, line_means = _line_means(f, box)
+    q2 = integrate_2d(f, box)
     double_mean = q2.value / box.area
     max_x_edges = max(line_means["bottom edge"], line_means["top edge"])
     max_y_edges = max(line_means["left edge"], line_means["right edge"])

@@ -9,6 +9,8 @@ each 1D integral first where a split function changes sign (``g - h`` for
 integrates is free of the kinks those functions mark.  ``integrate_2d`` is
 an iterated integral on the same two parts: an adaptive outer pass over x
 whose integrand calls hand their nodes' y-rows to the row integrator.
+Integrands are parsed expressions (:class:`Expr`), so every 2D integrand
+has its switching functions; anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -113,33 +115,27 @@ VectorFn = Callable[[np.ndarray], np.ndarray]
 Vector2Fn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _as_vector(f: Union[Expr, Callable], arity: int) -> Callable[..., np.ndarray]:
-    """Adapt an expression or callable of ``arity`` co-ordinates to batch
-    evaluation over nodes: one 1D array of lanes per co-ordinate."""
-    if isinstance(f, Expr):
-        if f.arity != arity:
-            raise ArityError(f"integrate_{arity}d needs a {arity}D expression")
+def _checked(f: Expr, arity: int, caller: str) -> Expr:
+    """``f`` itself, once it is a parsed expression of ``arity`` co-ordinates."""
+    if not isinstance(f, Expr):
+        raise TypeError(f"{caller} needs a parsed expression")
+    if f.arity != arity:
+        raise ArityError(f"{caller} needs a {arity}D expression")
+    return f
 
-        def fv(*coords: np.ndarray) -> np.ndarray:
-            vals, ok = eval_array(f, *coords)
-            if not ok.all():
-                # the scalar call runs the same tape: it raises DomainError
-                # with the precise reason
-                i = int(np.argmax(~ok))
-                f(*(float(c[i]) for c in coords))
-            return vals
 
-        return fv
+def _as_vector(f: Expr) -> Callable[..., np.ndarray]:
+    """Adapt an expression to batch evaluation over nodes: one 1D array of
+    lanes per co-ordinate."""
 
     def fv(*coords: np.ndarray) -> np.ndarray:
-        out = np.empty(coords[0].shape, dtype=float)
-        for i in range(out.size):
-            point = tuple(float(c[i]) for c in coords)
-            v = float(f(*point))
-            if not math.isfinite(v):
-                raise DomainError("non-finite value", point)
-            out[i] = v
-        return out
+        vals, ok = eval_array(f, *coords)
+        if not ok.all():
+            # the scalar call runs the same tape: it raises DomainError
+            # with the precise reason
+            i = int(np.argmax(~ok))
+            f(*(float(c[i]) for c in coords))
+        return vals
 
     return fv
 
@@ -270,73 +266,71 @@ def _adaptive(
     meets tolerance or ``max_subdivisions`` panels are reached (the result
     is then flagged not converged).
     """
-    npieces = lo.size
-    k0 = min(cfg.initial_panels, cfg.max_subdivisions)
-    # np.linspace(lo[i], hi[i], k0 + 1) for every piece at once
-    delta = hi - lo
-    step = delta / k0
-    ramp = np.arange(k0 + 1.0)
-    bounds = ramp * step[:, None]
-    tiny = step == 0  # a subnormal width: scale the ramp first, as linspace does
-    if tiny.any():
-        bounds[tiny] = (ramp / k0) * delta[tiny, None]
-    bounds += lo[:, None]
-    bounds[:, -1] = hi
-    vals, errs = _gk15_panels(
-        fv, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-        np.arange(npieces).repeat(k0), [k0] * npieces,
-    )
-    totals = vals.reshape(npieces, k0).sum(axis=1).tolist()
-    total_errs = errs.reshape(npieces, k0).sum(axis=1).tolist()
-    bounds, vals, errs = bounds.tolist(), vals.tolist(), errs.tolist()
-    live = [
-        _Piece(i, abs_tol[i], bounds[i], vals[i * k0 : (i + 1) * k0],
-               errs[i * k0 : (i + 1) * k0], totals[i], total_errs[i])
-        for i in range(npieces)
-    ]
-    results: list[Optional[QuadResult]] = [None] * npieces
-    while live:
-        waves = []
-        for piece in live:
-            split = piece.select(cfg)
-            if split:
-                waves.append((piece, split))
-            else:
-                results[piece.index] = piece.result()
-        if not waves:
-            break
-        lows: list[float] = []
-        highs: list[float] = []
-        for _, split in waves:
-            for a, b, _, _ in split:
-                m = 0.5 * (a + b)
-                lows += (a, m)
-                highs += (m, b)
-        counts = [2 * len(split) for _, split in waves]
-        owner = np.array([piece.index for piece, _ in waves]).repeat(counts)
-        vals, errs = _gk15_panels(fv, np.array(lows), np.array(highs), owner, counts)
-        vals, errs = vals.tolist(), errs.tolist()
-        at = 0
-        for (piece, split), n in zip(waves, counts):
-            piece.update(split, vals[at : at + n], errs[at : at + n])
-            at += n
-        live = [piece for piece, _ in waves]
-    return results
+    # Panels near the float range overflow to inf and NaN; they reach the
+    # result, whose caller decides, so numpy is not to warn about them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        npieces = lo.size
+        k0 = min(cfg.initial_panels, cfg.max_subdivisions)
+        # np.linspace(lo[i], hi[i], k0 + 1) for every piece at once
+        delta = hi - lo
+        step = delta / k0
+        ramp = np.arange(k0 + 1.0)
+        bounds = ramp * step[:, None]
+        tiny = step == 0  # a subnormal width: scale the ramp first, as linspace does
+        if tiny.any():
+            bounds[tiny] = (ramp / k0) * delta[tiny, None]
+        bounds += lo[:, None]
+        bounds[:, -1] = hi
+        vals, errs = _gk15_panels(
+            fv, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
+            np.arange(npieces).repeat(k0), [k0] * npieces,
+        )
+        totals = vals.reshape(npieces, k0).sum(axis=1).tolist()
+        total_errs = errs.reshape(npieces, k0).sum(axis=1).tolist()
+        bounds, vals, errs = bounds.tolist(), vals.tolist(), errs.tolist()
+        live = [
+            _Piece(i, abs_tol[i], bounds[i], vals[i * k0 : (i + 1) * k0],
+                   errs[i * k0 : (i + 1) * k0], totals[i], total_errs[i])
+            for i in range(npieces)
+        ]
+        results: list[Optional[QuadResult]] = [None] * npieces
+        while live:
+            waves = []
+            for piece in live:
+                split = piece.select(cfg)
+                if split:
+                    waves.append((piece, split))
+                else:
+                    results[piece.index] = piece.result()
+            if not waves:
+                break
+            lows: list[float] = []
+            highs: list[float] = []
+            for _, split in waves:
+                for a, b, _, _ in split:
+                    m = 0.5 * (a + b)
+                    lows += (a, m)
+                    highs += (m, b)
+            counts = [2 * len(split) for _, split in waves]
+            owner = np.array([piece.index for piece, _ in waves]).repeat(counts)
+            vals, errs = _gk15_panels(fv, np.array(lows), np.array(highs), owner, counts)
+            vals, errs = vals.tolist(), errs.tolist()
+            at = 0
+            for (piece, split), n in zip(waves, counts):
+                piece.update(split, vals[at : at + n], errs[at : at + n])
+                at += n
+            live = [piece for piece, _ in waves]
+        return results
 
 
-def integrate_1d(
-    f: Union[Expr, Callable[[float], float]],
-    iv: Interval,
-    cfg: Optional[QuadConfig] = None,
-) -> QuadResult:
-    """Adaptively integrate ``f`` over ``iv``.
+def integrate_1d(f: Expr, iv: Interval, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """Adaptively integrate the 1D expression ``f`` over ``iv``.
 
-    ``f`` is an expression or a scalar callable.  On budget exhaustion the
-    best estimate is still returned with ``converged`` set to False.
-    DomainError from the integrand propagates.
+    On budget exhaustion the best estimate is still returned with
+    ``converged`` set to False.  DomainError from the integrand propagates.
     """
     cfg = cfg or QuadConfig()
-    fv = _as_vector(f, 1)
+    fv = _as_vector(_checked(f, 1, "integrate_1d"))
     return _adaptive(
         lambda pts, owner: fv(pts.ravel()).reshape(pts.shape),
         np.array([iv.lo]),
@@ -530,10 +524,7 @@ def _integrate_slices(
 
 
 def integrate_abs_difference(
-    g: Union[Expr, Callable[[float], float]],
-    h: Union[Expr, Callable[[float], float]],
-    iv: Interval,
-    cfg: Optional[QuadConfig] = None,
+    g: Expr, h: Expr, iv: Interval, cfg: Optional[QuadConfig] = None
 ) -> QuadResult:
     """Integrate ``|g - h|`` over ``iv`` with the kinks split out first.
 
@@ -542,21 +533,15 @@ def integrate_abs_difference(
     No constant prefactor is applied; callers own those.
     """
     cfg = cfg or QuadConfig()
-    if isinstance(g, Expr) and isinstance(h, Expr):
-        diff: Union[Expr, Callable[[float], float]] = difference(g, h)
-    else:
-
-        def diff(t: float) -> float:
-            return g(t) - h(t)
-
-    dv = _as_vector(diff, 1)
+    name = "integrate_abs_difference"
+    dv = _as_vector(difference(_checked(g, 1, name), _checked(h, 1, name)))
     return _integrate_rows(
         lambda ts, rows: np.abs(dv(ts)), [lambda ts, rows: dv(ts)], 1, iv, cfg
     )[0]
 
 
 def integrate_abs_slices(
-    d: Union[Expr, Callable[[float, float], float]],
+    d: Expr,
     along: Axis,
     values: np.ndarray,
     iv: Interval,
@@ -570,7 +555,7 @@ def integrate_abs_slices(
     adaptive wave, so their evaluations of ``d`` are batched.  Each result
     is bit-identical to ``integrate_abs_difference`` run on that slice alone.
     """
-    fv2 = _as_vector(d, 2)
+    fv2 = _as_vector(_checked(d, 2, "integrate_abs_slices"))
     return _integrate_slices(
         lambda xs, ys: np.abs(fv2(xs, ys)), [fv2], along, values, iv, cfg or QuadConfig()
     )
@@ -621,11 +606,7 @@ def _switch_values(switch: Expr) -> Vector2Fn:
     return sv
 
 
-def integrate_2d(
-    f: Union[Expr, Callable[[float, float], float]],
-    box: Box2,
-    cfg: Optional[QuadConfig] = None,
-) -> QuadResult:
+def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Integrate ``f`` over a rectangle as an iterated integral: an adaptive
     outer pass over x, each of whose integrand calls integrates the y-rows
     at its nodes, ``_SLICES_PER_BATCH`` rows at a time.
@@ -634,7 +615,7 @@ def integrate_2d(
     (:attr:`Expr.switches`) changes sign, so a kink crossing the rectangle
     is a breakpoint of every row it meets; the outer interval is cut where
     one changes sign along the bottom or the top edge, which catches kinks
-    along x.  A callable ``f`` has no switching functions and runs unsplit.
+    along x.
 
     ``cfg`` governs the outer pass.  The rows run an order tighter, at
     ``rel_tol / 10`` and ``abs_tol / (10 * width)`` with the same
@@ -645,8 +626,8 @@ def integrate_2d(
     the rule integrates.
     """
     cfg = cfg or QuadConfig()
-    fv2 = _as_vector(f, 2)
-    switches = [_switch_values(s) for s in f.switches] if isinstance(f, Expr) else []
+    fv2 = _as_vector(_checked(f, 2, "integrate_2d"))
+    switches = [_switch_values(s) for s in f.switches]
     row_cfg = QuadConfig(
         rel_tol=cfg.rel_tol / 10.0,
         abs_tol=cfg.abs_tol / 10.0 / box.x.length,

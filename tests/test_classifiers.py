@@ -331,6 +331,13 @@ class TestCoordinate:
         assert lhs == lifted.lhs and rhs == lifted.rhs
         assert lifted.margin == w.margin
 
+    def test_lift_needs_a_known_frozen_axis(self):
+        w = coordinate_check(parse("-(x^2)", 2), BOX, ClassId.JQC1, budget=FAST).witness
+        with pytest.raises(ValueError, match="frozen axis and value"):
+            lift_witness(replace(w, frozen_value=None))
+        with pytest.raises(ValueError, match="unknown axis 'z'"):
+            lift_witness(replace(w, frozen_axis="z"))
+
     def test_coord_dispatch_through_check_membership(self):
         f = parse("x*y", 2)
         v = check_membership(f, BOX, ClassId.COORD_C2, budget=FAST)
@@ -361,6 +368,23 @@ class TestSearchPhases:
         both = check_membership(f, box, ClassId.JQC2, budget=SearchBudget())
         assert both.violated
         assert both.witness.margin > 0.5
+
+    def test_endpoint_only_parameter_grid_is_refused(self):
+        # with t or lam in {0, 1} alone the inequality holds for every f
+        f1, f2 = parse("-(x^2)", 1), parse("-(x^2)", 2)
+        ends = SearchBudget(grid_n=2, halton_count=0, slices=1)
+        for cid in ClassId:
+            f, domain = (f1, Interval(-1, 1)) if cid.arity == 1 else (f2, BOX)
+            if len(cid.param_names) == 1:
+                with pytest.raises(ValueError, match=f"tests the {cid.value} parameter"):
+                    check_membership(f, domain, cid, budget=ends)
+            else:
+                assert not check_membership(f, domain, cid, budget=ends).undefined
+        with pytest.raises(ValueError, match="tests the W1 parameter t only at 0 and 1"):
+            coordinate_check(f2, BOX, ClassId.W1, budget=ends)
+        # one Halton point or a third grid value is enough to run
+        for budget in (replace(ends, halton_count=1), replace(ends, grid_n=3)):
+            assert check_membership(f1, Interval(-1, 1), ClassId.C1, budget=budget).violated
 
     def test_every_class_returns_sound_witnesses(self):
         # one concave bump violates every ClassId (the 1D classes on its 1D

@@ -165,6 +165,45 @@ class TestCheck:
         lhs, rhs = defining_inequality(ClassId.W1, f, p1, p2, candidate["params"])
         assert not math.isfinite(lhs - rhs)
 
+    @pytest.mark.parametrize(
+        "cls", ["C1", "QC1", "W1", "WQC1", "C2", "QC2", "WQC2",
+                "CoordC2", "CoordQC2", "CoordW2", "CoordWQC2"],
+    )
+    def test_endpoint_only_parameter_grid_exits_two(self, capsys, cls):
+        # t or lam in {0, 1} only: every function passes there
+        domain = "-1,1" if cls.endswith("1") else "-1,1,-1,1"
+        code, out, err = run(
+            capsys, "check", "--f", "-(x^2)", "--domain", domain, "--class", cls,
+            "--resolution", "2", "--halton", "0", "--slices", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"tests the {cls} parameter" in err
+
+    @pytest.mark.parametrize(
+        "cls, expr, want",
+        [("W2", "max(x, y)", 1), ("W2-ordered", "x^2+y^2", 0), ("J2", "-(x^2)", 1),
+         ("JQC2", "-(x^2)", 1), ("J1", "-(x^2)", 1), ("JQC1", "x^2", 0)],
+    )
+    def test_side_two_grid_still_runs_other_classes(self, capsys, cls, expr, want):
+        domain = "-1,1" if cls.endswith("1") else "-1,1,-1,1"
+        code, _, err = run(
+            capsys, "check", "--f", expr, "--domain", domain, "--class", cls,
+            "--resolution", "2", "--halton", "0",
+        )
+        assert (code, err) == (want, "")
+
+    def test_overflowing_witness_margin_is_null_in_strict_json(self, capsys):
+        # lhs near 1.6e308 and rhs near -4.2e307: lhs - rhs overflows
+        code, out, _ = run(
+            capsys, "check", "--f", "1.7e308*cos(3.14159*x)", "--domain", "-1,1",
+            "--class", "C1", "--json",
+        )
+        assert code == 1
+        witness = json.loads(out, parse_constant=pytest.fail)["outcome"]["witness"]
+        assert witness["margin"] is None
+        assert witness["lhs"] > witness["rhs"]
+
     def test_check_has_no_seed_flag(self, capsys):
         # the grid and the Halton batch are fixed: a check has nothing to seed
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +272,19 @@ class TestVerify:
             "--domain", "0,1,0,1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("ineq", ["HH1D", "JQC1D", "WQC1D"])
+    def test_non_finite_report_exits_two(self, capsys, ineq):
+        # the integral of x over [0, 1e308] overflows; numpy must not warn
+        # (warnings are errors here) and no NaN or Infinity reaches stdout
+        code, out, err = run(
+            capsys, "verify", "--inequality", ineq, "--f", "x",
+            "--domain", "0,1e308", "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {ineq}: ") and "is not finite (inf)" in err
+        assert err.count("\n") == 1
 
     def test_unknown_inequality_exits_two(self, capsys):
         code, _, err = run(

@@ -11,7 +11,6 @@ from quasiconv import (
     Axis,
     DomainError,
     ExprSyntaxError,
-    evaluate,
     parse,
     restrict,
 )
@@ -95,7 +94,7 @@ class TestParse:
 
 class TestEvaluate:
     def test_product(self):
-        assert evaluate(parse("x*y", 2), 0.5, 0.5) == 0.25
+        assert parse("x*y", 2)(0.5, 0.5) == 0.25
 
     def test_sqrt_negative_domain_error(self):
         e = parse("sqrt(x)", 1)
