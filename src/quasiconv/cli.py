@@ -10,6 +10,7 @@ recorded inputs reproduces the outcome exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,7 +228,15 @@ def cmd_gallery(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones,
+    so callers must not modify it.
+
+    Parsing leaves no state in it: each call starts a fresh namespace,
+    argparse looks up ``sys.stdout``/``sys.stderr`` when it writes, and each
+    ``cmd_*`` reads this module's names when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="quasiconv",
         description=(

@@ -32,7 +32,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi
 
 
 @dataclass(frozen=True)

@@ -221,23 +221,32 @@ def wqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
 # Rectangle chains
 
 
-def _line_means(f: Expr, box: Box2) -> tuple[dict[str, QuadResult], dict[str, float]]:
-    """Means of f along the two midlines and the four edges of the rectangle."""
+_MIDLINES = ("horizontal midline", "vertical midline")
+_EDGES = ("bottom edge", "top edge", "left edge", "right edge")
+
+
+def _line_means(
+    f: Expr, box: Box2, names: tuple[str, ...]
+) -> tuple[dict[str, QuadResult], dict[str, float]]:
+    """Means of f along the named lines of the rectangle, out of its two
+    midlines and four edges.  Only those lines are integrated, so f need
+    not be defined on the others."""
     a, b, c, d = box.bounds
+    lines = {
+        "horizontal midline": (Axis.Y, box.y.midpoint, box.x),
+        "vertical midline": (Axis.X, box.x.midpoint, box.y),
+        "bottom edge": (Axis.Y, c, box.x),
+        "top edge": (Axis.Y, d, box.x),
+        "left edge": (Axis.X, a, box.y),
+        "right edge": (Axis.X, b, box.y),
+    }
     results: dict[str, QuadResult] = {}
     means: dict[str, float] = {}
-
-    def add(name: str, fn: Expr, iv: Interval) -> None:
-        q = integrate_1d(fn, iv)
+    for name in names:
+        axis, at, iv = lines[name]
+        q = integrate_1d(restrict(f, axis, at), iv)
         results[name] = q
         means[name] = q.value / iv.length
-
-    add("horizontal midline", restrict(f, Axis.Y, box.y.midpoint), box.x)
-    add("vertical midline", restrict(f, Axis.X, box.x.midpoint), box.y)
-    add("bottom edge", restrict(f, Axis.Y, c), box.x)
-    add("top edge", restrict(f, Axis.Y, d), box.x)
-    add("left edge", restrict(f, Axis.X, a), box.y)
-    add("right edge", restrict(f, Axis.X, b), box.y)
     return results, means
 
 
@@ -247,7 +256,7 @@ def coord_convex_chain(f: Expr, box: Box2) -> InequalityReport:
     The chain is sharp for functions affine in each variable."""
     a, b, c, d = box.bounds
     t1 = f(box.x.midpoint, box.y.midpoint)
-    line_results, line_means = _line_means(f, box)
+    line_results, line_means = _line_means(f, box, _MIDLINES + _EDGES)
     t2 = 0.5 * (line_means["horizontal midline"] + line_means["vertical midline"])
     q2 = integrate_2d(f, box)
     t3 = q2.value / box.area
@@ -320,7 +329,7 @@ def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
     ``QuadConfig`` cannot say both, and the fixed pair keeps H two orders
     inside ``VERIFY_TOL``.
     """
-    line_results, line_means = _line_means(f, box)
+    line_results, line_means = _line_means(f, box, _MIDLINES)
     mean_h = line_means["horizontal midline"]
     mean_v = line_means["vertical midline"]
     lhs = 0.5 * (mean_h + mean_v)
@@ -374,7 +383,7 @@ def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
 def thm_wqc_coord(f: Expr, box: Box2) -> InequalityReport:
     """Double integral mean <= half-sum of the two maxima of opposite edge
     means, for f Wright-quasi-convex on the co-ordinates."""
-    line_results, line_means = _line_means(f, box)
+    line_results, line_means = _line_means(f, box, _EDGES)
     q2 = integrate_2d(f, box)
     double_mean = q2.value / box.area
     max_x_edges = max(line_means["bottom edge"], line_means["top edge"])
@@ -395,16 +404,13 @@ def thm_wqc_coord(f: Expr, box: Box2) -> InequalityReport:
         line_results["left edge"].abs_error_estimate / box.y.length,
         line_results["right edge"].abs_error_estimate / box.y.length,
     ]
-    edge_names = ("bottom edge", "top edge", "left edge", "right edge")
-    converged = q2.converged and all(line_results[n].converged for n in edge_names)
+    converged = q2.converged and all(r.converged for r in line_results.values())
     return _report(
         "THM_2_4",
         [("double integral mean", double_mean), ("half-sum of edge maxima", rhs)],
         quad_errors,
         converged,
-        components={
-            name: line_means[name] for name in edge_names
-        },
+        components=dict(line_means),
         sides=sides,
     )
 

@@ -160,8 +160,8 @@ def _gk15_panels(
     block gets products of its own: a panel's value then does not depend on
     what other pieces share the call.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    mid = 0.5 * lo + 0.5 * hi
+    half = 0.5 * hi - 0.5 * lo
     ys = fv(mid[:, None] + half[:, None] * _NODES, owner)
     if len(counts) == 1:
         k15, g7, resabs = ys @ _WK, ys[:, _GAUSS_IDX] @ _WG, np.abs(ys) @ _WK
@@ -207,12 +207,17 @@ class _Piece:
         """The panels (a, b, value, err) to split next; none once finished."""
         if self.total_err <= max(self.abs_tol, cfg.rel_tol * abs(self.total_val)):
             return []
+        if not math.isfinite(self.total_err):
+            # an overflowed running total stays inf or NaN, so it can never
+            # meet the tolerance: splitting on would only spend the budget
+            self.converged = False
+            return []
         heap = self.heap
         split: list[tuple[float, float, float, float]] = []
         limit = min(_WAVE, cfg.max_subdivisions - self.nseg)
         while heap and len(split) < limit:
             neg_err, _, a, b, v, e = heapq.heappop(heap)
-            m = 0.5 * (a + b)
+            m = 0.5 * a + 0.5 * b
             if m <= a or m >= b:
                 # cannot split further at double precision; freeze this panel
                 self.done.append((v, e))
@@ -229,7 +234,7 @@ class _Piece:
     def update(self, split: list, vals: list[float], errs: list[float]) -> None:
         """Replace each split panel by its two halves, valued in ``vals``/``errs``."""
         for i, (a, b, v, e) in enumerate(split):
-            m = 0.5 * (a + b)
+            m = 0.5 * a + 0.5 * b
             self.total_val += vals[2 * i] + vals[2 * i + 1] - v
             self.total_err += errs[2 * i] + errs[2 * i + 1] - e
             for lo, hi, j in ((a, m, 2 * i), (m, b, 2 * i + 1)):
@@ -263,8 +268,8 @@ def _adaptive(
     Per piece: ``initial_panels`` equal panels, then waves that split up to
     ``_WAVE`` of the worst panels at once, stopping a wave early at panels
     under 2% of the piece's total error estimate, until the total error
-    meets tolerance or ``max_subdivisions`` panels are reached (the result
-    is then flagged not converged).
+    meets tolerance, overflows, or ``max_subdivisions`` panels are reached
+    (the result is then flagged not converged).
     """
     # Panels near the float range overflow to inf and NaN; they reach the
     # result, whose caller decides, so numpy is not to warn about them.
@@ -308,7 +313,7 @@ def _adaptive(
             highs: list[float] = []
             for _, split in waves:
                 for a, b, _, _ in split:
-                    m = 0.5 * (a + b)
+                    m = 0.5 * a + 0.5 * b
                     lows += (a, m)
                     highs += (m, b)
             counts = [2 * len(split) for _, split in waves]
@@ -383,7 +388,7 @@ def _bisect_roots(
         except DomainError:
             live = _bisect_steps(d, rows, lo, hi, neg, root, found, live, 1, tol)
     rest = ~found
-    root[rest] = 0.5 * (lo[rest] + hi[rest])
+    root[rest] = 0.5 * lo[rest] + 0.5 * hi[rest]
     return root
 
 
@@ -406,7 +411,7 @@ def _bisect_steps(
     for _ in range(levels):
         finer = np.empty((live.size, 2 * pts.shape[1] - 1))
         finer[:, 0::2] = pts
-        finer[:, 1::2] = 0.5 * (pts[:, :-1] + pts[:, 1:])
+        finer[:, 1::2] = 0.5 * pts[:, :-1] + 0.5 * pts[:, 1:]
         pts = finer
     inner = pts[:, 1:-1]
     dv = d(inner.ravel(), np.repeat(rows[live], inner.shape[1])).reshape(inner.shape)

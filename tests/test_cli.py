@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -286,6 +287,27 @@ class TestVerify:
         assert err.startswith(f"error: {ineq}: ") and "is not finite (inf)" in err
         assert err.count("\n") == 1
 
+    def test_unreported_line_need_not_be_defined(self, capsys):
+        # THM_2_4 reports the four edges; f is undefined on the midline x = 0
+        code, out, err = run(
+            capsys, "verify", "--inequality", "THM_2_4", "--f", "log(abs(x)) + y",
+            "--domain", "-1,1,-1,1",
+        )
+        assert code == 0
+        assert "half-sum of edge maxima" in out
+        assert err == ""
+
+    def test_box_near_the_float_maximum_names_no_outside_point(self, capsys):
+        # the midpoints of [0, 1e308] are finite, so f is never evaluated
+        # outside the box; the overflowing means are refused by name
+        code, out, err = run(
+            capsys, "verify", "--inequality", "CHAIN1_6", "--f", "x*y",
+            "--domain", "0,1,0,1e308",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: CHAIN1_6: average of midline means is not finite (inf)\n"
+
     def test_unknown_inequality_exits_two(self, capsys):
         code, _, err = run(
             capsys, "verify", "--inequality", "NOPE", "--f", "x", "--domain", "0,1"
@@ -376,6 +398,80 @@ class TestSearchAndGallery:
         assert record["outcome"]["all_ok"] is True
 
 
+class TestSharedParser:
+    """``main`` builds its parser once per process; later calls share it and
+    must behave as if each had a parser of its own."""
+
+    CHECK = ["check", "--f", "x^2", "--domain", "0,1", "--class", "C1",
+             "--resolution", "5", "--halton", "16"]
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        made = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        try:
+            codes = [run(capsys, *self.CHECK)[0] for _ in range(3)]
+            codes.append(run(capsys, "verify", "--inequality", "HH1D", "--f", "x^2",
+                             "--domain", "0,1")[0])
+        finally:
+            cli.build_parser.cache_clear()
+        assert codes == [0, 0, 0, 0]
+        # one tree: the top-level parser and its four subcommands
+        assert made.count("quasiconv") == 1
+        assert len(made) == 5
+
+    def test_json_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, *self.CHECK, "--json")
+        assert code == 0
+        assert json.loads(out)["command"] == "check"
+        code, out, _ = run(capsys, *self.CHECK)
+        assert code == 0
+        assert out.startswith("no violation found at resolution")
+
+    def test_seed_does_not_stick(self, capsys):
+        search = ["search", "--in", "QC2", "--not-in", "C2", "--trials", "2", "--json"]
+        seeds = []
+        for extra in (["--seed", "5"], []):
+            _, out, _ = run(capsys, *search, *extra)
+            seeds.append(json.loads(out)["config"]["seed"])
+        assert seeds == [5, 0]
+
+    def test_usage_error_between_good_calls(self, capsys):
+        assert run(capsys, *self.CHECK)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--f", "x^2", "--domain", "0,1"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --class" in capsys.readouterr().err
+        code, out, err = run(capsys, *self.CHECK)
+        assert code == 0
+        assert "no violation found" in out and err == ""
+
+    def test_help_after_earlier_calls(self, capsys):
+        assert run(capsys, *self.CHECK)[0] == 0
+        code, out, _ = run(capsys)
+        assert code == 2
+        assert out.startswith("usage: quasiconv")
+        assert "{check,verify,search,gallery}" in out
+
+    def test_substitute_bound_after_the_first_call_is_called(self, monkeypatch, capsys):
+        assert run(capsys, *self.CHECK)[0] == 0
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "check_membership", crash)
+        code, out, err = run(capsys, *self.CHECK)
+        assert code == 3
+        assert err.splitlines()[-1] == "internal error: RuntimeError: injected fault"
+        assert out == ""
+
+
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2
@@ -404,7 +500,8 @@ def test_layer_tracer_counts_batched_quadrature(capsys):
     quad_lanes = verify_totals["expressions.eval_array"]["lanes"]
     # the first outer call of each chord correction scans 120 nodes x 257
     assert quad_lanes >= 2 * 120 * 257
-    assert verify_totals["quadrature.integrate_1d"]["calls"] >= 4
+    # the two midlines: THM_2_1 integrates no edge
+    assert verify_totals["quadrature.integrate_1d"]["calls"] == 2
     assert verify_totals["quadrature.integrate_2d"]["calls"] == 1
     totals = tracer.totals()
     assert totals["classifiers.check"]["calls"] == 1

@@ -189,6 +189,55 @@ class TestThmWqcCoord:
         assert rep.term_values()[1] == pytest.approx(float(Fraction(4, 3)), abs=1e-9)
 
 
+class TestLineIntegrals:
+    """Each rectangle report integrates only the midlines and edges it
+    reports, so f need not be defined on the others."""
+
+    # x and y intervals differ, and f = x + 100*y tells the lines apart:
+    # a line at y = c restricts to t + 100*c, a line at x = a to a + 100*t
+    BOX = Box2.from_bounds(-1, 3, 10, 14)
+    H_MID, V_MID = (1200.0, BOX.x), (1.0, BOX.y)
+    BOTTOM, TOP = (1000.0, BOX.x), (1400.0, BOX.x)
+    LEFT, RIGHT = (-1.0, BOX.y), (3.0, BOX.y)
+
+    def integrated_lines(self, monkeypatch, report):
+        from quasiconv import inequalities
+
+        seen = []
+        real = inequalities.integrate_1d
+
+        def spy(fn, iv, *args):
+            seen.append((fn(0.0), iv))
+            return real(fn, iv, *args)
+
+        monkeypatch.setattr(inequalities, "integrate_1d", spy)
+        report(parse("x + 100*y", 2), self.BOX)
+        return seen
+
+    def test_thm_jqc_integrates_the_midlines(self, monkeypatch):
+        got = self.integrated_lines(monkeypatch, thm_jqc_coord)
+        assert got == [self.H_MID, self.V_MID]
+
+    def test_thm_wqc_integrates_the_edges(self, monkeypatch):
+        got = self.integrated_lines(monkeypatch, thm_wqc_coord)
+        assert got == [self.BOTTOM, self.TOP, self.LEFT, self.RIGHT]
+
+    def test_chain_integrates_all_six(self, monkeypatch):
+        got = self.integrated_lines(monkeypatch, coord_convex_chain)
+        assert got == [self.H_MID, self.V_MID, self.BOTTOM, self.TOP, self.LEFT, self.RIGHT]
+
+    def test_undefined_midline_is_not_integrated(self):
+        # log(abs(x)) is undefined on the vertical midline x = 0 alone
+        f = parse("log(abs(x)) + y", 2)
+        box = Box2.from_bounds(-1, 1, -1, 1)
+        rep = thm_wqc_coord(f, box)
+        assert rep.term_values() == pytest.approx([-1.0, 0.0], abs=1e-8)
+        assert rep.components["bottom edge"] == pytest.approx(-2.0, abs=1e-8)
+        assert all(rep.holds)
+        with pytest.raises(DomainError):
+            coord_convex_chain(f, box)
+
+
 class TestMaxIdentity:
     def test_simple(self):
         assert max_identity(3, 5) == 5.0

@@ -314,6 +314,100 @@ class TestBatchedPanels:
             at += n
 
 
+class TestOverflowSafeMidpoints:
+    """Midpoints and half-widths halve each endpoint before they combine
+    them, so panels and brackets near the float maximum keep finite points
+    inside themselves, with the summed form's bits elsewhere."""
+
+    def test_panel_nodes_stay_inside_past_the_float_maximum(self):
+        from quasiconv.quadrature import _gk15_panels
+
+        seen = []
+
+        def fv(pts, owner):
+            seen.append(pts.copy())
+            return np.ones_like(pts)
+
+        lo = np.array([1e308, -1.7e308, 0.9e308])
+        hi = np.array([1.7e308, -1e308, 1.79e308])
+        vals, _ = _gk15_panels(fv, lo, hi, np.arange(3), [1, 1, 1])
+        (pts,) = seen
+        assert np.isfinite(pts).all()
+        assert ((pts >= lo[:, None]) & (pts <= hi[:, None])).all()
+        assert vals.tolist() == pytest.approx((hi - lo).tolist(), rel=1e-14)
+
+    def test_kinked_integral_near_the_float_maximum(self, monkeypatch):
+        # the kink at 1.3e308 needs splits, whose midpoints overflowed too
+        from quasiconv import quadrature
+
+        lanes = []
+        real = quadrature.eval_array
+
+        def spy(f, *coords, **kwargs):
+            lanes.append(coords[0])
+            return real(f, *coords, **kwargs)
+
+        monkeypatch.setattr(quadrature, "eval_array", spy)
+        lo, hi = 1e308, 1.7e308
+        q = integrate_1d(parse("abs(x / 1e308 - 1.3)", 1), Interval(lo, hi))
+        assert q.converged and q.subdivisions > 8
+        assert all(np.isfinite(t).all() and (t >= lo).all() and (t <= hi).all() for t in lanes)
+        assert q.value == pytest.approx(0.125e308, rel=1e-9)
+
+    def test_bisection_near_the_float_maximum(self):
+        from quasiconv.quadrature import _bisect_roots
+
+        # a step is never exactly zero, so the bracket closes to adjacent
+        # floats and the root is its final midpoint
+        def d(ts, rows):
+            return np.where(ts > 1.3e308, 1.0, -1.0)
+
+        lo, hi = np.array([1e308]), np.array([1.7e308])
+        root = _bisect_roots(d, np.array([0]), lo, hi, d(lo, None))
+        assert abs(root[0] - 1.3e308) <= 1e-15 * 1.3e308
+
+    def test_interval_midpoint_near_the_float_maximum(self):
+        assert Interval(1e308, 1.7e308).midpoint == 1.35e308
+        assert Interval(-1.7e308, -1e308).midpoint == -1.35e308
+
+    def test_same_bits_as_the_summed_form_on_normal_endpoints(self):
+        from quasiconv.quadrature import _NODES, _gk15_panels
+
+        rng = np.random.default_rng(2024)
+        n = 4000
+        lo = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)
+        hi = lo + rng.uniform(0, 1, n) * 10.0 ** rng.integers(-300, 300, n)
+        # halving is exact only while the halves stay normal
+        keep = (lo < hi) & (np.abs(lo) > 1e-300) & (np.abs(hi) > 1e-300)
+        lo, hi = lo[keep], hi[keep]
+        seen = []
+
+        def fv(pts, owner):
+            seen.append(pts.copy())
+            return np.zeros_like(pts)
+
+        _gk15_panels(fv, lo, hi, np.zeros(lo.size, dtype=int), [lo.size])
+        want = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = want[:, None] + half[:, None] * _NODES
+        assert seen[0].view(np.int64).tolist() == nodes.view(np.int64).tolist()
+        mids = np.array([Interval(a, b).midpoint for a, b in zip(lo.tolist(), hi.tolist())])
+        assert mids.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestOverflowedTotals:
+    """A piece whose running total overflowed can never meet its tolerance;
+    it stops at once, flagged not converged, instead of spending its budget."""
+
+    def test_1d_stops_at_the_initial_panels(self):
+        q = integrate_1d(parse("x", 1), Interval(0, 1e308))
+        assert (q.subdivisions, q.converged, q.value) == (8, False, math.inf)
+
+    def test_2d_rows_and_outer_pass_stop(self):
+        q = integrate_2d(parse("x*y", 2), Box2.from_bounds(0, 1, 0, 1e308))
+        assert (q.subdivisions, q.converged, q.value) == (8, False, math.inf)
+
+
 def _plain_bisection(d, lo, hi, tol=1e-12):
     """Reference: one bracket, one midpoint per evaluation."""
     dlo = d(lo)
