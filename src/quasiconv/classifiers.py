@@ -830,7 +830,14 @@ class _Screen:
         self.best = [-1] * slices
         self.bad = [-1] * slices
 
-    def scan(self, shape: tuple[int, ...], id0: int, views: list, lanes: Callable) -> bool:
+    def scan(
+        self,
+        shape: tuple[int, ...],
+        id0: int,
+        views: list,
+        lanes: Callable,
+        mirror: Optional[tuple[int, int]] = None,
+    ) -> bool:
         """Screen a C-order tensor of ``shape``, slices on its first axis,
         in slabs in id order; a slice's ids start at ``id0``.
 
@@ -839,25 +846,35 @@ class _Screen:
         ``lanes(parts, chunk)`` gives (margin, violating, undefined) on the
         slab of shape ``chunk``, ``parts`` being the ``views``, arrays that
         broadcast to ``shape``, cut down to it.  Returns True at the first
-        slab with an undefined lane, where it stops."""
+        slab with an undefined lane, where it stops.
+
+        ``mirror`` names the axes (a, b) of x1 and x2 when a candidate and
+        its twin, the two points swapped, have one margin.  Where a slab
+        fixes a and spans or fixes b, its lanes with index b below index a
+        are skipped: each one's twin has the lower id and is screened."""
         j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
         rest = shape[j + 1 :]
         step = min(shape[j], _CHUNK // math.prod(rest))
-        per = math.prod(shape[1:])
+        strides = [math.prod(shape[a + 1 :]) for a in range(j + 1)]
+        a, b = mirror if mirror is not None and mirror[1] <= j else (None, None)
         # the axes up to j that each view spans rather than broadcasts on
         spans = [[size > 1 for size in v.shape[: j + 1]] for v in views]
-        flat = 0
         for prefix in itertools.product(*map(range, shape[:j])):
+            first = 0
+            if b == j:
+                first = prefix[a]
+            elif b is not None and prefix[b] < prefix[a]:
+                continue
             heads = [
                 v[tuple(i if full else 0 for i, full in zip(prefix, span))]
                 for v, span in zip(views, spans)
             ]
-            for lo in range(0, shape[j], step):
+            flat = sum(i * stride for i, stride in zip(prefix, strides))
+            for lo in range(first, shape[j], step):
                 hi = min(lo + step, shape[j])
                 parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
                 margin, viol, bad = lanes(parts, (hi - lo,) + rest)
-                s, at = divmod(flat, per)
-                flat += margin.size
+                s, at = divmod(flat + lo * strides[j], strides[0])
                 rows = hi - lo if j == 0 else 1
                 if self._add(
                     s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
@@ -1112,7 +1129,9 @@ def _screen(
         )
 
     views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or ())]
-    if live_slices and screen.scan((live_slices,) + grid_shape, 0, views, grid_lanes):
+    # these templates are symmetric in (p1, p2), bit for bit
+    mirror = (1, 1 + d) if kind in ("J", "JQC", "W", "WQC") else None
+    if live_slices and screen.scan((live_slices,) + grid_shape, 0, views, grid_lanes, mirror):
         live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
     halton: list = []
     if m > 0 and live_slices:

@@ -164,6 +164,24 @@ def _report(
 # 1D bounds
 
 
+def _on_chord(f: Expr, err: DomainError, along: Axis, a: float, b: float) -> DomainError:
+    """``err``, raised by the chord difference of f between ``a`` and ``b``
+    at the parameter t it read from the ``along`` slot, restated at f's own
+    point: f's error at the first of the chord points t*a + (1-t)*b and
+    (1-t)*a + t*b where f fails, or ``err`` itself when f fails at neither
+    (the difference overflowed)."""
+    if err.point is None:
+        return err
+    k = 0 if along is Axis.X else 1
+    t = err.point[k]
+    for u in (t * a + (1.0 - t) * b, (1.0 - t) * a + t * b):
+        try:
+            f(*err.point[:k], u, *err.point[k + 1 :])
+        except DomainError as failure:
+            return failure
+    return err
+
+
 def hadamard_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Midpoint value <= integral mean <= endpoint average (for convex f)."""
     mid_val = f(iv.midpoint)
@@ -190,7 +208,10 @@ def jqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
     mean = q.value / iv.length
     g = chord_substitution(f, Axis.X, iv.lo, iv.hi)
     h = chord_substitution(f, Axis.X, iv.lo, iv.hi, reverse=True)
-    qI = integrate_abs_difference(g, h, _UNIT, _INNER_CFG)
+    try:
+        qI = integrate_abs_difference(g, h, _UNIT, _INNER_CFG)
+    except DomainError as err:
+        raise _on_chord(f, err, Axis.X, iv.lo, iv.hi) from None
     correction = 0.5 * qI.value
     rhs = mean + correction
     return _report(
@@ -308,11 +329,14 @@ def _chord_correction_2d(f: Expr, box: Box2, along: Axis) -> tuple[float, float,
         chord_substitution(f, along, lo, hi),
         chord_substitution(f, along, lo, hi, reverse=True),
     )
-    q = integrate_nested(
-        lambda vs: integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG),
-        outer_iv,
-        _OUTER_CFG,
-    )
+    try:
+        q = integrate_nested(
+            lambda vs: integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG),
+            outer_iv,
+            _OUTER_CFG,
+        )
+    except DomainError as err:
+        raise _on_chord(f, err, along, lo, hi) from None
     return q.value, q.abs_error_estimate, q.converged
 
 

@@ -179,6 +179,16 @@ def _gk15_panels(
     return k15, err
 
 
+def _exact_sum(values: list[float]) -> float:
+    """``math.fsum`` of ``values``: their exact sum, rounded once.  Where
+    finite values overflow on the way and fsum raises OverflowError, inf
+    with the sign of their float sum, so that the result is not finite."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.copysign(math.inf, sum(values))
+
+
 class _Piece:
     """Adaptive state of one piece: a max-heap of its panels by error
     estimate (ties by insertion order), the frozen panels and the totals."""
@@ -245,11 +255,11 @@ class _Piece:
             self.nseg += 1
 
     def result(self) -> QuadResult:
-        # fsum is exact, so the order of the panels does not matter
+        # the sum is exact, so the order of the panels does not matter
         panels = [(v, e) for _, _, _, _, v, e in self.heap] + self.done
         return QuadResult(
-            math.fsum(v for v, _ in panels),
-            math.fsum(e for _, e in panels),
+            _exact_sum([v for v, _ in panels]),
+            _exact_sum([e for _, e in panels]),
             self.nseg,
             self.converged,
         )
@@ -490,8 +500,8 @@ def _integrate_rows(
         at += n
         out.append(
             QuadResult(
-                math.fsum(r.value for r in rs),
-                math.fsum(r.abs_error_estimate for r in rs),
+                _exact_sum([r.value for r in rs]),
+                _exact_sum([r.abs_error_estimate for r in rs]),
                 sum(r.subdivisions for r in rs),
                 all(r.converged for r in rs),
             )

@@ -434,6 +434,8 @@ class TestW2Readings:
 
 
 REF_BUDGET = SearchBudget(grid_n=4, halton_count=16, refine_iters=0)
+REF_INTERVAL = Interval(-1.0, 0.8)
+REF_BOX = Box2.from_bounds(-1.0, 0.8, -0.6, 1.0)
 # + - * abs min max only: the scalar and vector evaluators agree bit for bit
 REF_FUNCTIONS_1D = ("abs(x - 0.25) - 0.5*x*x", "x*x", "min(x, 0.3) - abs(x)*x")
 REF_FUNCTIONS_2D = (
@@ -441,12 +443,21 @@ REF_FUNCTIONS_2D = (
     "x*x + y*y",
     "min(x, y)*abs(y) - 0.25*x",
 )
+# defined on REF_INTERVAL's and REF_BOX's grid points, undefined at some of
+# the points a pair mixes to: around x = -0.1, between the grid values -0.4
+# and 0.2, and in 2D also around y = 0.2
+REF_MIXED_HOLE_1D = "sqrt(abs(x + 0.1) - 0.15)"
+REF_MIXED_HOLE_2D = "sqrt(abs(x + 0.1) + abs(y - 0.2) - 0.25)"
+# the joint classes whose template is symmetric in (p1, p2)
+MIRRORED = [c for c in ClassId if c.kind in ("J", "JQC", "W", "WQC") and not c.is_coordinate]
 
 
 def reference_screen(f, domain, cid, budget):
     """Plain-loop oracle of ``check_membership`` with no refinement: every
     candidate in id order (the tensor grid, then the Halton batch) through
-    the scalar template.  Returns (status, samples, witness)."""
+    the scalar template.  Returns (status, samples, witness), or
+    ("undefined", samples, point) at the first candidate where the
+    template raises DomainError."""
     ivs = [domain] if isinstance(domain, Interval) else [domain.x, domain.y]
     d, names = len(ivs), cid.param_names
     n, m = budget.grid_n, budget.halton_count
@@ -472,7 +483,10 @@ def reference_screen(f, domain, cid, budget):
     for p1, p2, params in candidates:
         if cid is ClassId.W2_ORDERED and any(a > b for a, b in zip(p1, p2)):
             continue
-        lhs, rhs = defining_inequality(cid, f, p1, p2, params)
+        try:
+            lhs, rhs = defining_inequality(cid, f, p1, p2, params)
+        except DomainError as err:
+            return "undefined", samples, err.point
         margin = lhs - rhs
         if margin > violation_tolerance(lhs, rhs) and (best is None or margin > best[0]):
             best = (margin, p1, p2, params)
@@ -487,9 +501,9 @@ class TestReferenceScreen:
     )
     def test_engine_matches_plain_loop(self, cid):
         if cid.arity == 1:
-            texts, dom = REF_FUNCTIONS_1D, Interval(-1.0, 0.8)
+            texts, dom = REF_FUNCTIONS_1D, REF_INTERVAL
         else:
-            texts, dom = REF_FUNCTIONS_2D, Box2.from_bounds(-1.0, 0.8, -0.6, 1.0)
+            texts, dom = REF_FUNCTIONS_2D, REF_BOX
         for text in texts:
             f = parse(text, cid.arity)
             status, samples, witness = reference_screen(f, dom, cid, REF_BUDGET)
@@ -497,6 +511,80 @@ class TestReferenceScreen:
             assert (got.status, got.samples) == (status, samples), text
             # repr compares every witness field bit for bit
             assert repr(got.witness) == repr(witness), text
+
+    @pytest.mark.parametrize("chunk", [1, 4, 16, 64, 100, 255])
+    @pytest.mark.parametrize("cid", MIRRORED, ids=lambda c: c.value)
+    def test_mirrored_skip_matches_plain_loop(self, monkeypatch, cid, chunk):
+        # the grid scan skips a mirrored pair whose x2 index is below its x1
+        # index wherever the slab or its prefix fixes both; at REF_BUDGET the
+        # chunks put x2 on the slab axis (W2: 64, 100, 255; WQC2: 16; J2,
+        # JQC2: 4; W1, WQC1: 4; J1, JQC1: 1) and in the prefix (W2: 1, 4,
+        # 16; WQC2: 1, 4; J2, JQC2: 1; W1, WQC1: 1)
+        monkeypatch.setattr(classifiers, "_CHUNK", chunk)
+        if cid.arity == 1:
+            cases = [(t, REF_INTERVAL) for t in (*REF_FUNCTIONS_1D, REF_MIXED_HOLE_1D)]
+        else:
+            cases = [(t, REF_BOX) for t in (*REF_FUNCTIONS_2D, REF_MIXED_HOLE_2D)]
+            # on a symmetric box a concave bump ties many distinct pairs
+            cases.append(("-(x*x) - y*y", BOX))
+        for text, dom in cases:
+            f = parse(text, cid.arity)
+            status, samples, found = reference_screen(f, dom, cid, REF_BUDGET)
+            got = check_membership(f, dom, cid, budget=REF_BUDGET)
+            assert (got.status, got.samples) == (status, samples), text
+            assert repr(got.point if got.undefined else got.witness) == repr(found), text
+
+    def test_mixed_hole_is_undefined_on_the_grid(self):
+        # the skip is seen to keep the first undefined candidate of a grid
+        # only if the grid reaches one
+        for cid in MIRRORED:
+            text, dom = (REF_MIXED_HOLE_1D, REF_INTERVAL) if cid.arity == 1 else (
+                REF_MIXED_HOLE_2D, REF_BOX)
+            status, _, _ = reference_screen(
+                parse(text, cid.arity), dom, cid, replace(REF_BUDGET, halton_count=0)
+            )
+            assert status == "undefined", cid.value
+
+    def test_w2_grid_evaluates_each_mirrored_pair_once(self, monkeypatch):
+        # with slabs of 64 lanes x2 is W2's slab axis: each x1 index i
+        # screens x2 from i on, 4 * (4 + 3 + 2 + 1) * 64 = 2,560 lanes per
+        # chord point instead of 4^6 = 4,096
+        lanes = []
+
+        def counted(f, *coords, **kwargs):
+            lanes.append(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+            return eval_array(f, *coords, **kwargs)
+
+        eval_array = classifiers.eval_array
+        monkeypatch.setattr(classifiers, "_CHUNK", 64)
+        monkeypatch.setattr(classifiers, "eval_array", counted)
+        f = parse("x*x + y*y", 2)
+        got = check_membership(f, REF_BOX, ClassId.W2, budget=REF_BUDGET)
+        assert got.no_violation_found and got.samples == 4**6 - 4**4 + 16
+        sizes = [math.prod(shape) for shape in lanes]
+        # f on the 16 grid points, then one call per slab and chord point,
+        # then f at both ends and both chord points of the 16 Halton pairs
+        assert sizes == [16] + [64] * (2 * 2560 // 64) + [32, 32]
+
+    @pytest.mark.parametrize("cid", MIRRORED, ids=lambda c: c.value)
+    def test_templates_are_symmetric_in_the_pair(self, cid):
+        # the fact the skip rests on: swapping p1 and p2 changes neither
+        # side.  == rather than bits: a QC max of 0.0 and -0.0 returns the
+        # first, and such a zero margin never clears the tolerance
+        rng = np.random.default_rng(1914)
+        texts = (
+            "-(x^2) - y^2", "abs(x - 0.3)*y", "sqrt(x*x + y*y + 0.1)", "exp(x)*sin(3*y)",
+            "max(x*y, x - y) - abs(x + 0.5*y)", "log(1 + x*x) - floor(2*y)", "x*x + y*y",
+        )
+        for text in texts:
+            f = parse(text if cid.arity == 2 else text.replace("y", "x"), cid.arity)
+            for _ in range(300):
+                p1, p2 = (rng.uniform(-2, 2, cid.arity).tolist() for _ in range(2))
+                if rng.random() < 0.2:
+                    p2[0] = p1[0]  # pairs that share a co-ordinate
+                params = {name: float(rng.random()) for name in cid.param_names}
+                want = defining_inequality(cid, f, p1, p2, params)
+                assert defining_inequality(cid, f, p2, p1, params) == want, (text, p1, p2)
 
     def test_chunk_size_does_not_change_verdicts(self, monkeypatch):
         cases = [

@@ -287,6 +287,37 @@ class TestVerify:
         assert err.startswith(f"error: {ineq}: ") and "is not finite (inf)" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "ineq, domain",
+        [("HH1D", "0,100"), ("JQC1D", "0,100"), ("WQC1D", "0,100"), ("THM_2_4", "0,100,0,100")],
+    )
+    def test_panels_summing_past_the_float_range_exit_two(self, capsys, ineq, domain):
+        # every panel of the constant 1e307 is finite, their sum is not
+        code, out, err = run(
+            capsys, "verify", "--inequality", ineq, "--f", "1e307", "--domain", domain
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {ineq}: ") and "is not finite (inf)" in err
+
+    @pytest.mark.parametrize(
+        "ineq, expr, domain, point",
+        [
+            ("THM_2_1", "log(y + 1) + x", "-1,1,-1,1", "(-0.9989319213901016, -1.0)"),
+            ("JQC1D", "log(x + 1)", "-1,1", "(-1.0,)"),
+            ("JQC1D", "log(1 - x)", "-1,1", "(1.0,)"),
+        ],
+    )
+    def test_chord_correction_names_the_point_of_f(self, capsys, ineq, expr, domain, point):
+        # the chord difference fails at its parameter t; the message gives
+        # the chord end where f itself fails
+        code, out, err = run(
+            capsys, "verify", "--inequality", ineq, "--f", expr, "--domain", domain
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: log of non-positive value 0.0 at {point}\n"
+
     def test_unreported_line_need_not_be_defined(self, capsys):
         # THM_2_4 reports the four edges; f is undefined on the midline x = 0
         code, out, err = run(

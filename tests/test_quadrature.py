@@ -17,7 +17,7 @@ from quasiconv import (
     integrate_abs_difference,
     parse,
 )
-from quasiconv.quadrature import integrate_abs_slices
+from quasiconv.quadrature import _exact_sum, integrate_abs_slices
 
 
 def exact_poly_integral(coeffs, lo, hi):
@@ -406,6 +406,31 @@ class TestOverflowedTotals:
     def test_2d_rows_and_outer_pass_stop(self):
         q = integrate_2d(parse("x*y", 2), Box2.from_bounds(0, 1, 0, 1e308))
         assert (q.subdivisions, q.converged, q.value) == (8, False, math.inf)
+
+
+class TestOverflowingSums:
+    """Finite panels or pieces whose exact sum lies past the float range sum
+    to inf, where ``math.fsum`` raises OverflowError."""
+
+    def test_exact_sum_keeps_the_bits_of_fsum(self):
+        rng = np.random.default_rng(307)
+        for _ in range(200):
+            values = (rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20)).tolist()
+            assert repr(_exact_sum(values)) == repr(math.fsum(values))
+
+    def test_exact_sum_overflows_to_a_signed_inf(self):
+        assert _exact_sum([1e308, 1e308]) == math.inf
+        assert _exact_sum([-1e308, -1e308, 1.0]) == -math.inf
+
+    def test_1d_panels_past_the_float_range(self):
+        # 100 panels' worth of 1e307, each finite
+        assert integrate_1d(parse("1e307", 1), Interval(0, 100)).value == math.inf
+
+    def test_2d_row_pieces_past_the_float_range(self):
+        # each row is cut at y = 15 into two pieces of 1.5e308; their sum
+        # overflows in the per-row sum
+        q = integrate_2d(parse("1e307 + 0*abs(y - 15)", 2), Box2.from_bounds(0, 1, 0, 30))
+        assert q.value == math.inf and not q.converged
 
 
 def _plain_bisection(d, lo, hi, tol=1e-12):
