@@ -849,47 +849,68 @@ class _Screen:
         slab with an undefined lane, where it stops.
 
         ``mirror`` names the axes (a, b) of x1 and x2 when a candidate and
-        its twin, the two points swapped, have one margin.  Where a slab
-        fixes a and spans or fixes b, its lanes with index b below index a
-        are skipped: each one's twin has the lower id and is screened."""
+        a twin with the two points swapped have one margin, the twin's id
+        being the higher when its x1 index is.  Where a slab fixes a, its
+        lanes with index b below index a are skipped: each one's twin is
+        screened.  A prefix that fixes b below a is skipped whole; where b
+        is the slab axis, the slab starts at index a; where b is a trailing
+        axis, the views that span it are cut to start there, and the slab's
+        lanes fall into runs of consecutive ids, one per index of the axes
+        from the slab axis to b."""
         j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
         rest = shape[j + 1 :]
         step = min(shape[j], _CHUNK // math.prod(rest))
-        strides = [math.prod(shape[a + 1 :]) for a in range(j + 1)]
-        a, b = mirror if mirror is not None and mirror[1] <= j else (None, None)
-        # the axes up to j that each view spans rather than broadcasts on
-        spans = [[size > 1 for size in v.shape[: j + 1]] for v in views]
+        a, b = mirror if mirror is not None and mirror[0] < j else (None, None)
+        trailing = b is not None and b > j
+        last = b if trailing else j
+        strides = [math.prod(shape[k + 1 :]) for k in range(last + 1)]
+        # the axes up to the last one cut that each view spans rather than
+        # broadcasts on
+        spans = [[size > 1 for size in v.shape[: last + 1]] for v in views]
         for prefix in itertools.product(*map(range, shape[:j])):
-            first = 0
-            if b == j:
-                first = prefix[a]
-            elif b is not None and prefix[b] < prefix[a]:
+            if b is not None and b < j and prefix[b] < prefix[a]:
                 continue
             heads = [
                 v[tuple(i if full else 0 for i, full in zip(prefix, span))]
                 for v, span in zip(views, spans)
             ]
             flat = sum(i * stride for i, stride in zip(prefix, strides))
+            first = prefix[a] if b == j else 0
+            chunk, runs, gap = rest, 1, 0
+            if trailing:
+                cut = prefix[a]
+                at_b = (slice(None),) * (b - j) + (slice(cut, None),)
+                heads = [h[at_b] if span[b] else h for h, span in zip(heads, spans)]
+                chunk = rest[: b - j - 1] + (shape[b] - cut,) + rest[b - j :]
+                flat += cut * strides[b]
+                # a run per index of the axes j to b - 1 (the slab is one slice)
+                runs, gap = math.prod(shape[j + 1 : b]), strides[b - 1]
             for lo in range(first, shape[j], step):
                 hi = min(lo + step, shape[j])
                 parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
-                margin, viol, bad = lanes(parts, (hi - lo,) + rest)
+                margin, viol, bad = lanes(parts, (hi - lo,) + chunk)
                 s, at = divmod(flat + lo * strides[j], strides[0])
                 rows = hi - lo if j == 0 else 1
                 if self._add(
                     s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
-                    bad.reshape(rows, -1),
+                    bad.reshape(rows, -1), (hi - lo) * runs if trailing else 1, gap,
                 ):
                     return True
         return False
 
     def _add(
-        self, s: int, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray
+        self, s: int, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray,
+        runs: int, gap: int,
     ) -> bool:
-        """Rows are slices s, s + 1, ...; columns are ids start, start + 1, ..."""
+        """Rows are slices s, s + 1, ...  A row's columns are ``runs`` runs
+        of consecutive ids, each as long as the others, the first starting
+        at ``start`` and each next one ``gap`` ids after the one before.
+        A run ends before the next one starts, so column order is id order."""
+        width = margin.shape[1] // runs
         if bad.any():
             for r in np.flatnonzero(bad.any(axis=1)).tolist():
-                self.bad[s + r] = start + int(np.argmax(bad[r]))
+                run, i = divmod(int(np.argmax(bad[r])), width)
+                self.bad[s + r] = start + run * gap + i
             return True
         if not viol.any():
             return False
@@ -900,7 +921,9 @@ class _Screen:
         np.copyto(best, margin, where=viol)
         for r, i in enumerate(best.argmax(axis=1).tolist()):
             if best[r, i] > self.margin[s + r]:
-                self.margin[s + r], self.best[s + r] = float(best[r, i]), start + i
+                run, col = divmod(i, width)
+                self.margin[s + r] = float(best[r, i])
+                self.best[s + r] = start + run * gap + col
         return False
 
 
@@ -1023,6 +1046,17 @@ def _lane_margins(
     return margin, over, ok
 
 
+@lru_cache(maxsize=None)
+def _reflects(n: int) -> bool:
+    """Whether the parameter grid ``linspace(0, 1, n)`` holds ``1.0 - lam``
+    for each of its values lam, at the mirrored index, and ``1.0 - (1.0 -
+    lam) == lam``: true for n = 2^k + 1.  Then C's and QC's templates give
+    the candidate (p2, p1, 1 - lam) the margin of (p1, p2, lam), bit for
+    bit, since each side only swaps the operands of one sum or max."""
+    lam = np.linspace(0.0, 1.0, n)
+    return np.array_equal(1.0 - lam, lam[::-1]) and np.array_equal(1.0 - (1.0 - lam), lam)
+
+
 def _candidate(
     s: int, i: int, cols: list, halton: list, grid_shape: tuple
 ) -> list[float]:
@@ -1129,8 +1163,10 @@ def _screen(
         )
 
     views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or ())]
-    # these templates are symmetric in (p1, p2), bit for bit
-    mirror = (1, 1 + d) if kind in ("J", "JQC", "W", "WQC") else None
+    # these templates are symmetric in (p1, p2), bit for bit; C's and QC's
+    # in (p1, p2, lam) and (p2, p1, 1 - lam), a grid value on a dyadic grid
+    mirrored = kind in ("J", "JQC", "W", "WQC") or (kind in ("C", "QC") and _reflects(n))
+    mirror = (1, 1 + d) if mirrored else None
     if live_slices and screen.scan((live_slices,) + grid_shape, 0, views, grid_lanes, mirror):
         live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
     halton: list = []

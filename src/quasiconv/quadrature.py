@@ -105,7 +105,7 @@ class QuadResult:
     converged: bool
 
     def __post_init__(self) -> None:
-        if self.abs_error_estimate < 0:
+        if not self.abs_error_estimate >= 0:  # NaN fails too
             raise ValueError("error estimate must be non-negative")
         if self.subdivisions < 1:
             raise ValueError("subdivisions must be at least 1")
@@ -182,11 +182,25 @@ def _gk15_panels(
 def _exact_sum(values: list[float]) -> float:
     """``math.fsum`` of ``values``: their exact sum, rounded once.  Where
     finite values overflow on the way and fsum raises OverflowError, inf
-    with the sign of their float sum, so that the result is not finite."""
+    with the sign of their float sum; where they hold inf and -inf and it
+    raises ValueError, NaN: so that the result is not finite."""
     try:
         return math.fsum(values)
     except OverflowError:
         return math.copysign(math.inf, sum(values))
+    except ValueError:
+        return math.nan
+
+
+def _summed(
+    vals: list[float], errs: list[float], subdivisions: int, converged: bool
+) -> QuadResult:
+    """The result of panels or pieces of values ``vals`` and error estimates
+    ``errs``.  It has converged only if they all have and both sums are
+    finite; an error sum that is NaN, whose panels overflowed, is inf."""
+    value, err = _exact_sum(vals), _exact_sum(errs)
+    converged = converged and math.isfinite(value) and math.isfinite(err)
+    return QuadResult(value, math.inf if math.isnan(err) else err, subdivisions, converged)
 
 
 class _Piece:
@@ -257,12 +271,7 @@ class _Piece:
     def result(self) -> QuadResult:
         # the sum is exact, so the order of the panels does not matter
         panels = [(v, e) for _, _, _, _, v, e in self.heap] + self.done
-        return QuadResult(
-            _exact_sum([v for v, _ in panels]),
-            _exact_sum([e for _, e in panels]),
-            self.nseg,
-            self.converged,
-        )
+        return _summed([v for v, _ in panels], [e for _, e in panels], self.nseg, self.converged)
 
 
 def _adaptive(
@@ -499,9 +508,9 @@ def _integrate_rows(
         rs = results[at : at + n]
         at += n
         out.append(
-            QuadResult(
-                _exact_sum([r.value for r in rs]),
-                _exact_sum([r.abs_error_estimate for r in rs]),
+            _summed(
+                [r.value for r in rs],
+                [r.abs_error_estimate for r in rs],
                 sum(r.subdivisions for r in rs),
                 all(r.converged for r in rs),
             )
@@ -588,7 +597,7 @@ def integrate_nested(
 
     The error estimate is the outer one plus the length of ``iv`` times the
     worst inner estimate, and the result has converged when the outer pass
-    and every inner integral have.
+    and every inner integral have and that sum is finite.
     """
     worst = 0.0
     inner_converged = True
@@ -602,11 +611,9 @@ def integrate_nested(
         return np.array([q.value for q in results])
 
     q = _integrate_rows(outer, [lambda ts, rows, s=s: s(ts) for s in splits], 1, iv, cfg)[0]
+    err = q.abs_error_estimate + iv.length * worst
     return QuadResult(
-        q.value,
-        q.abs_error_estimate + iv.length * worst,
-        q.subdivisions,
-        q.converged and inner_converged,
+        q.value, err, q.subdivisions, q.converged and inner_converged and math.isfinite(err)
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -448,8 +449,44 @@ REF_FUNCTIONS_2D = (
 # and 0.2, and in 2D also around y = 0.2
 REF_MIXED_HOLE_1D = "sqrt(abs(x + 0.1) - 0.15)"
 REF_MIXED_HOLE_2D = "sqrt(abs(x + 0.1) + abs(y - 0.2) - 0.25)"
+# a grid of 5 = 2^2 + 1 values per axis, whose parameter grid maps onto
+# itself under lam -> 1 - lam, bit for bit
+DYADIC_BUDGET = replace(REF_BUDGET, grid_n=5)
+# as above on DYADIC_BUDGET's grid points (x = -0.1 and y = 0.2 are among
+# them): around x = -0.325, the midpoint of the grid values -0.55 and -0.1,
+# and in 2D also around y = 0, the midpoint of -0.2 and 0.2
+DYADIC_MIXED_HOLE_1D = "sqrt(abs(x + 0.325) - 0.1)"
+DYADIC_MIXED_HOLE_2D = "sqrt(abs(x + 0.325) + abs(y) - 0.1)"
+# each budget with its (1D, 2D) mixed-hole inputs
+HOLE_BUDGETS = (
+    (REF_BUDGET, (REF_MIXED_HOLE_1D, REF_MIXED_HOLE_2D)),
+    (DYADIC_BUDGET, (DYADIC_MIXED_HOLE_1D, DYADIC_MIXED_HOLE_2D)),
+)
 # the joint classes whose template is symmetric in (p1, p2)
 MIRRORED = [c for c in ClassId if c.kind in ("J", "JQC", "W", "WQC") and not c.is_coordinate]
+# the joint classes whose template is symmetric in (p1, p2, lam) and
+# (p2, p1, 1 - lam), mirrored on a dyadic parameter grid only
+REFLECTED = [c for c in ClassId if c.kind in ("C", "QC") and not c.is_coordinate]
+
+
+@functools.cache
+def reference_screen_of(text, dom, cid, budget):
+    """``reference_screen`` of ``parse(text)``, run once per input: it does
+    not depend on the engine's slab size."""
+    return reference_screen(parse(text, cid.arity), dom, cid, budget)
+
+
+def counting_lanes(monkeypatch):
+    """Record the lane shape of every ``eval_array`` call the screen makes."""
+    lanes = []
+    eval_array = classifiers.eval_array
+
+    def counted(f, *coords, **kwargs):
+        lanes.append(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+        return eval_array(f, *coords, **kwargs)
+
+    monkeypatch.setattr(classifiers, "eval_array", counted)
+    return lanes
 
 
 def reference_screen(f, domain, cid, budget):
@@ -512,52 +549,52 @@ class TestReferenceScreen:
             # repr compares every witness field bit for bit
             assert repr(got.witness) == repr(witness), text
 
-    @pytest.mark.parametrize("chunk", [1, 4, 16, 64, 100, 255])
-    @pytest.mark.parametrize("cid", MIRRORED, ids=lambda c: c.value)
+    @pytest.mark.parametrize("chunk", [1, 4, 16, 64, 100, 125, 255, 700])
+    @pytest.mark.parametrize("cid", MIRRORED + REFLECTED, ids=lambda c: c.value)
     def test_mirrored_skip_matches_plain_loop(self, monkeypatch, cid, chunk):
         # the grid scan skips a mirrored pair whose x2 index is below its x1
-        # index wherever the slab or its prefix fixes both; at REF_BUDGET the
-        # chunks put x2 on the slab axis (W2: 64, 100, 255; WQC2: 16; J2,
-        # JQC2: 4; W1, WQC1: 4; J1, JQC1: 1) and in the prefix (W2: 1, 4,
-        # 16; WQC2: 1, 4; J2, JQC2: 1; W1, WQC1: 1)
+        # index wherever the slab's prefix fixes x1.  The chunks put x2 in
+        # the prefix, on the slab axis, and among the slab's trailing axes
+        # (W2: 700 at n = 4 and 5; C2, QC2, WQC2: 64, 100, 255 at n = 4,
+        # 125, 255 at n = 5; J2, JQC2: 16 at n = 4, 64, 100 at n = 5).  C and
+        # QC skip only at n = 5: at n = 4, 1 - lam is off the grid
         monkeypatch.setattr(classifiers, "_CHUNK", chunk)
-        if cid.arity == 1:
-            cases = [(t, REF_INTERVAL) for t in (*REF_FUNCTIONS_1D, REF_MIXED_HOLE_1D)]
-        else:
-            cases = [(t, REF_BOX) for t in (*REF_FUNCTIONS_2D, REF_MIXED_HOLE_2D)]
-            # on a symmetric box a concave bump ties many distinct pairs
-            cases.append(("-(x*x) - y*y", BOX))
-        for text, dom in cases:
-            f = parse(text, cid.arity)
-            status, samples, found = reference_screen(f, dom, cid, REF_BUDGET)
-            got = check_membership(f, dom, cid, budget=REF_BUDGET)
-            assert (got.status, got.samples) == (status, samples), text
-            assert repr(got.point if got.undefined else got.witness) == repr(found), text
+        for budget, holes in HOLE_BUDGETS:
+            if cid.arity == 1:
+                cases = [(t, REF_INTERVAL) for t in (*REF_FUNCTIONS_1D, holes[0])]
+            else:
+                cases = [(t, REF_BOX) for t in (*REF_FUNCTIONS_2D, holes[1])]
+                # on a symmetric box a concave bump ties many distinct pairs
+                cases.append(("-(x*x) - y*y", BOX))
+            for text, dom in cases:
+                status, samples, found = reference_screen_of(text, dom, cid, budget)
+                got = check_membership(parse(text, cid.arity), dom, cid, budget=budget)
+                assert (got.status, got.samples) == (status, samples), (text, budget)
+                assert repr(got.point if got.undefined else got.witness) == repr(found), (
+                    text, budget)
 
     def test_mixed_hole_is_undefined_on_the_grid(self):
         # the skip is seen to keep the first undefined candidate of a grid
         # only if the grid reaches one
-        for cid in MIRRORED:
-            text, dom = (REF_MIXED_HOLE_1D, REF_INTERVAL) if cid.arity == 1 else (
-                REF_MIXED_HOLE_2D, REF_BOX)
-            status, _, _ = reference_screen(
-                parse(text, cid.arity), dom, cid, replace(REF_BUDGET, halton_count=0)
-            )
-            assert status == "undefined", cid.value
+        for budget, holes in HOLE_BUDGETS:
+            for cid in MIRRORED + REFLECTED:
+                text, dom = (holes[0], REF_INTERVAL) if cid.arity == 1 else (holes[1], REF_BOX)
+                f = parse(text, cid.arity)
+                ivs = [dom] if cid.arity == 1 else [dom.x, dom.y]
+                # f is defined at every grid point (this raises where not),
+                # so the candidate found undefined fails at a mixed point
+                for p in itertools.product(*(np.linspace(iv.lo, iv.hi, budget.grid_n)
+                                             for iv in ivs)):
+                    f(*map(float, p))
+                status, _, _ = reference_screen(f, dom, cid, replace(budget, halton_count=0))
+                assert status == "undefined", (cid.value, budget.grid_n)
 
     def test_w2_grid_evaluates_each_mirrored_pair_once(self, monkeypatch):
         # with slabs of 64 lanes x2 is W2's slab axis: each x1 index i
         # screens x2 from i on, 4 * (4 + 3 + 2 + 1) * 64 = 2,560 lanes per
         # chord point instead of 4^6 = 4,096
-        lanes = []
-
-        def counted(f, *coords, **kwargs):
-            lanes.append(np.broadcast_shapes(*(np.shape(c) for c in coords)))
-            return eval_array(f, *coords, **kwargs)
-
-        eval_array = classifiers.eval_array
+        lanes = counting_lanes(monkeypatch)
         monkeypatch.setattr(classifiers, "_CHUNK", 64)
-        monkeypatch.setattr(classifiers, "eval_array", counted)
         f = parse("x*x + y*y", 2)
         got = check_membership(f, REF_BOX, ClassId.W2, budget=REF_BUDGET)
         assert got.no_violation_found and got.samples == 4**6 - 4**4 + 16
@@ -566,11 +603,43 @@ class TestReferenceScreen:
         # then f at both ends and both chord points of the 16 Halton pairs
         assert sizes == [16] + [64] * (2 * 2560 // 64) + [32, 32]
 
-    @pytest.mark.parametrize("cid", MIRRORED, ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "cid, n, lanes_per_point",
+        [
+            # x1 index i keeps x2 from i on: n * (n + ... + 1) * n^2 lanes of
+            # the n^5 (y1, x2, y2, lam) lanes
+            (ClassId.C2, 5, 5 * 15 * 25),
+            (ClassId.QC2, 5, 5 * 15 * 25),
+            (ClassId.WQC2, 5, 5 * 15 * 25),
+            (ClassId.WQC2, 6, 6 * 21 * 36),
+            # 1 - lam is off the grid of 6: C and QC skip nothing
+            (ClassId.C2, 6, 6**5),
+            (ClassId.QC2, 6, 6**5),
+        ],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_trailing_x2_grid_evaluates_each_mirrored_pair_once(
+        self, monkeypatch, cid, n, lanes_per_point
+    ):
+        # with slabs of 255 lanes the slab axis is y1 and x2 trails it; a
+        # slab spans two y1 rows (n = 5) or one (n = 6)
+        lanes = counting_lanes(monkeypatch)
+        monkeypatch.setattr(classifiers, "_CHUNK", 255)
+        budget = SearchBudget(grid_n=n, halton_count=0)
+        got = check_membership(parse("x*x + y*y", 2), REF_BOX, cid, budget=budget)
+        assert got.no_violation_found and got.samples == n**5 - n**3
+        sizes = [math.prod(shape) for shape in lanes]
+        # f on the n^2 grid points, then the mixed points: WQC mixes two
+        assert sizes[0] == n * n
+        assert sum(sizes[1:]) == lanes_per_point * (2 if cid.kind == "WQC" else 1)
+
+    @pytest.mark.parametrize("cid", MIRRORED + REFLECTED, ids=lambda c: c.value)
     def test_templates_are_symmetric_in_the_pair(self, cid):
         # the fact the skip rests on: swapping p1 and p2 changes neither
-        # side.  == rather than bits: a QC max of 0.0 and -0.0 returns the
-        # first, and such a zero margin never clears the tolerance
+        # side, and for C and QC with lam -> 1 - lam, where 1 - (1 - lam)
+        # == lam, as on a dyadic grid.  == rather than bits: a QC max of 0.0
+        # and -0.0 returns the first, and such a zero margin never clears
+        # the tolerance
         rng = np.random.default_rng(1914)
         texts = (
             "-(x^2) - y^2", "abs(x - 0.3)*y", "sqrt(x*x + y*y + 0.1)", "exp(x)*sin(3*y)",
@@ -582,9 +651,21 @@ class TestReferenceScreen:
                 p1, p2 = (rng.uniform(-2, 2, cid.arity).tolist() for _ in range(2))
                 if rng.random() < 0.2:
                     p2[0] = p1[0]  # pairs that share a co-ordinate
-                params = {name: float(rng.random()) for name in cid.param_names}
+                if cid in REFLECTED:
+                    # a value of a dyadic grid linspace(0, 1, 2^k + 1)
+                    k = int(rng.integers(1, 7))
+                    lam = float(np.linspace(0.0, 1.0, 2**k + 1)[rng.integers(0, 2**k + 1)])
+                    params, twin = {"lam": lam}, {"lam": 1.0 - lam}
+                else:
+                    params = {name: float(rng.random()) for name in cid.param_names}
+                    twin = params
                 want = defining_inequality(cid, f, p1, p2, params)
-                assert defining_inequality(cid, f, p2, p1, params) == want, (text, p1, p2)
+                assert defining_inequality(cid, f, p2, p1, twin) == want, (text, p1, p2)
+
+    def test_reflection_needs_a_dyadic_parameter_grid(self):
+        # 1 - lam is a grid value and 1 - (1 - lam) == lam exactly when the
+        # grid's step is a power of two
+        assert [n for n in range(2, 70) if classifiers._reflects(n)] == [2, 3, 5, 9, 17, 33, 65]
 
     def test_chunk_size_does_not_change_verdicts(self, monkeypatch):
         cases = [
@@ -747,7 +828,9 @@ COORD_BUDGETS = (
 
 
 class TestCoordinateBatch:
-    @pytest.mark.parametrize("chunk", [None, 64, 1000])
+    # at n = 5 the slab spans x1 at the default chunk, 64 and 1000; x2 is
+    # the slab axis at 16 and a prefix axis at 4, so that mirrored pairs skip
+    @pytest.mark.parametrize("chunk", [None, 4, 16, 64, 1000])
     @pytest.mark.parametrize("budget", COORD_BUDGETS, ids=["n5", "n4"])
     @pytest.mark.parametrize(
         "cid", [c for c in ClassId if c.is_coordinate], ids=lambda c: c.value

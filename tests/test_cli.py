@@ -301,6 +301,20 @@ class TestVerify:
         assert err.startswith(f"error: {ineq}: ") and "is not finite (inf)" in err
 
     @pytest.mark.parametrize(
+        "ineq, domain",
+        [("HH1D", "-100,100"), ("WQC1D", "-100,100"), ("THM_2_4", "-100,100,-100,100")],
+    )
+    def test_panels_of_both_signs_past_the_float_range_exit_two(self, capsys, ineq, domain):
+        # panels of 1.7e306*x sum to +inf on one side of 0 and -inf on the
+        # other; the exact sum of the two is NaN, and the report is refused
+        code, out, err = run(
+            capsys, "verify", "--inequality", ineq, "--f", "x*1.7e306", "--domain", domain
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {ineq}: ") and "is not finite (nan)" in err
+
+    @pytest.mark.parametrize(
         "ineq, expr, domain, point",
         [
             ("THM_2_1", "log(y + 1) + x", "-1,1,-1,1", "(-0.9989319213901016, -1.0)"),

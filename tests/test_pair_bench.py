@@ -76,3 +76,24 @@ def test_summarize_builds_a_workload_entry():
     assert got["ops_attempted_median"] == {"parent": 10, "change": 10}
     assert got["all_correct"] is True
     assert got["failed"] == {"parent": 0, "change": 1}
+
+
+def test_probe_seconds_scale_to_the_quiet_kernel():
+    # ready 0.25 s after the launch began; the kernel took twice its quiet
+    # time, so the launch counts half
+    assert pair_bench.probe_seconds(10.0, "10.25 0.001\n", 5e-4) == (0.25, 0.125)
+
+
+def test_summarize_launches_compares_both_readings():
+    parent = [(0.20, 0.10), (0.30, 0.12), (0.25, 0.11)]
+    change = [(0.18, 0.11), (0.31, 0.10), (0.24, 0.09)]
+    got = pair_bench.summarize_launches(parent, change)
+    assert got["launches"] == 3
+    seconds, scaled = got["seconds"], got["scaled_s"]
+    assert (seconds["parent"]["median"], seconds["change"]["median"]) == (0.25, 0.24)
+    assert (seconds["change_better_in"], seconds["change_worse_in"]) == ("2/3", "1/3")
+    assert scaled["parent"]["runs"] == [0.10, 0.12, 0.11]
+    assert (scaled["parent"]["median"], scaled["change"]["median"]) == (0.11, 0.10)
+    assert scaled["change_better_in"] == "2/3"
+    with pytest.raises(ValueError, match="pairs"):
+        pair_bench.summarize_launches(parent, change[:2])

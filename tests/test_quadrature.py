@@ -12,6 +12,7 @@ from quasiconv import (
     DomainError,
     Interval,
     QuadConfig,
+    QuadResult,
     integrate_1d,
     integrate_2d,
     integrate_abs_difference,
@@ -422,15 +423,38 @@ class TestOverflowingSums:
         assert _exact_sum([1e308, 1e308]) == math.inf
         assert _exact_sum([-1e308, -1e308, 1.0]) == -math.inf
 
+    def test_exact_sum_of_opposite_infinities_is_nan(self):
+        # fsum raises ValueError on inf + -inf
+        assert math.isnan(_exact_sum([math.inf, 1.0, -math.inf]))
+
     def test_1d_panels_past_the_float_range(self):
-        # 100 panels' worth of 1e307, each finite
-        assert integrate_1d(parse("1e307", 1), Interval(0, 100)).value == math.inf
+        # 100 panels' worth of 1e307, each finite: the integral is 1e309,
+        # past the float range, so the result has not converged
+        q = integrate_1d(parse("1e307", 1), Interval(0, 100))
+        assert q.value == math.inf and not q.converged
+        assert math.isfinite(q.abs_error_estimate)
 
     def test_2d_row_pieces_past_the_float_range(self):
         # each row is cut at y = 15 into two pieces of 1.5e308; their sum
-        # overflows in the per-row sum
+        # overflows in the per-row sum.  The outer panels of inf rows
+        # estimate their error as inf - inf, which the result holds as inf
         q = integrate_2d(parse("1e307 + 0*abs(y - 15)", 2), Box2.from_bounds(0, 1, 0, 30))
-        assert q.value == math.inf and not q.converged
+        assert q.value == math.inf and q.abs_error_estimate == math.inf
+        assert not q.converged
+
+    def test_1d_panels_of_both_signs_past_the_float_range(self):
+        # the integral of the odd 1.7e306*x over [-100, 100] is 0, but the
+        # eight panels hold about -/+1.3e310 each, +-inf: their sum is NaN
+        q = integrate_1d(parse("x*1.7e306", 1), Interval(-100, 100))
+        assert math.isnan(q.value) and q.abs_error_estimate == math.inf
+        assert not q.converged
+
+    def test_error_estimate_is_a_number(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            QuadResult(1.0, math.nan, 1, True)
+        with pytest.raises(ValueError, match="non-negative"):
+            QuadResult(1.0, -1.0, 1, True)
+        assert QuadResult(math.inf, math.inf, 1, False).abs_error_estimate == math.inf
 
 
 def _plain_bisection(d, lo, hi, tol=1e-12):

@@ -3,7 +3,7 @@
 
     python3 tools/pair_bench.py --parent REV --work DIR --out BENCH_14.json \
         --pairs screen=41-50 --pairs catalog=41-45 --pairs verify=41-45 \
-        [--traced screen=51] [--describe TEXT]
+        [--traced screen=51] [--setup-launches 40] [--describe TEXT]
 
 The parent revision and the working tree (its tracked and staged files,
 through ``git stash create``; HEAD when it is clean) are exported with ``git
@@ -15,7 +15,12 @@ For every workload and seed, ``perfbench/run.py --workload W --seed S
 ``run_seconds`` of ``BENCHMARK.json``, one run after another, the parent
 first on even seeds.  Bytecode caches are removed before each run and
 ``PYTHONDONTWRITEBYTECODE=1`` is set, so every launch compiles the sources.
-``--traced`` adds one ``--trace 1`` run per side.
+``--traced`` adds one ``--trace 1`` run per side.  ``--setup-launches N``
+adds N launches per side of the set-up probe that ``perfbench/run.py``
+times for ``setup_s`` (its ``READY`` program: a fresh interpreter importing
+the CLI, then the small reference kernel), alternating between the sides,
+the parent first in even launches; it compares their seconds and their
+seconds scaled to the reference kernel's quiet time, as ``setup_s`` is.
 
 The output holds, per workload and end-to-end metric, each side's runs,
 median and inclusive quartiles, the pairs in which the change is better and
@@ -27,6 +32,7 @@ rewritten after every pair, so an interrupted session keeps the pairs done.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -35,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +107,45 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def probe_seconds(started: float, stdout: str, quiet: float) -> tuple[float, float]:
+    """(seconds, scaled seconds) of one launch of the set-up probe, begun at
+    ``started`` on ``perf_counter``'s clock, from its output: the moment it
+    was ready and its reference kernel's time, whose quiet-core time is
+    ``quiet``.  This is ``perfbench/run.py``'s ``setup_seconds`` arithmetic."""
+    ready, kernel = map(float, stdout.split())
+    return ready - started, (ready - started) * quiet / kernel
+
+
+def summarize_launches(parent: list[tuple], change: list[tuple]) -> dict:
+    """The ``setup_launches`` section: launch i of each side ran one after
+    the other; each launch is (seconds, scaled seconds)."""
+    return {
+        "launches": len(parent),
+        "seconds": compare([s for s, _ in parent], [s for s, _ in change]),
+        "scaled_s": compare([s for _, s in parent], [s for _, s in change]),
+    }
+
+
+def set_up_probe(checkout: Path) -> tuple[str, float]:
+    """``checkout``'s set-up probe program and its kernel's quiet time."""
+    spec = importlib.util.spec_from_file_location("bench_run", checkout / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.READY, run.KERNELS["small"][2]
+
+
+def launch_probe(checkout: Path, program: str, quiet: float) -> tuple[float, float]:
+    """One launch of the set-up probe ``program`` in ``checkout`` from
+    freshly compiled sources; returns ``probe_seconds``."""
+    for cache in list(checkout.rglob("__pycache__")):
+        shutil.rmtree(cache)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    started = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", program], cwd=checkout, env=env,
+                           check=True, capture_output=True, text=True)
+    return probe_seconds(started, child.stdout, quiet)
+
+
 def _git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
@@ -144,6 +190,8 @@ def main() -> int:
                     metavar="WORKLOAD=FIRST-LAST", help="seeds of the paired runs")
     ap.add_argument("--traced", action="append", default=[], type=_seeds,
                     metavar="WORKLOAD=SEED", help="one --trace 1 run per side")
+    ap.add_argument("--setup-launches", type=int, default=0, metavar="N",
+                    help="alternating launches of the set-up probe per side")
     ap.add_argument("--work", type=Path, required=True, help="empty directory for checkouts")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--describe", default="", help="what the change does")
@@ -200,6 +248,17 @@ def main() -> int:
         for side in ("parent", "change"):
             metrics = run_once(checkouts[side], workload, seed, seconds, 1)["metrics"]
             traced[workload][side] = {name: m["value"] for name, m in metrics.items()}
+        write()
+    launches: dict = {"parent": [], "change": []}
+    probes = {side: set_up_probe(checkouts[side]) for side in launches}
+    for i in range(args.setup_launches):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            launches[side].append(launch_probe(checkouts[side], *probes[side]))
+        record["setup_launches"] = {
+            "command": "python3 -c READY (perfbench/run.py) in each checkout, sides "
+                       "alternating, the parent first in even launches",
+            **summarize_launches(launches["parent"], launches["change"]),
+        }
         write()
     return 0
 
