@@ -256,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--class", dest="class_id", required=True,
         help="class id, e.g. QC2, JQC1, CoordWQC2",
     )
-    p_check.add_argument("--resolution", type=int, default=17, help="grid side")
-    p_check.add_argument("--halton", type=int, default=4096)
-    p_check.add_argument("--slices", type=int, default=9)
+    p_check.add_argument("--resolution", type=int, default=SearchBudget.grid_n, help="grid side")
+    p_check.add_argument("--halton", type=int, default=SearchBudget.halton_count)
+    p_check.add_argument("--slices", type=int, default=SearchBudget.slices)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 

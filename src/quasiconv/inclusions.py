@@ -161,9 +161,9 @@ def parse_catalog(text: str) -> list[GalleryEntry]:
                 claimed_in=_parse_classes(current.get("in", "")),
                 claimed_not_in=_parse_classes(current.get("not_in", "")),
                 witnesses=current["witnesses"],
-                grid_n=int(current.get("grid", 9)),
-                halton=int(current.get("halton", 512)),
-                slices=int(current.get("slices", 7)),
+                grid_n=int(current.get("grid", GalleryEntry.grid_n)),
+                halton=int(current.get("halton", GalleryEntry.halton)),
+                slices=int(current.get("slices", GalleryEntry.slices)),
                 notes=current.get("notes", ""),
             )
         )

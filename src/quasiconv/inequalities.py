@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .domains import Box2, Interval
 from .expressions import Axis, DomainError, Expr, chord_substitution, difference, restrict
@@ -160,6 +160,63 @@ def _report(
     )
 
 
+class _Means:
+    """The integrals of one report of f over its domain, each entered once.
+
+    ``mean`` returns an integral's value over its averaging length and
+    records its error estimate over the same length and whether it
+    converged.  A rectangle whose area is 0 or not finite is refused before
+    any integral runs: no mean over it is a number.
+    """
+
+    def __init__(self, f: Expr, domain: Union[Interval, Box2]) -> None:
+        if isinstance(domain, Box2) and not 0.0 < domain.area < math.inf:
+            raise DomainError(
+                f"the rectangle {list(domain.bounds)} has area {domain.area!r};"
+                " its means need a positive finite area"
+            )
+        self.f = f
+        self.domain = domain
+        self.errors: dict[str, float] = {}
+        self.converged = True
+
+    def mean(self, name: str, q: QuadResult, length: float) -> float:
+        self.errors[name] = q.abs_error_estimate / length
+        self.converged = self.converged and q.converged
+        return q.value / length
+
+    def quad_errors(self, *order: str) -> list[float]:
+        """The recorded errors, in ``order`` when given, else as recorded."""
+        return [self.errors[name] for name in order or self.errors]
+
+    def domain_mean(self) -> float:
+        """The mean of f over its interval or rectangle."""
+        if isinstance(self.domain, Box2):
+            q = integrate_2d(self.f, self.domain)
+            return self.mean("double integral mean", q, self.domain.area)
+        return self.mean("integral mean", integrate_1d(self.f, self.domain), self.domain.length)
+
+    def line_means(self, names: tuple[str, ...]) -> dict[str, float]:
+        """Means of f along the named lines of the rectangle, out of its two
+        midlines and four edges.  Only those lines are integrated, so f need
+        not be defined on the others."""
+        x, y = self.domain.x, self.domain.y
+        lines = {
+            "horizontal midline": (Axis.Y, y.midpoint, x),
+            "vertical midline": (Axis.X, x.midpoint, y),
+            "bottom edge": (Axis.Y, y.lo, x),
+            "top edge": (Axis.Y, y.hi, x),
+            "left edge": (Axis.X, x.lo, y),
+            "right edge": (Axis.X, x.hi, y),
+        }
+        means = {}
+        for name in names:
+            axis, at, iv = lines[name]
+            q = integrate_1d(restrict(self.f, axis, at), iv)
+            means[name] = self.mean(name, q, iv.length)
+        return means
+
+
 # ---------------------------------------------------------------------------
 # 1D bounds
 
@@ -184,15 +241,15 @@ def _on_chord(f: Expr, err: DomainError, along: Axis, a: float, b: float) -> Dom
 
 def hadamard_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Midpoint value <= integral mean <= endpoint average (for convex f)."""
+    m = _Means(f, iv)
     mid_val = f(iv.midpoint)
-    q = integrate_1d(f, iv)
-    mean = q.value / iv.length
+    mean = m.domain_mean()
     ends = 0.5 * (f(iv.lo) + f(iv.hi))
     return _report(
         "HH1D",
         [("f(midpoint)", mid_val), ("integral mean", mean), ("endpoint average", ends)],
-        [q.abs_error_estimate / iv.length],
-        q.converged,
+        m.quad_errors(),
+        m.converged,
     )
 
 
@@ -203,37 +260,36 @@ def jqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
     difference of the two chord evaluations of f between the endpoints,
     integrated at ``_INNER_CFG``.
     """
+    m = _Means(f, iv)
     mid_val = f(iv.midpoint)
-    q = integrate_1d(f, iv)
-    mean = q.value / iv.length
+    mean = m.domain_mean()
     g = chord_substitution(f, Axis.X, iv.lo, iv.hi)
     h = chord_substitution(f, Axis.X, iv.lo, iv.hi, reverse=True)
     try:
         qI = integrate_abs_difference(g, h, _UNIT, _INNER_CFG)
     except DomainError as err:
         raise _on_chord(f, err, Axis.X, iv.lo, iv.hi) from None
-    correction = 0.5 * qI.value
-    rhs = mean + correction
+    correction = m.mean("chord correction I", qI, 2.0)
     return _report(
         "JQC1D",
-        [("f(midpoint)", mid_val), ("mean + chord correction", rhs)],
-        [q.abs_error_estimate / iv.length, 0.5 * qI.abs_error_estimate],
-        q.converged and qI.converged,
+        [("f(midpoint)", mid_val), ("mean + chord correction", mean + correction)],
+        m.quad_errors(),
+        m.converged,
         components={"integral mean": mean, "chord correction I": correction},
     )
 
 
 def wqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Integral mean <= max of the endpoint values (for Wright-quasi-convex f)."""
-    q = integrate_1d(f, iv)
-    mean = q.value / iv.length
+    m = _Means(f, iv)
+    mean = m.domain_mean()
     fa = f(iv.lo)
     fb = f(iv.hi)
     return _report(
         "WQC1D",
         [("integral mean", mean), ("max endpoint value", max(fa, fb))],
-        [q.abs_error_estimate / iv.length],
-        q.converged,
+        m.quad_errors(),
+        m.converged,
         components={"f(lo)": fa, "f(hi)": fb},
     )
 
@@ -246,41 +302,16 @@ _MIDLINES = ("horizontal midline", "vertical midline")
 _EDGES = ("bottom edge", "top edge", "left edge", "right edge")
 
 
-def _line_means(
-    f: Expr, box: Box2, names: tuple[str, ...]
-) -> tuple[dict[str, QuadResult], dict[str, float]]:
-    """Means of f along the named lines of the rectangle, out of its two
-    midlines and four edges.  Only those lines are integrated, so f need
-    not be defined on the others."""
-    a, b, c, d = box.bounds
-    lines = {
-        "horizontal midline": (Axis.Y, box.y.midpoint, box.x),
-        "vertical midline": (Axis.X, box.x.midpoint, box.y),
-        "bottom edge": (Axis.Y, c, box.x),
-        "top edge": (Axis.Y, d, box.x),
-        "left edge": (Axis.X, a, box.y),
-        "right edge": (Axis.X, b, box.y),
-    }
-    results: dict[str, QuadResult] = {}
-    means: dict[str, float] = {}
-    for name in names:
-        axis, at, iv = lines[name]
-        q = integrate_1d(restrict(f, axis, at), iv)
-        results[name] = q
-        means[name] = q.value / iv.length
-    return results, means
-
-
 def coord_convex_chain(f: Expr, box: Box2) -> InequalityReport:
     """Five-term chain for co-ordinate-wise convex f: centre value, averaged
     midline means, double integral mean, averaged edge means, corner average.
     The chain is sharp for functions affine in each variable."""
+    m = _Means(f, box)
     a, b, c, d = box.bounds
     t1 = f(box.x.midpoint, box.y.midpoint)
-    line_results, line_means = _line_means(f, box, _MIDLINES + _EDGES)
+    line_means = m.line_means(_MIDLINES + _EDGES)
     t2 = 0.5 * (line_means["horizontal midline"] + line_means["vertical midline"])
-    q2 = integrate_2d(f, box)
-    t3 = q2.value / box.area
+    t3 = m.domain_mean()
     t4 = 0.25 * (
         line_means["bottom edge"]
         + line_means["top edge"]
@@ -288,16 +319,6 @@ def coord_convex_chain(f: Expr, box: Box2) -> InequalityReport:
         + line_means["right edge"]
     )
     t5 = 0.25 * (f(a, c) + f(b, c) + f(a, d) + f(b, d))
-    quad_errors = [
-        line_results["horizontal midline"].abs_error_estimate / box.x.length,
-        line_results["vertical midline"].abs_error_estimate / box.y.length,
-        q2.abs_error_estimate / box.area,
-        line_results["bottom edge"].abs_error_estimate / box.x.length,
-        line_results["top edge"].abs_error_estimate / box.x.length,
-        line_results["left edge"].abs_error_estimate / box.y.length,
-        line_results["right edge"].abs_error_estimate / box.y.length,
-    ]
-    converged = q2.converged and all(r.converged for r in line_results.values())
     return _report(
         "CHAIN1_6",
         [
@@ -307,15 +328,15 @@ def coord_convex_chain(f: Expr, box: Box2) -> InequalityReport:
             ("average of edge means", t4),
             ("corner average", t5),
         ],
-        quad_errors,
-        converged,
-        components=dict(line_means),
+        m.quad_errors(*_MIDLINES, "double integral mean", *_EDGES),
+        m.converged,
+        components=line_means,
     )
 
 
-def _chord_correction_2d(f: Expr, box: Box2, along: Axis) -> tuple[float, float, bool]:
+def _chord_correction_2d(f: Expr, box: Box2, along: Axis) -> QuadResult:
     """Outer integral (over the other axis) of the inner chord-difference
-    integral along ``along``; returns (value, error estimate, converged).
+    integral along ``along``.
 
     The inner t-integral locates its kinks per outer value, which is why the
     outer loop is the adaptive one.  Each outer integrand call hands all its
@@ -330,14 +351,13 @@ def _chord_correction_2d(f: Expr, box: Box2, along: Axis) -> tuple[float, float,
         chord_substitution(f, along, lo, hi, reverse=True),
     )
     try:
-        q = integrate_nested(
+        return integrate_nested(
             lambda vs: integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG),
             outer_iv,
             _OUTER_CFG,
         )
     except DomainError as err:
         raise _on_chord(f, err, along, lo, hi) from None
-    return q.value, q.abs_error_estimate, q.converged
 
 
 def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
@@ -353,52 +373,38 @@ def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
     ``QuadConfig`` cannot say both, and the fixed pair keeps H two orders
     inside ``VERIFY_TOL``.
     """
-    line_results, line_means = _line_means(f, box, _MIDLINES)
-    mean_h = line_means["horizontal midline"]
-    mean_v = line_means["vertical midline"]
-    lhs = 0.5 * (mean_h + mean_v)
-    q2 = integrate_2d(f, box)
-    double_mean = q2.value / box.area
-    hx, hx_err, hx_conv = _chord_correction_2d(f, box, Axis.X)
-    hy, hy_err, hy_conv = _chord_correction_2d(f, box, Axis.Y)
-    h_term = hx / (4.0 * box.y.length) + hy / (4.0 * box.x.length)
-    rhs = double_mean + h_term
+    m = _Means(f, box)
+    mean_h, mean_v = m.line_means(_MIDLINES).values()
+    double_mean = m.domain_mean()
+    qx = _chord_correction_2d(f, box, Axis.X)
+    qy = _chord_correction_2d(f, box, Axis.Y)
+    hx = m.mean("x-chord", qx, 4.0 * box.y.length)
+    h_term = hx + m.mean("y-chord", qy, 4.0 * box.x.length)
     sides = (
         OneSided(
             "vertical midline mean <= double mean + x-chord correction",
             mean_v,
-            double_mean + hx / (2.0 * box.y.length),
+            double_mean + qx.value / (2.0 * box.y.length),
         ),
         OneSided(
             "horizontal midline mean <= double mean + y-chord correction",
             mean_h,
-            double_mean + hy / (2.0 * box.x.length),
+            double_mean + qy.value / (2.0 * box.x.length),
         ),
-    )
-    quad_errors = [
-        line_results["horizontal midline"].abs_error_estimate / box.x.length,
-        line_results["vertical midline"].abs_error_estimate / box.y.length,
-        q2.abs_error_estimate / box.area,
-        hx_err / (4.0 * box.y.length),
-        hy_err / (4.0 * box.x.length),
-    ]
-    converged = (
-        q2.converged
-        and hx_conv
-        and hy_conv
-        and line_results["horizontal midline"].converged
-        and line_results["vertical midline"].converged
     )
     return _report(
         "THM_2_1",
-        [("average of midline means", lhs), ("double mean + H", rhs)],
-        quad_errors,
-        converged,
+        [
+            ("average of midline means", 0.5 * (mean_h + mean_v)),
+            ("double mean + H", double_mean + h_term),
+        ],
+        m.quad_errors(),
+        m.converged,
         components={
             "double integral mean": double_mean,
             "H": h_term,
-            "x-chord double integral": hx,
-            "y-chord double integral": hy,
+            "x-chord double integral": qx.value,
+            "y-chord double integral": qy.value,
         },
         sides=sides,
     )
@@ -407,34 +413,22 @@ def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
 def thm_wqc_coord(f: Expr, box: Box2) -> InequalityReport:
     """Double integral mean <= half-sum of the two maxima of opposite edge
     means, for f Wright-quasi-convex on the co-ordinates."""
-    line_results, line_means = _line_means(f, box, _EDGES)
-    q2 = integrate_2d(f, box)
-    double_mean = q2.value / box.area
+    m = _Means(f, box)
+    line_means = m.line_means(_EDGES)
+    double_mean = m.domain_mean()
     max_x_edges = max(line_means["bottom edge"], line_means["top edge"])
     max_y_edges = max(line_means["left edge"], line_means["right edge"])
     rhs = 0.5 * (max_x_edges + max_y_edges)
     sides = (
-        OneSided(
-            "double mean <= max of left/right edge means", double_mean, max_y_edges
-        ),
-        OneSided(
-            "double mean <= max of bottom/top edge means", double_mean, max_x_edges
-        ),
+        OneSided("double mean <= max of left/right edge means", double_mean, max_y_edges),
+        OneSided("double mean <= max of bottom/top edge means", double_mean, max_x_edges),
     )
-    quad_errors = [
-        q2.abs_error_estimate / box.area,
-        line_results["bottom edge"].abs_error_estimate / box.x.length,
-        line_results["top edge"].abs_error_estimate / box.x.length,
-        line_results["left edge"].abs_error_estimate / box.y.length,
-        line_results["right edge"].abs_error_estimate / box.y.length,
-    ]
-    converged = q2.converged and all(r.converged for r in line_results.values())
     return _report(
         "THM_2_4",
         [("double integral mean", double_mean), ("half-sum of edge maxima", rhs)],
-        quad_errors,
-        converged,
-        components=dict(line_means),
+        m.quad_errors("double integral mean", *_EDGES),
+        m.converged,
+        components=line_means,
         sides=sides,
     )
 

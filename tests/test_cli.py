@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from quasiconv import cli
-from quasiconv.classifiers import ClassId, defining_inequality
+from quasiconv.classifiers import ClassId, SearchBudget, defining_inequality
 from quasiconv.cli import main
 from quasiconv.expressions import parse
 
@@ -212,6 +212,16 @@ class TestCheck:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    def test_default_budget_is_the_search_budgets(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--f", "x^2", "--domain", "0,1", "--class", "C1", "--json"
+        )
+        assert code == 0
+        budget = SearchBudget()
+        assert json.loads(out)["config"] == {
+            "resolution": budget.grid_n, "halton": budget.halton_count, "slices": budget.slices
+        }
+
     def test_json_round_trip(self, capsys):
         args = [
             "check", "--f", "-(x^2)", "--domain", "-1,1,-1,1",
@@ -352,6 +362,24 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: CHAIN1_6: average of midline means is not finite (inf)\n"
+
+    @pytest.mark.parametrize("ineq", ["THM_2_1", "THM_2_4", "CHAIN1_6"])
+    @pytest.mark.parametrize(
+        "expr, domain, area",
+        [("x+y", "0,1e-200,0,1e-200", "0.0"), ("1e-300+0*x*y", "0,1e200,0,1e200", "inf")],
+    )
+    def test_box_whose_area_is_not_a_positive_number_exits_two(
+        self, capsys, ineq, expr, domain, area
+    ):
+        # the area underflows to 0 (a mean would divide by it) or overflows
+        # to inf (every mean would read 0); no integral runs
+        code, out, err = run(
+            capsys, "verify", "--inequality", ineq, "--f", expr, "--domain", domain, "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"has area {area};" in err
+        assert err.count("\n") == 1
 
     def test_unknown_inequality_exits_two(self, capsys):
         code, _, err = run(

@@ -63,13 +63,31 @@ class TestGallery:
         results = validate_gallery()
         assert results and all(r.ok for r in results)
 
-    def test_shipped_catalog_is_the_regenerated_one(self):
+    @staticmethod
+    def regenerate_tool():
         path = Path(__file__).resolve().parents[1] / "tools" / "regenerate_gallery.py"
         spec = importlib.util.spec_from_file_location("regenerate_gallery", path)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
+        return tool
+
+    def test_shipped_catalog_is_the_regenerated_one(self):
         shipped = resources.files("quasiconv").joinpath("data/gallery.txt").read_text()
-        assert tool.catalog_text() == shipped
+        assert self.regenerate_tool().catalog_text() == shipped
+
+    def test_regeneration_fills_in_left_out_witnesses(self):
+        shipped = resources.files("quasiconv").joinpath("data/gallery.txt").read_text()
+        bare = "\n".join(x for x in shipped.splitlines() if not x.startswith("witness "))
+        assert bare != shipped
+        assert self.regenerate_tool().catalog_text(bare) == shipped
+
+    @pytest.mark.parametrize(
+        "expr, claims", [("-(x^2)", "in: C1\nnot_in:"), ("x^2", "in:\nnot_in: C1")]
+    )
+    def test_regeneration_refuses_a_failing_claim(self, expr, claims):
+        source = f"[bad]\nexpr: {expr}\ndomain: -1, 1\n{claims}\n"
+        with pytest.raises(ValueError, match="C1"):
+            self.regenerate_tool().catalog_text(source)
 
     def test_tampered_witness_drifts(self):
         entries = load_gallery()

@@ -17,8 +17,15 @@ from quasiconv import (
     thm_wqc_coord,
     wqc_bound_1d,
 )
-from quasiconv.expressions import Axis
+from quasiconv.expressions import Axis, chord_substitution, difference, restrict
 from quasiconv.inequalities import _chord_correction_2d
+from quasiconv.quadrature import (
+    integrate_1d,
+    integrate_2d,
+    integrate_abs_difference,
+    integrate_abs_slices,
+    integrate_nested,
+)
 
 UNIT_IV = Interval(0, 1)
 UNIT_BOX = Box2.from_bounds(0, 1, 0, 1)
@@ -324,9 +331,9 @@ class TestChordCorrections:
         f = parse(text, 2)
         got = _chord_correction_2d(f, self.BOX, along)
         want = self.reference(f, self.BOX, along)
-        assert bits(got[0]) == bits(want[0])
-        assert bits(got[1]) == bits(want[1])
-        assert got[2] == want[2]
+        assert bits(got.value) == bits(want[0])
+        assert bits(got.abs_error_estimate) == bits(want[1])
+        assert got.converged == want[2]
 
     @pytest.mark.parametrize("along", [Axis.X, Axis.Y])
     def test_matches_nested_scipy_with_breakpoints(self, along):
@@ -358,9 +365,9 @@ class TestChordCorrections:
         # the inner kinks cross the chord midpoint t = 1/2 at v = 0
         want, _ = quad(inner, -1.0, 1.0, points=[0.0], epsabs=1e-12, epsrel=1e-11,
                        limit=200)
-        value, err, converged = _chord_correction_2d(parse(self.TEXT, 2), self.BOX, along)
-        assert converged
-        assert abs(value - want) <= err + 1e-9
+        got = _chord_correction_2d(parse(self.TEXT, 2), self.BOX, along)
+        assert got.converged
+        assert abs(got.value - want) <= got.abs_error_estimate + 1e-9
 
     def test_undefined_chord_point_raises(self):
         # the chord reaches x = -1, where log(x + 1) is undefined
@@ -368,3 +375,92 @@ class TestChordCorrections:
             _chord_correction_2d(
                 parse("log(x+1) + y", 2), Box2.from_bounds(-1, 1, -1, 1), Axis.X
             )
+
+
+class TestQuadErrors:
+    """``quad_errors`` holds each integral's error estimate over the length it
+    averages over, in report order, and ``converged`` is the conjunction of
+    the integrals' flags; both recomputed here from the integrals alone."""
+
+    IV = Interval(-1, 2)
+    # unequal sides tell the averaging lengths apart
+    BOX = Box2.from_bounds(-1, 1, -0.5, 2.5)
+    # smooth, kinked, and one whose integrals exhaust their budgets
+    INPUTS_1D = [
+        "x^2 + exp(x)",
+        "0.7*abs(x - 0.31) + 0.4*max(x + 0.23, 0) + 0.3*x^2",
+        "sin(1/(x - 0.3 + 1e-9))",
+    ]
+    INPUTS_2D = ["x^2 + 0.5*y^2 + 0.3*x*y", "0.6*abs(x - y) + 0.8*max(x, y) + 0.4*x^2"]
+
+    @staticmethod
+    def lines(f, box, names):
+        x, y = box.x, box.y
+        at = {
+            "h": (Axis.Y, y.midpoint, x), "v": (Axis.X, x.midpoint, y),
+            "b": (Axis.Y, y.lo, x), "t": (Axis.Y, y.hi, x),
+            "l": (Axis.X, x.lo, y), "r": (Axis.X, x.hi, y),
+        }
+        return [
+            (integrate_1d(restrict(f, at[n][0], at[n][1]), at[n][2]), at[n][2].length)
+            for n in names
+        ]
+
+    @staticmethod
+    def chord_2d(f, box, along):
+        from quasiconv.inequalities import _INNER_CFG, _OUTER_CFG
+
+        chord_iv, outer_iv = (box.x, box.y) if along is Axis.X else (box.y, box.x)
+        diff = difference(
+            chord_substitution(f, along, chord_iv.lo, chord_iv.hi),
+            chord_substitution(f, along, chord_iv.lo, chord_iv.hi, reverse=True),
+        )
+        return integrate_nested(
+            lambda vs: integrate_abs_slices(diff, along, vs, UNIT_IV, _INNER_CFG),
+            outer_iv,
+            _OUTER_CFG,
+        )
+
+    def integrals_1d(self, ineq, f, iv):
+        from quasiconv.inequalities import _INNER_CFG
+
+        got = [(integrate_1d(f, iv), iv.length)]
+        if ineq == "JQC1D":
+            g = chord_substitution(f, Axis.X, iv.lo, iv.hi)
+            h = chord_substitution(f, Axis.X, iv.lo, iv.hi, reverse=True)
+            got.append((integrate_abs_difference(g, h, UNIT_IV, _INNER_CFG), 2.0))
+        return got
+
+    def integrals_2d(self, ineq, f, box):
+        double = (integrate_2d(f, box), box.area)
+        if ineq == "CHAIN1_6":
+            return [*self.lines(f, box, "hv"), double, *self.lines(f, box, "btlr")]
+        if ineq == "THM_2_4":
+            return [double, *self.lines(f, box, "btlr")]
+        return [
+            *self.lines(f, box, "hv"),
+            double,
+            (self.chord_2d(f, box, Axis.X), 4.0 * box.y.length),
+            (self.chord_2d(f, box, Axis.Y), 4.0 * box.x.length),
+        ]
+
+    def check(self, rep, integrals):
+        assert rep.quad_errors == tuple(q.abs_error_estimate / n for q, n in integrals)
+        assert rep.converged == all(q.converged for q, _ in integrals)
+
+    @pytest.mark.parametrize("text", INPUTS_1D)
+    @pytest.mark.parametrize(
+        "ineq, report", [("HH1D", hadamard_1d), ("JQC1D", jqc_bound_1d), ("WQC1D", wqc_bound_1d)]
+    )
+    def test_1d(self, ineq, report, text):
+        f = parse(text, 1)
+        self.check(report(f, self.IV), self.integrals_1d(ineq, f, self.IV))
+
+    @pytest.mark.parametrize("text", INPUTS_2D)
+    @pytest.mark.parametrize(
+        "ineq, report",
+        [("CHAIN1_6", coord_convex_chain), ("THM_2_1", thm_jqc_coord), ("THM_2_4", thm_wqc_coord)],
+    )
+    def test_2d(self, ineq, report, text):
+        f = parse(text, 2)
+        self.check(report(f, self.BOX), self.integrals_2d(ineq, f, self.BOX))
