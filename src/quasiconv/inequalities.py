@@ -180,10 +180,12 @@ class _Means:
         self.errors: dict[str, float] = {}
         self.converged = True
 
-    def mean(self, name: str, q: QuadResult, length: float) -> float:
-        self.errors[name] = q.abs_error_estimate / length
+    def mean(self, name: str, q: QuadResult, length: float, per: float = 1.0) -> float:
+        """``q`` over ``length``, then over ``per``: a power-of-two ``per``
+        divides exactly, where ``per * length`` could overflow."""
+        self.errors[name] = q.abs_error_estimate / length / per
         self.converged = self.converged and q.converged
-        return q.value / length
+        return q.value / length / per
 
     def quad_errors(self, *order: str) -> list[float]:
         """The recorded errors, in ``order`` when given, else as recorded."""
@@ -378,18 +380,18 @@ def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
     double_mean = m.domain_mean()
     qx = _chord_correction_2d(f, box, Axis.X)
     qy = _chord_correction_2d(f, box, Axis.Y)
-    hx = m.mean("x-chord", qx, 4.0 * box.y.length)
-    h_term = hx + m.mean("y-chord", qy, 4.0 * box.x.length)
+    hx = m.mean("x-chord", qx, box.y.length, 4.0)
+    h_term = hx + m.mean("y-chord", qy, box.x.length, 4.0)
     sides = (
         OneSided(
             "vertical midline mean <= double mean + x-chord correction",
             mean_v,
-            double_mean + qx.value / (2.0 * box.y.length),
+            double_mean + qx.value / box.y.length / 2.0,
         ),
         OneSided(
             "horizontal midline mean <= double mean + y-chord correction",
             mean_h,
-            double_mean + qy.value / (2.0 * box.x.length),
+            double_mean + qy.value / box.x.length / 2.0,
         ),
     )
     return _report(

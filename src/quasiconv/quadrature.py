@@ -366,9 +366,9 @@ def integrate_1d(f: Expr, iv: Interval, cfg: Optional[QuadConfig] = None) -> Qua
 
 # Slices integrated together.  This bounds the lanes of one integrand call
 # (a 257-point scan per slice, times every intermediate array of the
-# expression walk) and with them the peak memory; larger batches save
-# little time, since the calls are already few.
-_SLICES_PER_BATCH = 16
+# expression walk) and with them the peak memory; 64 slices cut the calls
+# further but nearly double the peak of 32.
+_SLICES_PER_BATCH = 32
 
 # bisection steps taken per call of a split function (2^5 - 1 points a bracket)
 _BISECT_LEVELS = 5
@@ -394,7 +394,8 @@ def _bisect_roots(
     ``_BISECT_LEVELS`` steps: it evaluates every midpoint the next steps
     could visit, computed from the same floats, and the steps then read off
     the points on their path.  A call that fails off the path is redone one
-    step deep, so DomainError is raised only for a point on the path.
+    step deep, so DomainError is raised only for a point on the path.  The
+    open brackets reach d in their order, each as a run of lanes.
     """
     lo, hi = lo.copy(), hi.copy()
     neg = dlo < 0.0
@@ -456,21 +457,42 @@ def _bisect_steps(
     return live[going & (hi[live] - lo[live] > tol)]
 
 
-def _integrate_rows(
-    f: RowsFn, splits: Sequence[RowsFn], nrows: int, iv: Interval, cfg: QuadConfig
-) -> list[QuadResult]:
-    """Integrate f_row over ``iv`` for every row, cut first wherever a split
-    function of the row changes sign.
+def _on_brackets(splits: Sequence[RowsFn], counts: list[int], brow: np.ndarray) -> RowsFn:
+    """The split functions of a batch as one function of bracket ids, for
+    one :func:`_bisect_roots` call: the brackets of ``splits[k]`` come
+    ``counts[k]`` in a row, bracket i in row ``brow[i]``.  Each split
+    function is called only on its own brackets' lanes, and not at all
+    when it has none.
 
-    Sign changes of each split function are bracketed on a 257-point uniform
-    scan and bisected to 1e-12; f_row is then integrated on each piece to
-    ``abs_tol`` over the row's piece count.  Every row's scan, every
-    bisection step and every wave of the adaptive pieces share one call of
-    f or of a split function.  A split function returns NaN where it has no
-    value; such a point cuts nothing.
+    ``_bisect_roots`` passes its open brackets in order, so the ids arrive
+    sorted and each split function's lanes are one run of them.
+    """
+    starts = np.cumsum([0, *counts])
+
+    def d(ts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(ids, starts).tolist()
+        runs = [(k, a, b) for k, (a, b) in enumerate(zip(at, at[1:])) if a < b]
+        if len(runs) == 1:
+            return splits[runs[0][0]](ts, brow[ids])
+        out = np.empty(ts.size)
+        for k, a, b in runs:
+            out[a:b] = splits[k](ts[a:b], brow[ids[a:b]])
+        return out
+
+    return d
+
+
+def _cuts(splits: Sequence[RowsFn], nrows: int, iv: Interval) -> list[list[float]]:
+    """Per row, the points of ``iv`` where a split function changes sign.
+
+    Sign changes are bracketed on a 257-point uniform scan, one call of each
+    split function for all rows, and the brackets of every split function
+    are bisected to 1e-12 together (:func:`_on_brackets`).  A split function
+    returns NaN where it has no value; such a point cuts nothing.
     """
     cuts: list[list[float]] = [[] for _ in range(nrows)]
     grid = np.linspace(iv.lo, iv.hi, 257)
+    brows, bcols, dlos = [], [], []
     for split in splits:
         sv = split(np.tile(grid, nrows), np.repeat(np.arange(nrows), 257))
         sv = sv.reshape(nrows, 257)
@@ -478,15 +500,36 @@ def _integrate_rows(
             # an isolated zero with a sign change across it is itself the kink
             zrow, zcol = np.nonzero((sv[:, 1:-1] == 0.0) & (sv[:, :-2] * sv[:, 2:] < 0.0))
             brow, bcol = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
-        roots = _bisect_roots(split, brow, grid[bcol], grid[bcol + 1], sv[brow, bcol])
         for r, t in zip(zrow.tolist(), grid[zcol + 1].tolist()):
             cuts[r].append(t)
+        brows.append(brow)
+        bcols.append(bcol)
+        dlos.append(sv[brow, bcol])
+    if splits:
+        brow, bcol = np.concatenate(brows), np.concatenate(bcols)
+        roots = _bisect_roots(
+            _on_brackets(splits, [b.size for b in brows], brow),
+            np.arange(brow.size), grid[bcol], grid[bcol + 1], np.concatenate(dlos),
+        )
         for r, t in zip(brow.tolist(), roots.tolist()):
             cuts[r].append(t)
+    return cuts
+
+
+def _integrate_rows(
+    f: RowsFn, splits: Sequence[RowsFn], nrows: int, iv: Interval, cfg: QuadConfig
+) -> list[QuadResult]:
+    """Integrate f_row over ``iv`` for every row, cut first wherever a split
+    function of the row changes sign (:func:`_cuts`).
+
+    f_row is integrated on each piece to ``abs_tol`` over the row's piece
+    count.  Every wave of the adaptive pieces of all rows shares one call
+    of f.
+    """
     rows: list[int] = []
     pieces: list[tuple[float, float]] = []
     per_row: list[int] = []
-    for r, row_cuts in enumerate(cuts):
+    for r, row_cuts in enumerate(_cuts(splits, nrows, iv)):
         breaks = sorted({iv.lo, iv.hi, *row_cuts})
         row_pieces = list(zip(breaks, breaks[1:]))
         rows += [r] * len(row_pieces)

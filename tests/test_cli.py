@@ -363,6 +363,26 @@ class TestVerify:
         assert out == ""
         assert err == "error: CHAIN1_6: average of midline means is not finite (inf)\n"
 
+    def test_chord_term_of_a_side_past_half_the_float_maximum(self, capsys):
+        # H of f = x is (b - a) / 8 on every y-range; 4 times a side of
+        # 1e308 overflows, so H must divide by the side before the 4
+        def outcome(domain):
+            code, out, _ = run(
+                capsys, "verify", "--inequality", "THM_2_1", "--f", "x",
+                "--domain", domain, "--json",
+            )
+            assert code == 0
+            return json.loads(out)["outcome"]
+
+        long, unit = outcome("0,1e-10,0,1e308"), outcome("0,1e-10,0,1")
+        assert long["components"]["H"] == unit["components"]["H"]
+        assert long["components"]["H"] == pytest.approx(1.25e-11, rel=1e-12)
+        # quad_errors in record order: the midlines, the double mean, x-chord
+        assert long["quad_errors"][3] > 0.0
+        assert long["side_inequalities"][0]["rhs"] == pytest.approx(
+            long["components"]["double integral mean"] + 2.5e-11, rel=1e-12
+        )
+
     @pytest.mark.parametrize("ineq", ["THM_2_1", "THM_2_4", "CHAIN1_6"])
     @pytest.mark.parametrize(
         "expr, domain, area",

@@ -61,19 +61,26 @@ def test_reproduces_a_recorded_bench_file():
 
 
 def test_summarize_builds_a_workload_entry():
-    def record(wall, correct=True, failed=0):
-        return {"correct": correct, "attempted": 10, "failed": failed,
+    def record(wall, attempted=10, correct=True, failed=0):
+        return {"correct": correct, "attempted": attempted, "failed": failed,
                 "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
 
     results = {"screen": {"seeds": [1, 2, 3],
                           "parent": [record(1.0), record(1.2), record(1.1)],
-                          "change": [record(0.8), record(0.9), record(1.3, failed=1)]}}
+                          "change": [record(0.8, 12), record(0.9, 11),
+                                     record(1.3, 9, failed=1)]}}
     metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
     got = pair_bench.summarize(results, metrics)["screen"]
     assert got["seeds"] == [1, 2, 3]
     assert got["wall_s"]["unit"] == "s"
     assert got["wall_s"]["change_better_in"] == "2/3"
-    assert got["ops_attempted_median"] == {"parent": 10, "change": 10}
+    # every run's op count, beside its metrics; more ops count as better
+    ops = got["ops_attempted"]
+    assert ops["unit"] == "count"
+    assert ops["parent"]["runs"] == [10, 10, 10] and ops["change"]["runs"] == [12, 11, 9]
+    assert (ops["parent"]["median"], ops["change"]["median"]) == (10, 11)
+    assert (ops["change_better_in"], ops["change_worse_in"]) == ("2/3", "1/3")
+    assert "ops_attempted_median" not in got
     assert got["all_correct"] is True
     assert got["failed"] == {"parent": 0, "change": 1}
 

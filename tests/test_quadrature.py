@@ -505,6 +505,75 @@ class TestBatchedBisection:
                 want = _plain_bisection(lambda t: float(d(np.array([t]), np.array([r]))[0]), a, b, tol)
                 assert got[r] == want, (r, tol)
 
+    def test_split_functions_bisect_together_as_one_at_a_time(self, monkeypatch):
+        from quasiconv import quadrature
+
+        # rows r = 0..5 on [0, 1], whose 257-point grid steps by 1/256
+        rows = np.arange(6)
+        nan_root = 0.3 + 0.07 * rows + 1e-3 / 3  # off every dyadic point
+        grid_zero = (100 + 9 * rows) / 256.0  # on the grid
+        mid_zero = (40 + 11 * rows + np.where(rows % 2, 0.5, 0.25)) / 256.0
+        seen: dict[str, list] = {"nan": [], "grid": [], "mid": []}
+
+        def nan_part(ts, rs):
+            # no value past 0.6: the sign change there cuts nothing
+            seen["nan"].append((ts.copy(), rs.copy()))
+            return np.where(ts < 0.6, ts - nan_root[rs], np.nan)
+
+        def on_grid(ts, rs):
+            seen["grid"].append(ts.size)
+            return grid_zero[rs] - ts
+
+        def at_a_midpoint(ts, rs):
+            seen["mid"].append(ts.size)
+            return ts - mid_zero[rs]
+
+        splits = [nan_part, on_grid, at_a_midpoint]
+        iv = Interval(0.0, 1.0)
+        got = quadrature._cuts(splits, rows.size, iv)
+        want = _per_split_cuts(splits, rows.size, iv)
+        assert [sorted(c) for c in got] == [sorted(c) for c in want]
+        # each kind of cut is there: the bisected root below the NaN part,
+        # the grid zero and the midpoint hit exactly
+        for r in rows:
+            assert grid_zero[r] in got[r] and mid_zero[r] in got[r]
+            assert len(got[r]) == 2 + (nan_root[r] < 0.6)
+        # bisection called each function only on its own brackets: on_grid
+        # has none, and nan_part's lanes lie in its rows' root brackets
+        seen = {k: [] for k in seen}
+        quadrature._cuts(splits, rows.size, iv)
+        assert len(seen["grid"]) == 1 and len(seen["mid"]) > 1 and len(seen["nan"]) > 1
+        for ts, rs in seen["nan"][1:]:
+            assert np.all(np.abs(ts - nan_root[rs]) < 1.0 / 256.0)
+
+        def f(ts, rs):
+            return np.abs(ts - nan_root[rs]) + np.abs(ts - grid_zero[rs]) + np.sqrt(ts)
+
+        merged = quadrature._integrate_rows(f, splits, rows.size, iv, QuadConfig())
+        monkeypatch.setattr(quadrature, "_cuts", _per_split_cuts)
+        one_at_a_time = quadrature._integrate_rows(f, splits, rows.size, iv, QuadConfig())
+        assert [_as_tuple(q) for q in merged] == [_as_tuple(q) for q in one_at_a_time]
+
+
+def _per_split_cuts(splits, nrows, iv):
+    """Reference: each split function scanned and then bisected on its own,
+    one ``_bisect_roots`` call per split function."""
+    from quasiconv.quadrature import _bisect_roots
+
+    cuts = [[] for _ in range(nrows)]
+    grid = np.linspace(iv.lo, iv.hi, 257)
+    for split in splits:
+        sv = split(np.tile(grid, nrows), np.repeat(np.arange(nrows), 257)).reshape(nrows, 257)
+        with np.errstate(over="ignore"):
+            zrow, zcol = np.nonzero((sv[:, 1:-1] == 0.0) & (sv[:, :-2] * sv[:, 2:] < 0.0))
+            brow, bcol = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
+        roots = _bisect_roots(split, brow, grid[bcol], grid[bcol + 1], sv[brow, bcol])
+        for r, t in zip(zrow.tolist(), grid[zcol + 1].tolist()):
+            cuts[r].append(t)
+        for r, t in zip(brow.tolist(), roots.tolist()):
+            cuts[r].append(t)
+    return cuts
+
 
 def _reference_integrate_1d(fv, lo, hi, cfg):
     """Reference: the adaptive policy as one sequential loop over one piece
@@ -615,9 +684,9 @@ class TestAdaptivePolicy:
             assert q.converged == all(p[3] for p in parts)
 
 
-def _benchmark_2d_inputs(seeds):
-    """The 2D functions of the first ``verify`` round of each seed, as the
-    benchmark generates them."""
+def _benchmark_verify_round(seed):
+    """The ops of the first ``verify`` round of ``seed``, as the benchmark
+    generates them."""
     import random
     import sys
     from pathlib import Path
@@ -627,11 +696,13 @@ def _benchmark_2d_inputs(seeds):
         import workloads
     finally:
         sys.path.pop(0)
-    texts = []
-    for seed in seeds:
-        ops = workloads.verify_round(random.Random(f"verify:{seed}"))
-        texts += [op.expr for op in ops[:2]]
-    return texts
+    return workloads.verify_round(random.Random(f"verify:{seed}"))
+
+
+def _benchmark_2d_inputs(seeds):
+    """The 2D functions of the first ``verify`` round of each seed, as the
+    benchmark generates them."""
+    return [op.expr for seed in seeds for op in _benchmark_verify_round(seed)[:2]]
 
 
 def _nested_scipy(fn, box, y_kinks):
@@ -736,13 +807,32 @@ class TestIterated2D:
         switches = [quadrature._switch_values(s) for s in f.switches]
         xs = np.linspace(-1, 1, 37)
         runs = {}
-        for size in (1, 16):
+        # one row a batch, 16 and 32 rows a batch, every row in one batch
+        for size in (1, 16, 32, xs.size):
             monkeypatch.setattr(quadrature, "_SLICES_PER_BATCH", size)
             rows = quadrature._integrate_slices(
                 fv2, switches, Axis.Y, xs, Interval(-1, 1), QuadConfig()
             )
             runs[size] = ([_as_tuple(q) for q in rows], _as_tuple(integrate_2d(f, self.BOX)))
-        assert runs[1] == runs[16]
+        assert runs[1] == runs[16] == runs[32] == runs[xs.size]
+
+    def test_benchmark_records_do_not_depend_on_the_batch(self, monkeypatch, capsys):
+        import json
+
+        from quasiconv import cli, quadrature
+
+        ops = _benchmark_verify_round(3)[1:3]
+        assert [op.argv[2] for op in ops] == ["THM_2_4", "CHAIN1_6"]
+        records = {}
+        for size in (16, 32):
+            monkeypatch.setattr(quadrature, "_SLICES_PER_BATCH", size)
+            records[size] = []
+            for op in ops:
+                assert cli.main(list(op.argv)) == 0
+                record = json.loads(capsys.readouterr().out)
+                del record["wall_time"]
+                records[size].append(record)
+        assert records[16] == records[32]
 
 
 def _as_tuple(q):

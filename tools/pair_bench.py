@@ -25,7 +25,9 @@ seconds scaled to the reference kernel's quiet time, as ``setup_s`` is.
 The output holds, per workload and end-to-end metric, each side's runs,
 median and inclusive quartiles, the pairs in which the change is better and
 worse, the ratio of the medians, and the gap between the medians over the
-parent's interquartile range (positive when the change is better).  It is
+parent's interquartile range (positive when the change is better).  The ops
+each run attempted are summarised the same way, more counting as better,
+so that each run's ``peak_rss_mb`` can be read against its op count.  It is
 rewritten after every pair, so an interrupted session keeps the pairs done.
 """
 
@@ -97,9 +99,9 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
                 "unit": metric["unit"],
                 **compare(values["parent"], values["change"], metric["better"]),
             }
-        entry["ops_attempted_median"] = {
-            side: statistics.median(r["attempted"] for r in records)
-            for side, records in runs.items()
+        ops ={side: [r["attempted"] for r in records] for side, records in runs.items()}
+        entry["ops_attempted"] = {
+            "unit": "count", **compare(ops["parent"], ops["change"], "higher")
         }
         entry["all_correct"] = all(r["correct"] for records in runs.values() for r in records)
         entry["failed"] = {side: sum(r["failed"] for r in records) for side, records in runs.items()}
