@@ -561,15 +561,18 @@ _INPUTS = ("in0", "in1")  # pool names of the contiguous co-ordinate lanes
 
 
 class _Pool(threading.local):
-    """The lane buffers screening computes into, one flat array per name,
-    kept for the thread's life so that no chunk allocates a lane-sized
-    array: the allocator would hand large ones back to the system and
-    fault them in again.  A request views the named buffer at its shape,
-    growing it first if it is too small, so a short last slab fits.  The
-    screen asks for at most two point sets of ``_CHUNK`` lanes per buffer,
-    besides f on the grid's points (slices times n^d lanes), so the pool
-    stays at a few megabytes at the default budget; the grid's per-check
-    pair mask, which outgrows a slab at large resolutions, is not pooled."""
+    """The slab-sized buffers screening computes its results into, one flat
+    array per name, kept for the thread's life so that no slab allocates
+    them: the allocator would hand large ones back to the system and fault
+    them in again.  The chord mixes and the C/J rhs terms are not pooled:
+    they are computed at their operands' own shape, small on the grid and
+    up to one slab on the Halton batch.  A request views the named buffer
+    at its shape, growing it first if it is too small, so a short last
+    slab fits.  The screen asks for at most two point sets of ``_CHUNK``
+    lanes per buffer, besides f on the grid's points (slices times n^d
+    lanes), so the pool stays at a few megabytes at the default budget;
+    the grid's per-check pair mask, which outgrows a slab at large
+    resolutions, is not pooled either."""
 
     def __init__(self) -> None:
         self.flat: dict[str, np.ndarray] = {}
@@ -620,16 +623,9 @@ class _Pool(threading.local):
         return regs
 
 
-@lru_cache(maxsize=None)
 def _register_names(count: int) -> tuple[str, ...]:
     """Pool names of the registers after the first of ``count``."""
     return tuple(f"reg{k}" for k in range(1, count))
-
-
-@lru_cache(maxsize=1024)
-def _broadcast(a: tuple, b: tuple) -> tuple:
-    """The broadcast shape of two shapes of one length."""
-    return tuple(map(max, a, b))
 
 
 _POOL = _Pool()
@@ -656,28 +652,16 @@ def _halton_cube(m: int, dims: int) -> np.ndarray:
     return out
 
 
-def _temp(name: str, x, y, dtype: type = float) -> np.ndarray:
-    """A pool view for the result of a ufunc of ``x`` and ``y``, arrays of
-    one ndim or a float and an array, at their broadcast shape."""
-    if not isinstance(x, np.ndarray):
-        return _POOL.take(name, y.shape, dtype)
-    return _POOL.take(name, _broadcast(x.shape, y.shape), dtype)
-
-
 def _mix_vec(t, a, b, out: np.ndarray, second: bool = False) -> None:
     """``_mix_a`` (``_mix_b`` when ``second``) lane by lane, into ``out``.
-    Each step runs at the broadcast shape of its operands, which on the
-    grid is far smaller than ``out``; so does the mix, copied into ``out``
-    when smaller."""
+    The mix is computed at the broadcast shape of its operands, arrays
+    ``a`` and ``b`` and a float or array ``t``: on the grid far smaller than
+    ``out``, on the Halton batch up to one slab; then copied into ``out``."""
     s = 1.0 - t
     u, v = (s, t) if second else (t, s)
-    ua = np.multiply(u, a, out=_temp("ua", u, a))
-    vb = np.multiply(v, b, out=_temp("vb", v, b))
-    mixed = _temp("mixed", ua, vb)
-    mixed = np.add(ua, vb, out=out if mixed.shape == out.shape else mixed)
-    np.copyto(mixed, a, where=np.equal(a, b, out=_temp("same", a, b, bool)))
-    if mixed is not out:
-        np.copyto(out, mixed)
+    mixed = u * a + v * b
+    np.copyto(mixed, a, where=a == b)
+    np.copyto(out, mixed)
 
 
 _GOLDEN_STEPS = 5  # golden-section steps per call of the margin in refinement
@@ -1031,9 +1015,7 @@ def _lane_margins(
         if kind in ("C", "J"):
             # the terms at their own shape, on the grid far smaller than rhs
             a, b = (params[0], 1.0 - params[0]) if kind == "C" else (0.5, 0.5)
-            term_a = np.multiply(a, F1, out=_temp("term_a", a, F1))
-            term_b = np.multiply(b, F2, out=_temp("term_b", b, F2))
-            np.add(term_a, term_b, out=rhs)
+            np.add(np.multiply(a, F1), np.multiply(b, F2), out=rhs)
         elif kind == "W":
             np.add(F1, F2, out=rhs)
         else:  # QC, JQC, WQC

@@ -191,7 +191,7 @@ def parse_catalog(text: str) -> list[GalleryEntry]:
 
 
 def load_gallery() -> list[GalleryEntry]:
-    text = resources.files("quasiconv").joinpath("data/gallery.txt").read_text()
+    text = resources.files(__package__).joinpath("data/gallery.txt").read_text()
     return parse_catalog(text)
 
 
@@ -368,13 +368,22 @@ class PolynomialBasis:
 Family = Union[PiecewiseLinear, PolynomialBasis]
 
 
+_MAX_KNOTS = 64  # most kinks of a pwlK function
+_MAX_DEGREE = 16  # highest total degree of a polyD function
+
+
 def family_from_name(name: str) -> Family:
-    """Parse compact family names like ``pwl4`` or ``poly3``."""
+    """Parse compact family names like ``pwl4`` or ``poly3``; the size must
+    lie in 0..64 knots or 0..16 degrees."""
     if name.startswith("pwl"):
-        return PiecewiseLinear(int(name[3:] or 4))
-    if name.startswith("poly"):
-        return PolynomialBasis(int(name[4:] or 3))
-    raise ValueError(f"unknown family {name!r}; use pwlK or polyD")
+        family, size, cap = PiecewiseLinear, int(name[3:] or 4), _MAX_KNOTS
+    elif name.startswith("poly"):
+        family, size, cap = PolynomialBasis, int(name[4:] or 3), _MAX_DEGREE
+    else:
+        raise ValueError(f"unknown family {name!r}; use pwlK or polyD")
+    if not 0 <= size <= cap:
+        raise ValueError(f"family {name!r}: size {size} is outside 0..{cap}")
+    return family(size)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +401,8 @@ class SearchConfig:
     budget: SearchBudget = SearchBudget(grid_n=9, halton_count=512, slices=5)
 
     def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not is_valid_separation_pair(self.target_in, self.target_not_in):
             raise InvalidSearchPair(
                 f"{self.target_not_in.value} is not a chain subclass of"

@@ -702,6 +702,70 @@ class TestReferenceScreen:
         assert {name: buf.nbytes for name, buf in classifiers._POOL.flat.items()} == pool
         assert repr(again) == repr(verdict)
 
+    def test_pool_holds_only_slab_sized_results(self, monkeypatch):
+        # the chord mixes and the C/J rhs terms are computed at their
+        # operands' own shape, so no pool buffer is named for them, and no
+        # buffer outgrows two point sets of one slab
+        monkeypatch.setattr(classifiers, "_POOL", classifiers._Pool())
+        f = parse("0.7*(x - 0.2)^2 + 1.1*(y + 0.1)^2", 2)
+        for cid in (ClassId.W2, ClassId.C2, ClassId.QC2, ClassId.WQC2):
+            assert check_membership(f, BOX, cid).no_violation_found
+        flat = classifiers._POOL.flat
+        assert not {"ua", "vb", "mixed", "same", "term_a", "term_b"} & set(flat)
+        assert max(buf.size for buf in flat.values()) <= 2 * classifiers._CHUNK
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestMixVec:
+    """``_mix_vec`` against the scalar mixes ``_mix_a`` and ``_mix_b``, bit
+    for bit, lane by lane."""
+
+    def expected(self, t, a, b, shape, second):
+        mix = classifiers._mix_b if second else classifiers._mix_a
+        lanes = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (t, a, b)))
+        return np.array([mix(*lane) for lane in lanes]).reshape(shape)
+
+    def check(self, t, a, b, shape):
+        for second in (False, True):
+            out = np.full(shape, np.nan)
+            with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+                classifiers._mix_vec(t, a, b, out, second)
+            want = self.expected(t, a, b, shape, second)
+            assert np.array_equal(_bits(out), _bits(want)), (second, t, a, b)
+
+    # values with ties: equal points, zeros of both signs, equal infinities
+    VALUES = [-1.0, -0.25, 0.0, -0.0, 0.3, 1.0, 1e308, -1e308, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.5, 0.1234567, "drawn"])
+    def test_grid_operands_smaller_than_out(self, t):
+        # as on the grid: x1 and x2 on their own axes, t on a third
+        rng = np.random.default_rng(5)
+        values = np.array(self.VALUES)
+        n = len(values)
+        a = values.reshape(1, n, 1, 1)
+        b = values.reshape(1, 1, n, 1)
+        ts = rng.random(3).reshape(1, 1, 1, 3) if t == "drawn" else np.full((1, 1, 1, 1), t)
+        self.check(ts, a, b, (1, n, n, 3))
+        if t == 0.5:  # J's float parameter
+            self.check(0.5, a, b, (1, n, n, 1))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.5, "drawn"])
+    def test_halton_operands_the_shape_of_out(self, t):
+        # as on the Halton batch and in refinement: every operand is a lane
+        rng = np.random.default_rng(11)
+        pairs = list(itertools.product(self.VALUES, repeat=2))
+        a = np.array([p for p, _ in pairs] + rng.uniform(-2, 2, 50).tolist())[None, :]
+        b = np.array([q for _, q in pairs] + rng.uniform(-2, 2, 50).tolist())[None, :]
+        ts = rng.random(a.shape) if t == "drawn" else np.full(a.shape, t)
+        self.check(ts, a, b, a.shape)
+        # zeros of both signs and equal infinities take a's value exactly
+        same = np.array([[0.0, -0.0, math.inf, -math.inf, 0.7]])
+        other = np.array([[-0.0, 0.0, math.inf, -math.inf, 0.7]])
+        self.check(np.full(same.shape, 0.25), same, other, same.shape)
+
 
 def test_threads_screen_on_their_own_pools():
     # each thread computes into its own lane buffers

@@ -474,6 +474,20 @@ class TestSearchAndGallery:
         assert code == 1
         assert "exhausted" in out
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (("--trials", "0"), "got 0"),
+            (("--trials", "-3"), "got -3"),
+            (("--family", "poly-1"), "size -1"),
+            (("--family", "pwl-2"), "size -2"),
+        ],
+    )
+    def test_search_refuses_counts_out_of_range(self, capsys, extra, named):
+        code, out, err = run(capsys, "search", "--in", "QC2", "--not-in", "C2", *extra)
+        assert code == 2
+        assert named in err and out == ""
+
     def test_gallery_list(self, capsys):
         code, out, _ = run(capsys, "gallery")
         assert code == 0

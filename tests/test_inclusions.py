@@ -161,6 +161,17 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family_from_name("fourier2")
 
+    def test_family_sizes_are_capped(self):
+        assert family_from_name("pwl0") == PiecewiseLinear(0)
+        assert family_from_name("pwl64") == PiecewiseLinear(64)
+        assert family_from_name("poly16") == PolynomialBasis(16)
+        # refused before anything is sampled: this one would ask numpy for
+        # hundreds of GiB
+        for name, size in (("pwl99999999999", 99999999999), ("pwl65", 65),
+                           ("poly17", 17), ("poly-1", -1)):
+            with pytest.raises(ValueError, match=f"size {size} is outside"):
+                family_from_name(name)
+
     def test_pwl_samples_parse_and_evaluate(self):
         import numpy as np
 
