@@ -2,7 +2,7 @@
 """In-process A/B of two revisions, op by op.
 
     python3 tools/ab_ops.py --parent REV --work DIR --workload W \
-        [--seeds FIRST-LAST] [--repeat N] [--out FILE]
+        [--seeds FIRST-LAST] [--repeat N]
 
 The parent revision and the working tree (its tracked and staged files,
 through ``git stash create``; HEAD when it is clean) are exported with
@@ -122,7 +122,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True, choices=("screen", "verify", "catalog"))
     ap.add_argument("--seeds", default="1-2", metavar="FIRST-LAST")
     ap.add_argument("--repeat", type=int, default=3, help="timed runs per op and side")
-    ap.add_argument("--out", type=Path, help="also write the JSON here")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error(f"--repeat must be at least 1, got {args.repeat}")
@@ -172,10 +171,7 @@ def main() -> int:
         **summarize(times),
         "left_out": left_out,
     }
-    text = json.dumps(record, indent=1)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    print(text)
+    print(json.dumps(record, indent=1))
     return 0
 
 
