@@ -556,6 +556,9 @@ def strengthen_witness(w: Witness, f: Union[Expr, Callable, None] = None) -> Wit
 # Candidate screening engine
 
 _CHUNK = 1 << 15  # most lanes per slab and per call: its arrays stay in L2
+# most points of a grid's table of f at its mixed points, in slabs: a
+# default W2 on a dyadic box needs 66,049 points, about two slabs
+_TABLE_SLABS = 4
 _POOL_VIEWS = 1024  # views the pool keeps before it forgets them all
 _INPUTS = ("in0", "in1")  # pool names of the contiguous co-ordinate lanes
 
@@ -572,7 +575,8 @@ class _Pool(threading.local):
     lanes per buffer, besides f on the grid's points (slices times n^d
     lanes), so the pool stays at a few megabytes at the default budget;
     the grid's per-check pair mask, which outgrows a slab at large
-    resolutions, is not pooled either."""
+    resolutions, is not pooled either, nor is its table of f at the mixed
+    points (:class:`_Table`)."""
 
     def __init__(self) -> None:
         self.flat: dict[str, np.ndarray] = {}
@@ -652,16 +656,22 @@ def _halton_cube(m: int, dims: int) -> np.ndarray:
     return out
 
 
-def _mix_vec(t, a, b, out: np.ndarray, second: bool = False) -> None:
-    """``_mix_a`` (``_mix_b`` when ``second``) lane by lane, into ``out``.
-    The mix is computed at the broadcast shape of its operands, arrays
-    ``a`` and ``b`` and a float or array ``t``: on the grid far smaller than
-    ``out``, on the Halton batch up to one slab; then copied into ``out``."""
+def _mix(t, a, b, second: bool = False) -> np.ndarray:
+    """``_mix_a`` (``_mix_b`` when ``second``) lane by lane, at the
+    broadcast shape of its operands, arrays ``a`` and ``b`` and a float or
+    array ``t``: on the grid far smaller than a slab, on the Halton batch
+    up to one slab."""
     s = 1.0 - t
     u, v = (s, t) if second else (t, s)
     mixed = u * a + v * b
     np.copyto(mixed, a, where=a == b)
-    np.copyto(out, mixed)
+    return mixed
+
+
+def _chords(kind: str) -> tuple[bool, ...]:
+    """The chord points a template evaluates f at, as the ``second`` flag
+    of :func:`_mix`: W and WQC also evaluate ``_mix_b``'s."""
+    return (False, True) if kind in ("W", "WQC") else (False,)
 
 
 _GOLDEN_STEPS = 5  # golden-section steps per call of the margin in refinement
@@ -788,7 +798,8 @@ def _refine(
 
         def sides(ts: np.ndarray) -> tuple:
             cols[j] = ts
-            return _lane_margins(kind, f, d, cols, F1, F2, ts.shape, frozen)
+            chord = _chord_sides(kind, f, d, cols, ts.shape, frozen)
+            return _lane_margins(kind, cols[2 * d :], chord, F1, F2, ts.shape)
 
         def margin_at(ts: np.ndarray) -> tuple:
             margin, _, ok = sides(ts)
@@ -979,28 +990,38 @@ def _eval_sets(
     return _POOL.take(home, ins[0].shape), _POOL.take(home + "_ok", ins[0].shape, bool)
 
 
-def _lane_margins(
-    kind: str, f: Expr, d: int, cols: list, F1, F2, shape: tuple, frozen=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised template; mirrors ``_template`` lane by lane.
-
-    ``cols`` holds the candidates' co-ordinates and parameters, ordered
-    (x1[, y1], x2[, y2], t[, s]) and broadcastable to ``shape``; F1 and F2
-    are f at the two points, and ``frozen`` is passed to
-    :func:`_eval_sets`.  Returns (margin, over, ok), pool views of
-    ``shape``: ``over`` marks margins that clear the violation tolerance,
-    ``ok`` lanes whose mixed points all evaluate.
-    """
+def _chord_sides(
+    kind: str, f: Expr, d: int, cols: list, shape: tuple, frozen=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """f at the chord points of the candidates whose co-ordinates and
+    parameters ``cols`` holds, ordered (x1[, y1], x2[, y2], t[, s]) and
+    broadcastable to ``shape``, mixed onto lanes: (values, defined), each
+    (chords, *shape), in the pool buffers named ``sides``.  ``frozen`` is
+    passed to :func:`_eval_sets`."""
     p1, p2, params = cols[:d], cols[d : 2 * d], cols[2 * d :]
     # one parameter mixes every axis; W2's (t, s) mix x and y separately
     ts = [params[a % len(params)] if params else 0.5 for a in range(d)]
-    # W and WQC also evaluate the second chord point, _mix_b's
-    second = (False, True) if kind in ("W", "WQC") else (False,)
-    ins = _POOL.takes(_INPUTS[:d], (len(second),) + shape)
-    for i, flip in enumerate(second):
+    chords = _chords(kind)
+    ins = _POOL.takes(_INPUTS[:d], (len(chords),) + shape)
+    for i, flip in enumerate(chords):
         for a in range(d):
-            _mix_vec(ts[a], p1[a], p2[a], ins[a][i], flip)
-    sides, oks = _eval_sets(f, ins, frozen, "sides")
+            np.copyto(ins[a][i], _mix(ts[a], p1[a], p2[a], flip))
+    return _eval_sets(f, ins, frozen, "sides")
+
+
+def _lane_margins(
+    kind: str, params: list, chord: tuple, F1, F2, shape: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised template; mirrors ``_template`` lane by lane.
+
+    ``params`` holds the candidates' parameters, broadcastable to
+    ``shape``; ``chord`` is f at their chord points as
+    :func:`_chord_sides` gives it, and F1 and F2 are f at the two points.
+    Returns (margin, over, ok), pool views of ``shape``: ``over`` marks
+    margins that clear the violation tolerance, ``ok`` lanes whose mixed
+    points all evaluate.
+    """
+    sides, oks = chord
     lhs, ok = sides[0], oks[0]
     rhs, margin, tau = _POOL.takes(("rhs", "margin", "tau"), shape)
     over = _POOL.take("over", shape, bool)
@@ -1026,6 +1047,69 @@ def _lane_margins(
         np.subtract(lhs, rhs, out=margin)
         np.greater(margin, tau, out=over)
     return margin, over, ok
+
+
+class _Table:
+    """f on the product of a joint 2D grid's distinct mixed x and y
+    co-ordinates, with the index views ``at`` that pick each grid
+    candidate's chord points out of it: per chord point, the x index times
+    the table's row length, then the y index.  A per-check temporary, like
+    the pair mask.
+
+    Each axis mixes once over its own grid axes (p1, p2 and its parameter)
+    with :func:`_mix`, and keeps its values distinct by bits, so -0.0 and
+    0.0 stay apart: a gathered side is f at the very co-ordinates the lane
+    path would evaluate, and an elementwise tape gives the same bits
+    wherever the lane sits."""
+
+    def __init__(self, f: Expr, axes: list) -> None:
+        (xs, ix), (ys, iy) = axes
+        values, ok = np.empty((len(xs), len(ys))), np.empty((len(xs), len(ys)), bool)
+        # blocks of whole rows, or of one row's columns, of at most one slab
+        rows, width = max(1, _CHUNK // len(ys)), min(len(ys), _CHUNK)
+        for r in range(0, len(xs), rows):
+            for c in range(0, len(ys), width):
+                block = values[r : r + rows, c : c + width]
+                points = [[xs[r : r + rows, None], ys[None, c : c + width]]]
+                (v,), (defined,) = _eval_lanes(f, points, block.shape, home="sides")
+                block[...], ok[r : r + rows, c : c + width] = v, defined
+        self.values = values.ravel()
+        self.ok = None if ok.all() else ok.ravel()  # None: no mask to gather
+        self.at = [v for a, b in zip(ix * len(ys), iy) for v in (a, b)]
+
+    @classmethod
+    def build(cls, f: Expr, kind: str, cols: list, lanes: int) -> Optional["_Table"]:
+        """The table of f on the grid whose columns ``cols`` are placed as
+        in :func:`_screen`, or None if it would hold ``lanes`` points or
+        more, or more than ``_TABLE_SLABS`` slabs of them."""
+        p1, p2, params = cols[:2], cols[2:4], cols[4:]
+        axes = []
+        for a in range(2):
+            t = params[a % len(params)]
+            mixed = np.stack([_mix(t, p1[a], p2[a], flip) for flip in _chords(kind)])
+            bits, inverse = np.unique(mixed.view(np.uint64), return_inverse=True)
+            axes.append((bits.view(float), inverse.reshape(mixed.shape)))
+        size = len(axes[0][0]) * len(axes[1][0])
+        if size >= lanes or size > _TABLE_SLABS * _CHUNK:
+            return None
+        return cls(f, axes)
+
+    def gather(self, at: list, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """f at the chord points of a slab of ``shape``, ``at`` being the
+        index views cut to it: (values, defined) as :func:`_chord_sides`
+        gives them, in the same pool buffers."""
+        k = len(at) // 2
+        sides = _POOL.take("sides", (k,) + shape)
+        oks = _POOL.take("sides_ok", (k,) + shape, bool)
+        flat = _POOL.take("at", shape, np.intp)
+        for c in range(k):
+            np.add(at[2 * c], at[2 * c + 1], out=flat)
+            np.take(self.values, flat, out=sides[c], mode="clip")
+            if self.ok is None:
+                oks[c].fill(True)
+            else:
+                np.take(self.ok, flat, out=oks[c], mode="clip")
+        return sides, oks
 
 
 @lru_cache(maxsize=None)
@@ -1072,6 +1156,11 @@ def _screen(
     Within a slice the flat grid index is the candidate id, Halton ids
     follow the grid, and equal margins rank by lower id.
 
+    The grid of a plain 2D check of a class with a parameter (C2, QC2, W2,
+    W2-ordered, WQC2) gathers f at its chord points from a :class:`_Table`
+    when one is small enough; every other grid, and every Halton batch,
+    mixes its chord points onto lanes and evaluates them there.
+
     Each slice gets the outcome a check of it alone would give.  The check
     is undefined at the first undefined slice; ``samples`` counts the
     candidates of the slices before it and its own, or none of its own when
@@ -1101,8 +1190,8 @@ def _screen(
         """Slice s's frozen axis and value."""
         return (Axis.X if frozen[1][s] else Axis.Y), float(frozen[0][s])
 
-    def screened(cols, F1, F2, chunk, fz, live, ok=None):
-        margin, over, ok_mixed = _lane_margins(kind, f, d, cols, F1, F2, chunk, fz)
+    def screened(params, chord, F1, F2, chunk, live, ok=None):
+        margin, over, ok_mixed = _lane_margins(kind, params, chord, F1, F2, chunk)
         if ok is not None:
             ok_mixed &= ok
         ok = ok_mixed
@@ -1137,18 +1226,26 @@ def _screen(
         cols[:d], cols[d : 2 * d], ordered_only, np.empty(pairs, bool), np.empty(pairs, bool)
     )
     screen = _Screen(slices)
-
-    def grid_lanes(parts, chunk):
-        c = len(cols)
-        return screened(
-            parts[:c], parts[c], parts[c + 1], chunk, parts[c + 3 :] or None, parts[c + 2]
-        )
-
-    views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or ())]
     # these templates are symmetric in (p1, p2), bit for bit; C's and QC's
     # in (p1, p2, lam) and (p2, p1, 1 - lam), a grid value on a dyadic grid
     mirrored = kind in ("J", "JQC", "W", "WQC") or (kind in ("C", "QC") and _reflects(n))
     mirror = (1, 1 + d) if mirrored else None
+    table = None
+    if live_slices and frozen is None and d == 2 and names:
+        # the mixed points the lane path evaluates: the mirror screens half
+        lanes = len(_chords(kind)) * math.prod(grid_shape) // (2 if mirrored else 1)
+        table = _Table.build(f, kind, cols, lanes)
+
+    def grid_lanes(parts, chunk):
+        c = len(cols)
+        rest = parts[c + 3 :]
+        if table is None:
+            chord = _chord_sides(kind, f, d, parts[:c], chunk, rest or None)
+        else:
+            chord = table.gather(rest, chunk)
+        return screened(parts[2 * d : c], chord, parts[c], parts[c + 1], chunk, parts[c + 2])
+
+    views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or (table.at if table else ()))]
     if live_slices and screen.scan((live_slices,) + grid_shape, 0, views, grid_lanes, mirror):
         live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
     halton: list = []
@@ -1167,7 +1264,8 @@ def _screen(
             live = _screened_pairs(
                 p1, p2, ordered_only, *_POOL.takes(("live", "scratch"), chunk, bool)
             )
-            return screened(hcols, F1, F2, chunk, fzp, live, ok)
+            chord = _chord_sides(kind, f, d, hcols, chunk, fzp)
+            return screened(hcols[2 * d :], chord, F1, F2, chunk, live, ok)
 
         views = halton + list(frozen_on(2) or ())
         screen.scan((live_slices, m), math.prod(grid_shape), views, halton_lanes)

@@ -374,15 +374,16 @@ _MAX_DEGREE = 16  # highest total degree of a polyD function
 
 def family_from_name(name: str) -> Family:
     """Parse compact family names like ``pwl4`` or ``poly3``; the size must
-    lie in 0..64 knots or 0..16 degrees."""
+    lie in 1..64 knots or 2..16 degrees.  Smaller sizes draw only affine
+    functions, which lie in every class, so no trial could separate."""
     if name.startswith("pwl"):
-        family, size, cap = PiecewiseLinear, int(name[3:] or 4), _MAX_KNOTS
+        family, size, low, cap = PiecewiseLinear, int(name[3:] or 4), 1, _MAX_KNOTS
     elif name.startswith("poly"):
-        family, size, cap = PolynomialBasis, int(name[4:] or 3), _MAX_DEGREE
+        family, size, low, cap = PolynomialBasis, int(name[4:] or 3), 2, _MAX_DEGREE
     else:
         raise ValueError(f"unknown family {name!r}; use pwlK or polyD")
-    if not 0 <= size <= cap:
-        raise ValueError(f"family {name!r}: size {size} is outside 0..{cap}")
+    if not low <= size <= cap:
+        raise ValueError(f"family {name!r}: size {size} is outside {low}..{cap}")
     return family(size)
 
 

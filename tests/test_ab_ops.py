@@ -23,7 +23,7 @@ def test_summarize_pairs_each_op_run_with_the_other_sides():
         "parent": [[1.0, 2.0, 4.0], [1.0, 2.0, 8.0]],
         "change": [[0.5, 2.0, 2.0], [1.5, 1.0, 8.0]],
     }
-    got = ab_ops.summarize(times)
+    got = ab_ops.summarize(times, ["a", "b", "c"])
     # op times 1, 1, 2, 2, 4, 8: median 2, 90th percentile at position 4.5;
     # rounds of 7 and 11
     assert got["parent"] == {"op_p50_s": 2.0, "op_p90_s": 6.0, "round_wall_s": 9.0}
@@ -35,9 +35,29 @@ def test_summarize_pairs_each_op_run_with_the_other_sides():
 
 
 def test_summarize_of_one_run_per_side():
-    got = ab_ops.summarize({"parent": [[2.0]], "change": [[3.0]]})
+    got = ab_ops.summarize({"parent": [[2.0]], "change": [[3.0]]}, ["a"])
     assert got["parent"] == {"op_p50_s": 2.0, "op_p90_s": 2.0, "round_wall_s": 2.0}
     assert got["op_ratio"] == {"median": 1.5, "q1": 1.5, "q3": 1.5, "pairs": 1}
+    assert got["op_ratio_by_label"] == {"a": got["op_ratio"]}
+
+
+def test_summarize_gives_each_op_labels_ratios():
+    # two repetitions of four ops, two of them labelled "W2": each label's
+    # ratios are its ops' runs in both repetitions
+    times = {
+        "parent": [[1.0, 2.0, 4.0, 1.0], [1.0, 2.0, 8.0, 1.0]],
+        "change": [[0.5, 2.0, 2.0, 0.25], [1.5, 1.0, 8.0, 1.0]],
+    }
+    got = ab_ops.summarize(times, ["W2", "C2", "QC2", "W2"])
+    assert got["op_ratio_by_label"] == {
+        # ratios 1.0 and 0.5
+        "C2": {"median": 0.75, "q1": 0.625, "q3": 0.875, "pairs": 2},
+        # ratios 0.5 and 1.0
+        "QC2": {"median": 0.75, "q1": 0.625, "q3": 0.875, "pairs": 2},
+        # ratios 0.5, 0.25, 1.5 and 1.0, inclusive quartiles of 0.25, 0.5, 1, 1.5
+        "W2": {"median": 0.75, "q1": 0.4375, "q3": 1.125, "pairs": 4},
+    }
+    assert got["op_ratio"]["pairs"] == 8
 
 
 @pytest.fixture

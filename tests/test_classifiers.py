@@ -489,6 +489,33 @@ def counting_lanes(monkeypatch):
     return lanes
 
 
+def counting_gathers(monkeypatch):
+    """Record the slab size of every gather from a grid's table of f at its
+    mixed points."""
+    gathers = []
+    gather = classifiers._Table.gather
+
+    def counted(self, at, shape):
+        gathers.append(math.prod(shape))
+        return gather(self, at, shape)
+
+    monkeypatch.setattr(classifiers._Table, "gather", counted)
+    return gathers
+
+
+def table_sides(box, cid, n):
+    """The sides of a grid's table of f at its mixed points, counted with
+    the scalar mixes: the distinct mixed x values and the y ones, by bits."""
+    mixes = (classifiers._mix_a, classifiers._mix_b) if cid.kind in ("W", "WQC") else (
+        classifiers._mix_a,)
+    ts = np.linspace(0.0, 1.0, n).tolist()
+    sizes = []
+    for iv in (box.x, box.y):
+        g = np.linspace(iv.lo, iv.hi, n).tolist()
+        sizes.append(len({mix(t, a, b).hex() for a in g for b in g for t in ts for mix in mixes}))
+    return sizes
+
+
 def reference_screen(f, domain, cid, budget):
     """Plain-loop oracle of ``check_membership`` with no refinement: every
     candidate in id order (the tensor grid, then the Halton batch) through
@@ -592,9 +619,10 @@ class TestReferenceScreen:
     def test_w2_grid_evaluates_each_mirrored_pair_once(self, monkeypatch):
         # with slabs of 64 lanes x2 is W2's slab axis: each x1 index i
         # screens x2 from i on, 4 * (4 + 3 + 2 + 1) * 64 = 2,560 lanes per
-        # chord point instead of 4^6 = 4,096
+        # chord point instead of 4^6 = 4,096; on the lane path
         lanes = counting_lanes(monkeypatch)
         monkeypatch.setattr(classifiers, "_CHUNK", 64)
+        monkeypatch.setattr(classifiers, "_TABLE_SLABS", 0)
         f = parse("x*x + y*y", 2)
         got = check_membership(f, REF_BOX, ClassId.W2, budget=REF_BUDGET)
         assert got.no_violation_found and got.samples == 4**6 - 4**4 + 16
@@ -622,9 +650,10 @@ class TestReferenceScreen:
         self, monkeypatch, cid, n, lanes_per_point
     ):
         # with slabs of 255 lanes the slab axis is y1 and x2 trails it; a
-        # slab spans two y1 rows (n = 5) or one (n = 6)
+        # slab spans two y1 rows (n = 5) or one (n = 6); on the lane path
         lanes = counting_lanes(monkeypatch)
         monkeypatch.setattr(classifiers, "_CHUNK", 255)
+        monkeypatch.setattr(classifiers, "_TABLE_SLABS", 0)
         budget = SearchBudget(grid_n=n, halton_count=0)
         got = check_membership(parse("x*x + y*y", 2), REF_BOX, cid, budget=budget)
         assert got.no_violation_found and got.samples == n**5 - n**3
@@ -632,6 +661,49 @@ class TestReferenceScreen:
         # f on the n^2 grid points, then the mixed points: WQC mixes two
         assert sizes[0] == n * n
         assert sum(sizes[1:]) == lanes_per_point * (2 if cid.kind == "WQC" else 1)
+
+    @pytest.mark.parametrize(
+        "cid, n, chunk, lanes_per_point",
+        [
+            # the two tests above on the table path, without Halton points
+            (ClassId.W2, 4, 64, 4 * (4 + 3 + 2 + 1) * 64),
+            # a slab shorter than the table's rows of 25 points: x2 is in
+            # the slab's prefix, and rows are evaluated in pieces
+            (ClassId.W2, 4, 16, 4 * (4 + 3 + 2 + 1) * 64),
+            (ClassId.C2, 5, 255, 5 * 15 * 25),
+            (ClassId.QC2, 5, 255, 5 * 15 * 25),
+            (ClassId.WQC2, 5, 255, 5 * 15 * 25),
+            (ClassId.WQC2, 6, 255, 6 * 21 * 36),
+            (ClassId.C2, 6, 255, 6**5),
+            (ClassId.QC2, 6, 255, 6**5),
+        ],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_table_gathers_each_mirrored_pair_once(
+        self, monkeypatch, cid, n, chunk, lanes_per_point
+    ):
+        # f on the n^2 grid points, then on the table's points in calls of
+        # whole rows of at most one slab; then each slab gathers all its
+        # chord points in one call, and the slabs together hold each
+        # mirrored pair once
+        lanes = counting_lanes(monkeypatch)
+        gathers = counting_gathers(monkeypatch)
+        monkeypatch.setattr(classifiers, "_CHUNK", chunk)
+        nx, ny = table_sides(REF_BOX, cid, n)
+        # REF_BOX is not dyadic: its tables outgrow the default bound in
+        # these small slabs
+        monkeypatch.setattr(classifiers, "_TABLE_SLABS", -(-nx * ny // chunk))
+        budget = SearchBudget(grid_n=n, halton_count=0)
+        got = check_membership(parse("x*x + y*y", 2), REF_BOX, cid, budget=budget)
+        ndim = 4 + len(cid.param_names)
+        assert got.no_violation_found and got.samples == n**ndim - n ** (ndim - 2)
+        rows, width = max(1, chunk // ny), min(ny, chunk)
+        calls = [
+            min(rows, nx - r) * min(width, ny - c)
+            for r in range(0, nx, rows) for c in range(0, ny, width)
+        ]
+        assert [math.prod(shape) for shape in lanes] == [n * n] + calls
+        assert sum(gathers) == lanes_per_point and max(gathers) <= chunk
 
     @pytest.mark.parametrize("cid", MIRRORED + REFLECTED, ids=lambda c: c.value)
     def test_templates_are_symmetric_in_the_pair(self, cid):
@@ -715,12 +787,53 @@ class TestReferenceScreen:
         assert max(buf.size for buf in flat.values()) <= 2 * classifiers._CHUNK
 
 
+# the joint classes whose grid the screen gathers from a table of f
+TABLE_CLASSES = [ClassId.C2, ClassId.QC2, ClassId.W2, ClassId.W2_ORDERED, ClassId.WQC2]
+TABLE_FUNCTIONS = (
+    "max(x*y, x - y) - abs(x + 0.5*y)",  # violated
+    "x*x + y*y",
+    REF_MIXED_HOLE_2D,
+    DYADIC_MIXED_HOLE_2D,
+    "-(1.7e308*x*x) + y",  # sums overflow: NaN margins
+    "exp(x)*sin(3*y) - floor(2*x)",
+    # undefined around (-0.325, 0), a mixed point of both boxes' grids of 5
+    # (see DYADIC_MIXED_HOLE_2D), where f overflows to inf, not to NaN
+    "exp(710 - 10000*(abs(x + 0.325) + abs(y)))",
+)
+
+
+class TestMixedPointTable:
+    @pytest.mark.parametrize("cid", TABLE_CLASSES, ids=lambda c: c.value)
+    def test_table_matches_lane_path(self, monkeypatch, cid):
+        # the lane path, forced by a size bound of 0, gives every verdict
+        # bit for bit: repr tells -0.0 from 0.0 and a float's last bit
+        gathers = counting_gathers(monkeypatch)
+        seen = set()
+        for n, m, dom, text in itertools.product(
+            (5, 6, 9), (0, 64), (BOX, REF_BOX), TABLE_FUNCTIONS
+        ):
+            f = parse(text, 2)
+            budget = SearchBudget(grid_n=n, halton_count=m)
+            before = len(gathers)
+            got = check_membership(f, dom, cid, budget=budget).to_dict()
+            with monkeypatch.context() as lane_path:
+                lane_path.setattr(classifiers, "_TABLE_SLABS", 0)
+                want = check_membership(f, dom, cid, budget=budget).to_dict()
+            assert repr(got) == repr(want), (n, m, dom, text)
+            if len(gathers) > before:
+                seen.add((got["status"], "candidate" in got))
+        # the table path met every outcome; W's, whose sums of f overflow to
+        # inf - inf, also the inequality that is not finite where f is defined
+        want = {("no_violation_found", False), ("violated", False), ("undefined", False)}
+        assert seen == want | ({("undefined", True)} if cid.kind == "W" else set())
+
+
 def _bits(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
 class TestMixVec:
-    """``_mix_vec`` against the scalar mixes ``_mix_a`` and ``_mix_b``, bit
+    """``_mix`` against the scalar mixes ``_mix_a`` and ``_mix_b``, bit
     for bit, lane by lane."""
 
     def expected(self, t, a, b, shape, second):
@@ -732,7 +845,7 @@ class TestMixVec:
         for second in (False, True):
             out = np.full(shape, np.nan)
             with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
-                classifiers._mix_vec(t, a, b, out, second)
+                np.copyto(out, classifiers._mix(t, a, b, second))
             want = self.expected(t, a, b, shape, second)
             assert np.array_equal(_bits(out), _bits(want)), (second, t, a, b)
 

@@ -481,6 +481,10 @@ class TestSearchAndGallery:
             (("--trials", "-3"), "got -3"),
             (("--family", "poly-1"), "size -1"),
             (("--family", "pwl-2"), "size -2"),
+            # affine functions only: they lie in every class
+            (("--family", "pwl0"), "size 0 is outside 1..64"),
+            (("--family", "poly0"), "size 0 is outside 2..16"),
+            (("--family", "poly1"), "size 1 is outside 2..16"),
         ],
     )
     def test_search_refuses_counts_out_of_range(self, capsys, extra, named):

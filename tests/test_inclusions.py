@@ -162,13 +162,15 @@ class TestFamilies:
             family_from_name("fourier2")
 
     def test_family_sizes_are_capped(self):
-        assert family_from_name("pwl0") == PiecewiseLinear(0)
+        assert family_from_name("pwl1") == PiecewiseLinear(1)
         assert family_from_name("pwl64") == PiecewiseLinear(64)
+        assert family_from_name("poly2") == PolynomialBasis(2)
         assert family_from_name("poly16") == PolynomialBasis(16)
         # refused before anything is sampled: this one would ask numpy for
-        # hundreds of GiB
+        # hundreds of GiB; the smallest sizes draw only affine functions
         for name, size in (("pwl99999999999", 99999999999), ("pwl65", 65),
-                           ("poly17", 17), ("poly-1", -1)):
+                           ("poly17", 17), ("poly-1", -1), ("pwl0", 0), ("poly0", 0),
+                           ("poly1", 1)):
             with pytest.raises(ValueError, match=f"size {size} is outside"):
                 family_from_name(name)
 

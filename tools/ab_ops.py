@@ -22,7 +22,8 @@ and left out of the timings.
 Prints one JSON object: per side the median and 90th-percentile op time and
 the median round wall (the sum of one repetition's op times), and the
 change-over-parent time ratio of each op run, paired with the other side's
-run next to it, as its median and inclusive quartiles.
+run next to it, as its median and inclusive quartiles, over all ops and per
+op label, so that a change shows where its saving sits.
 """
 
 from __future__ import annotations
@@ -90,9 +91,15 @@ def _p90(values: list[float]) -> float:
     return statistics.quantiles(values, n=10, method="inclusive")[-1]
 
 
-def summarize(times: dict[str, list[list[float]]]) -> dict:
+def _ratio_summary(ratios: list[float]) -> dict:
+    q1, median, q3 = quartiles(ratios)
+    return {"median": median, "q1": q1, "q3": q3, "pairs": len(ratios)}
+
+
+def summarize(times: dict[str, list[list[float]]], labels: list[str]) -> dict:
     """``times[side][r][i]`` is op i's seconds in repetition r of that side;
-    repetition r of op i ran on both sides one after the other."""
+    repetition r of op i ran on both sides one after the other.  ``labels[i]``
+    is op i's label: the per-op ratios are also summarized per label."""
     out: dict = {}
     for side in SIDES:
         runs = [s for rep in times[side] for s in rep]
@@ -101,13 +108,14 @@ def summarize(times: dict[str, list[list[float]]]) -> dict:
             "op_p90_s": _p90(runs),
             "round_wall_s": statistics.median(sum(rep) for rep in times[side]),
         }
-    ratios = [
-        c / p
-        for p_rep, c_rep in zip(times["parent"], times["change"])
-        for p, c in zip(p_rep, c_rep)
-    ]
-    q1, median, q3 = quartiles(ratios)
-    out["op_ratio"] = {"median": median, "q1": q1, "q3": q3, "pairs": len(ratios)}
+    by_label: dict[str, list[float]] = {}
+    for p_rep, c_rep in zip(times["parent"], times["change"]):
+        for label, p, c in zip(labels, p_rep, c_rep):
+            by_label.setdefault(label, []).append(c / p)
+    out["op_ratio"] = _ratio_summary([r for ratios in by_label.values() for r in ratios])
+    out["op_ratio_by_label"] = {
+        label: _ratio_summary(ratios) for label, ratios in sorted(by_label.items())
+    }
     return out
 
 
@@ -168,7 +176,7 @@ def main() -> int:
         "repeat": args.repeat,
         "ops": len(kept),
         "commits": {side: commit[:7] for side, commit in commits.items()},
-        **summarize(times),
+        **summarize(times, [op.label for op in kept]),
         "left_out": left_out,
     }
     print(json.dumps(record, indent=1))
