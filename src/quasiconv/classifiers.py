@@ -832,80 +832,91 @@ class _Screen:
         views: list,
         lanes: Callable,
         mirror: Optional[tuple[int, int]] = None,
+        reflect: Optional[int] = None,
     ) -> bool:
         """Screen a C-order tensor of ``shape``, slices on its first axis,
         in slabs in id order; a slice's ids start at ``id0``.
 
-        A slab fixes the leading indices and spans a range of the next axis:
-        the largest whole slab that holds at most ``_CHUNK`` lanes.
-        ``lanes(parts, chunk)`` gives (margin, violating, undefined) on the
-        slab of shape ``chunk``, ``parts`` being the ``views``, arrays that
-        broadcast to ``shape``, cut down to it.  Returns True at the first
-        slab with an undefined lane, where it stops.
+        A slab fixes the leading indices, spans a range of the next axis
+        and, on each axis after it, the range that axis screens: the largest
+        whole slab that holds at most ``_CHUNK`` lanes.  ``lanes(parts,
+        chunk)`` gives (margin, violating, undefined) on the slab of shape
+        ``chunk``, ``parts`` being the ``views``, arrays that broadcast to
+        ``shape``, cut down to it.  Returns True at the first slab with an
+        undefined lane, where it stops.
 
-        ``mirror`` names the axes (a, b) of x1 and x2 when a candidate and
-        a twin with the two points swapped have one margin, the twin's id
-        being the higher when its x1 index is.  Where a slab fixes a, its
-        lanes with index b below index a are skipped: each one's twin is
-        screened.  A prefix that fixes b below a is skipped whole; where b
-        is the slab axis, the slab starts at index a; where b is a trailing
-        axis, the views that span it are cut to start there, and the slab's
-        lanes fall into runs of consecutive ids, one per index of the axes
-        from the slab axis to b."""
+        Where a slab fixes the x1 axis, two skips cut the index range of an
+        axis.  ``mirror`` names the axes (a, b) of x1 and x2 when a
+        candidate and its twin with the two points swapped have one margin:
+        axis b screens from the index on axis a on.  ``reflect`` names the
+        first parameter axis when a candidate and its twin with every
+        parameter index i moved to n - 1 - i have one margin: that axis
+        screens indices 0 to n // 2.  The lowest id of the candidates that
+        the two swaps connect passes both, so each skipped candidate has
+        the margin of a screened one with a lower id.  A prefix outside the
+        ranges is skipped whole; the slab axis and the axes after it are
+        cut to theirs, with the views that span them, and a slab's step is
+        reckoned on the cut shape."""
         j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
-        rest = shape[j + 1 :]
-        step = min(shape[j], _CHUNK // math.prod(rest))
+        strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
         a, b = mirror if mirror is not None and mirror[0] < j else (None, None)
+        # per axis, the index range [start, stop) screened; b's start is
+        # the prefix's index a
+        starts, stops = [0] * len(shape), list(shape)
+        if a is not None and reflect is not None:
+            stops[reflect] = shape[reflect] // 2 + 1
+            # the views are cut once, not per prefix; one of size 1 there
+            # keeps it
+            views = [v[(slice(None),) * reflect + (slice(stops[reflect]),)] for v in views]
+        rest = tuple(stops[j + 1 :])
         trailing = b is not None and b > j
-        last = b if trailing else j
-        strides = [math.prod(shape[k + 1 :]) for k in range(last + 1)]
-        # the axes up to the last one cut that each view spans rather than
-        # broadcasts on
-        spans = [[size > 1 for size in v.shape[: last + 1]] for v in views]
-        for prefix in itertools.product(*map(range, shape[:j])):
-            if b is not None and b < j and prefix[b] < prefix[a]:
-                continue
+        # the axes each view spans rather than broadcasts on
+        spans = [[size > 1 for size in v.shape] for v in views]
+        # a row's columns are per slice its block of the trailing axes, or
+        # the slab's block: the id steps of their axes
+        steps = strides[1:] if j == 0 else strides[j:]
+        for prefix in itertools.product(*map(range, stops[:j])):
+            if b is not None:
+                if b < j and prefix[b] < prefix[a]:
+                    continue
+                starts[b] = prefix[a]
             heads = [
                 v[tuple(i if full else 0 for i, full in zip(prefix, span))]
                 for v, span in zip(views, spans)
             ]
+            # the id of the lane at the prefix, index 0 of the slab axis and
+            # the trailing axes' starts
             flat = sum(i * stride for i, stride in zip(prefix, strides))
-            first = prefix[a] if b == j else 0
-            chunk, runs, gap = rest, 1, 0
+            chunk = rest
             if trailing:
-                cut = prefix[a]
-                at_b = (slice(None),) * (b - j) + (slice(cut, None),)
+                at_b = (slice(None),) * (b - j) + (slice(starts[b], None),)
                 heads = [h[at_b] if span[b] else h for h, span in zip(heads, spans)]
-                chunk = rest[: b - j - 1] + (shape[b] - cut,) + rest[b - j :]
-                flat += cut * strides[b]
-                # a run per index of the axes j to b - 1 (the slab is one slice)
-                runs, gap = math.prod(shape[j + 1 : b]), strides[b - 1]
-            for lo in range(first, shape[j], step):
-                hi = min(lo + step, shape[j])
+                chunk = rest[: b - j - 1] + (stops[b] - starts[b],) + rest[b - j :]
+                flat += starts[b] * strides[b]
+            step = min(stops[j], _CHUNK // math.prod(chunk))
+            for lo in range(starts[j], stops[j], step):
+                hi = min(lo + step, stops[j])
                 parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
                 margin, viol, bad = lanes(parts, (hi - lo,) + chunk)
                 s, at = divmod(flat + lo * strides[j], strides[0])
-                rows = hi - lo if j == 0 else 1
+                rows, cols = (hi - lo, chunk) if j == 0 else (1, (hi - lo,) + chunk)
                 if self._add(
                     s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
-                    bad.reshape(rows, -1), (hi - lo) * runs if trailing else 1, gap,
+                    bad.reshape(rows, -1), cols, steps,
                 ):
                     return True
         return False
 
     def _add(
         self, s: int, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray,
-        runs: int, gap: int,
+        cols: tuple, steps: list,
     ) -> bool:
-        """Rows are slices s, s + 1, ...  A row's columns are ``runs`` runs
-        of consecutive ids, each as long as the others, the first starting
-        at ``start`` and each next one ``gap`` ids after the one before.
-        A run ends before the next one starts, so column order is id order."""
-        width = margin.shape[1] // runs
+        """Rows are slices s, s + 1, ...  A row's columns are a C-order
+        block of shape ``cols`` whose axes step ``steps`` ids, the first
+        column being id ``start``, so column order is id order."""
         if bad.any():
             for r in np.flatnonzero(bad.any(axis=1)).tolist():
-                run, i = divmod(int(np.argmax(bad[r])), width)
-                self.bad[s + r] = start + run * gap + i
+                self.bad[s + r] = start + _offset(int(np.argmax(bad[r])), cols, steps)
             return True
         if not viol.any():
             return False
@@ -916,10 +927,19 @@ class _Screen:
         np.copyto(best, margin, where=viol)
         for r, i in enumerate(best.argmax(axis=1).tolist()):
             if best[r, i] > self.margin[s + r]:
-                run, col = divmod(i, width)
                 self.margin[s + r] = float(best[r, i])
-                self.best[s + r] = start + run * gap + col
+                self.best[s + r] = start + _offset(i, cols, steps)
         return False
+
+
+def _offset(i: int, shape: tuple, steps: list) -> int:
+    """The id offset of element i of a C-order block of ``shape`` whose
+    axes step ``steps`` ids."""
+    offset = 0
+    for size, step in zip(reversed(shape), reversed(steps)):
+        i, k = divmod(i, size)
+        offset += k * step
+    return offset
 
 
 def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
@@ -1230,10 +1250,16 @@ def _screen(
     # in (p1, p2, lam) and (p2, p1, 1 - lam), a grid value on a dyadic grid
     mirrored = kind in ("J", "JQC", "W", "WQC") or (kind in ("C", "QC") and _reflects(n))
     mirror = (1, 1 + d) if mirrored else None
+    # W's and WQC's in (t[, s]) and (1 - t[, 1 - s]), which swaps their two
+    # chord points, on a dyadic grid
+    reflect = 1 + 2 * d if kind in ("W", "WQC") and _reflects(n) else None
     table = None
     if live_slices and frozen is None and d == 2 and names:
-        # the mixed points the lane path evaluates: the mirror screens half
+        # the mixed points the lane path evaluates: the mirror screens half,
+        # and the reflection n // 2 + 1 of the n values of t
         lanes = len(_chords(kind)) * math.prod(grid_shape) // (2 if mirrored else 1)
+        if reflect is not None:
+            lanes = lanes * (n // 2 + 1) // n
         table = _Table.build(f, kind, cols, lanes)
 
     def grid_lanes(parts, chunk):
@@ -1246,7 +1272,9 @@ def _screen(
         return screened(parts[2 * d : c], chord, parts[c], parts[c + 1], chunk, parts[c + 2])
 
     views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or (table.at if table else ()))]
-    if live_slices and screen.scan((live_slices,) + grid_shape, 0, views, grid_lanes, mirror):
+    if live_slices and screen.scan(
+        (live_slices,) + grid_shape, 0, views, grid_lanes, mirror, reflect
+    ):
         live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
     halton: list = []
     if m > 0 and live_slices:

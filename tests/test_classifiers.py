@@ -462,6 +462,11 @@ HOLE_BUDGETS = (
     (REF_BUDGET, (REF_MIXED_HOLE_1D, REF_MIXED_HOLE_2D)),
     (DYADIC_BUDGET, (DYADIC_MIXED_HOLE_1D, DYADIC_MIXED_HOLE_2D)),
 )
+# inputs of the template symmetry tests; a 1D test reads y as x
+SYMMETRY_TEXTS = (
+    "-(x^2) - y^2", "abs(x - 0.3)*y", "sqrt(x*x + y*y + 0.1)", "exp(x)*sin(3*y)",
+    "max(x*y, x - y) - abs(x + 0.5*y)", "log(1 + x*x) - floor(2*y)", "x*x + y*y",
+)
 # the joint classes whose template is symmetric in (p1, p2)
 MIRRORED = [c for c in ClassId if c.kind in ("J", "JQC", "W", "WQC") and not c.is_coordinate]
 # the joint classes whose template is symmetric in (p1, p2, lam) and
@@ -638,7 +643,8 @@ class TestReferenceScreen:
             # the n^5 (y1, x2, y2, lam) lanes
             (ClassId.C2, 5, 5 * 15 * 25),
             (ClassId.QC2, 5, 5 * 15 * 25),
-            (ClassId.WQC2, 5, 5 * 15 * 25),
+            # WQC also screens t from 0 to n // 2 only: 5 * 15 * 5 * 3
+            (ClassId.WQC2, 5, 5 * 15 * 5 * 3),
             (ClassId.WQC2, 6, 6 * 21 * 36),
             # 1 - lam is off the grid of 6: C and QC skip nothing
             (ClassId.C2, 6, 6**5),
@@ -672,10 +678,18 @@ class TestReferenceScreen:
             (ClassId.W2, 4, 16, 4 * (4 + 3 + 2 + 1) * 64),
             (ClassId.C2, 5, 255, 5 * 15 * 25),
             (ClassId.QC2, 5, 255, 5 * 15 * 25),
-            (ClassId.WQC2, 5, 255, 5 * 15 * 25),
+            (ClassId.WQC2, 5, 255, 5 * 15 * 5 * 3),
             (ClassId.WQC2, 6, 255, 6 * 21 * 36),
             (ClassId.C2, 6, 255, 6**5),
             (ClassId.QC2, 6, 255, 6**5),
+            # the joint cases of the test below
+            (ClassId.W2, 5, 125, 5 * 15 * 5 * 3 * 5),
+            (ClassId.W2, 5, 4, 5 * 15 * 5 * 3 * 5),
+            (ClassId.W2_ORDERED, 5, 125, 5 * 15 * 5 * 3 * 5),
+            (ClassId.WQC2, 5, 25, 5 * 15 * 5 * 3),
+            (ClassId.W2, 6, 216, 6 * 21 * 6**3),
+            (ClassId.W2_ORDERED, 6, 216, 6 * 21 * 6**3),
+            (ClassId.WQC2, 6, 36, 6 * 21 * 6**2),
         ],
         ids=lambda v: getattr(v, "value", None),
     )
@@ -705,6 +719,69 @@ class TestReferenceScreen:
         assert [math.prod(shape) for shape in lanes] == [n * n] + calls
         assert sum(gathers) == lanes_per_point and max(gathers) <= chunk
 
+    @pytest.mark.parametrize(
+        "cid, n, chunk, lanes_per_point",
+        [
+            # x1 index i keeps x2 from i on, and t keeps indices 0 to 2 of 5:
+            # 5 (y1) * 15 (x1, x2) * 5 (y2) * 3 (t) * 5 (s) lanes of the 5^6.
+            # x2 is the slab axis and t trails it (125), t is the slab axis
+            # (10) or in the slab's prefix (4)
+            (ClassId.W2, 5, 125, 5 * 15 * 5 * 3 * 5),
+            (ClassId.W2, 5, 10, 5 * 15 * 5 * 3 * 5),
+            (ClassId.W2, 5, 4, 5 * 15 * 5 * 3 * 5),
+            (ClassId.W2_ORDERED, 5, 125, 5 * 15 * 5 * 3 * 5),
+            # 5 (y1) * 15 (x1, x2) * 5 (y2) * 3 (t), x2 the slab axis
+            (ClassId.WQC2, 5, 25, 5 * 15 * 5 * 3),
+            # 1 - t is off the grid of 6: only x2 is cut, 6 * 21 * 6^(ndim - 3)
+            (ClassId.W2, 6, 216, 6 * 21 * 6**3),
+            (ClassId.W2_ORDERED, 6, 216, 6 * 21 * 6**3),
+            (ClassId.WQC2, 6, 36, 6 * 21 * 6**2),
+            # 15 (x1, x2) * 3 (t) of the 5^3: x2 is the slab axis and t
+            # trails it (5, 10), or t is the slab axis (3)
+            (ClassId.W1, 5, 5, 15 * 3),
+            (ClassId.W1, 5, 10, 15 * 3),
+            (ClassId.WQC1, 5, 3, 15 * 3),
+            (ClassId.WQC1, 5, 10, 15 * 3),
+        ],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_w_grids_screen_each_reflected_twin_once(
+        self, monkeypatch, cid, n, chunk, lanes_per_point
+    ):
+        # f on the n^d grid points, then one call per slab and chord point,
+        # on the lane path: both chord points of each screened lane
+        lanes = counting_lanes(monkeypatch)
+        monkeypatch.setattr(classifiers, "_CHUNK", chunk)
+        monkeypatch.setattr(classifiers, "_TABLE_SLABS", 0)
+        d, ndim = cid.arity, 2 * cid.arity + len(cid.param_names)
+        dom, text = (REF_BOX, "x*x + y*y") if d == 2 else (REF_INTERVAL, "x*x")
+        budget = SearchBudget(grid_n=n, halton_count=0)
+        got = check_membership(parse(text, d), dom, cid, budget=budget)
+        assert got.no_violation_found and got.samples == n**ndim - n ** (ndim - d)
+        sizes = [math.prod(shape) for shape in lanes]
+        assert sizes[0] == n**d and sum(sizes[1:]) == 2 * lanes_per_point
+
+    def test_default_checks_bind_fewer_views_than_the_cap(self, monkeypatch):
+        # from a fresh pool, the default checks of a screen round bind
+        # fewer views than the cap at which the pool forgets them all, so
+        # the slab shapes of the cut grids cannot push a round over it
+        class Counting(dict):
+            bound = 0
+
+            def __setitem__(self, key, value):
+                self.bound += 1
+                super().__setitem__(key, value)
+
+        pool = classifiers._Pool()
+        pool.views = Counting()
+        monkeypatch.setattr(classifiers, "_POOL", pool)
+        f = parse("0.7*(x - 0.2)^2 + 1.1*(y + 0.1)^2", 2)
+        for cid in (
+            ClassId.W2, ClassId.W2_ORDERED, ClassId.C2, ClassId.QC2, ClassId.WQC2, ClassId.COORD_W2,
+        ):
+            assert check_membership(f, BOX, cid).no_violation_found
+        assert pool.views.bound < classifiers._POOL_VIEWS
+
     @pytest.mark.parametrize("cid", MIRRORED + REFLECTED, ids=lambda c: c.value)
     def test_templates_are_symmetric_in_the_pair(self, cid):
         # the fact the skip rests on: swapping p1 and p2 changes neither
@@ -713,11 +790,7 @@ class TestReferenceScreen:
         # and -0.0 returns the first, and such a zero margin never clears
         # the tolerance
         rng = np.random.default_rng(1914)
-        texts = (
-            "-(x^2) - y^2", "abs(x - 0.3)*y", "sqrt(x*x + y*y + 0.1)", "exp(x)*sin(3*y)",
-            "max(x*y, x - y) - abs(x + 0.5*y)", "log(1 + x*x) - floor(2*y)", "x*x + y*y",
-        )
-        for text in texts:
+        for text in SYMMETRY_TEXTS:
             f = parse(text if cid.arity == 2 else text.replace("y", "x"), cid.arity)
             for _ in range(300):
                 p1, p2 = (rng.uniform(-2, 2, cid.arity).tolist() for _ in range(2))
@@ -733,6 +806,41 @@ class TestReferenceScreen:
                     twin = params
                 want = defining_inequality(cid, f, p1, p2, params)
                 assert defining_inequality(cid, f, p2, p1, twin) == want, (text, p1, p2)
+
+    @pytest.mark.parametrize(
+        "cid", [c for c in MIRRORED if c.kind in ("W", "WQC")], ids=lambda c: c.value
+    )
+    def test_w_templates_reflect_in_their_parameters(self, cid):
+        # the fact the parameter skip rests on: on a dyadic grid, where
+        # 1 - (1 - t) == t, (t[, s]) -> (1 - t[, 1 - s]) swaps the two chord
+        # points, and the sum of f at them commutes; bits, or the point the
+        # template raises DomainError at.  f has a pole at one point, which
+        # two distinct chord points never hit together; points on a lattice
+        # of quarters mix onto it exactly
+        pole = "1/(abs(x - 0.25) + abs(y + 0.5))" if cid.arity == 2 else "1/(x - 0.25)"
+        rng = np.random.default_rng(1954)
+        raised = 0
+        for text in (*SYMMETRY_TEXTS, pole):
+            f = parse(text if cid.arity == 2 else text.replace("y", "x"), cid.arity)
+            for i in range(300):
+                if i % 2:
+                    p1, p2 = (rng.uniform(-2, 2, cid.arity).tolist() for _ in range(2))
+                else:
+                    p1, p2 = ((rng.integers(-4, 5, cid.arity) / 4).tolist() for _ in range(2))
+                if rng.random() < 0.2:
+                    p2[0] = p1[0]  # pairs that share a co-ordinate
+                k = int(rng.integers(1, 7))
+                grid = np.linspace(0.0, 1.0, 2**k + 1).tolist()
+                params = {name: grid[rng.integers(0, 2**k + 1)] for name in cid.param_names}
+                sides = []
+                for ps in (params, {name: 1.0 - v for name, v in params.items()}):
+                    try:
+                        sides.append([v.hex() for v in defining_inequality(cid, f, p1, p2, ps)])
+                    except DomainError as err:
+                        sides.append(err.point)
+                assert sides[0] == sides[1], (text, p1, p2, params)
+                raised += not isinstance(sides[0], list)
+        assert raised
 
     def test_reflection_needs_a_dyadic_parameter_grid(self):
         # 1 - lam is a grid value and 1 - (1 - lam) == lam exactly when the
@@ -1006,7 +1114,9 @@ COORD_BUDGETS = (
 
 class TestCoordinateBatch:
     # at n = 5 the slab spans x1 at the default chunk, 64 and 1000; x2 is
-    # the slab axis at 16 and a prefix axis at 4, so that mirrored pairs skip
+    # the slab axis at 16 and a prefix axis at 4, so that mirrored pairs
+    # skip, and W's and WQC's t, trailing at 16 and the slab axis at 4,
+    # screens 3 of its 5 values
     @pytest.mark.parametrize("chunk", [None, 4, 16, 64, 1000])
     @pytest.mark.parametrize("budget", COORD_BUDGETS, ids=["n5", "n4"])
     @pytest.mark.parametrize(
