@@ -74,7 +74,6 @@ _WG_CENTER = 0.417959183673469387755102040816327
 # Ascending node layout; the Gauss nodes sit at the odd positions.
 _NODES = np.concatenate([-_XGK_POS, [0.0], _XGK_POS[::-1]])
 _WK = np.concatenate([_WGK_POS, [_WGK_CENTER], _WGK_POS[::-1]])
-_GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_WG_POS, [_WG_CENTER], _WG_POS[::-1]])
 
 
@@ -83,15 +82,12 @@ class QuadConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 4096
-    # starting panel count; several panels keep one accidental agreement of
-    # the embedded rules from terminating adaptivity on a non-smooth integrand
-    initial_panels: int = 8
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1 or self.initial_panels < 1:
-            raise ValueError("subdivision counts must be at least 1")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -144,39 +140,33 @@ def _as_vector(f: Expr) -> Callable[..., np.ndarray]:
 # piece of each panel (k,)) -> values (k, 15).
 PanelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# starting panel count; several panels keep one accidental agreement of
+# the embedded rules from terminating adaptivity on a non-smooth integrand
+_INITIAL_PANELS = 8
+
 # worst panels of one piece split per integrand call
 _WAVE = 16
 
 
 def _gk15_panels(
-    fv: PanelFn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counts: list[int]
+    fv: PanelFn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod panels [lo, hi] of many pieces in one integrand call:
     (values, error estimates).
 
-    The rows come in consecutive blocks of ``counts`` panels, one block per
-    piece.  BLAS rounds a row of a matrix-vector product differently
-    depending on the size of the matrix and the row's place in it, so each
-    block gets products of its own: a panel's value then does not depend on
-    what other pieces share the call.
+    Each panel's Kronrod, Gauss and |f| sums run in one fixed order, the
+    same for every row, so a panel's value does not depend on what else
+    shares the call.
     """
-    mid = 0.5 * lo + 0.5 * hi
-    half = 0.5 * hi - 0.5 * lo
-    ys = fv(mid[:, None] + half[:, None] * _NODES, owner)
-    if len(counts) == 1:
-        k15, g7, resabs = ys @ _WK, ys[:, _GAUSS_IDX] @ _WG, np.abs(ys) @ _WK
-    else:
-        k15, g7, resabs = np.empty(lo.size), np.empty(lo.size), np.empty(lo.size)
-        at = 0
-        for n in counts:
-            block, rows = ys[at : at + n], slice(at, at + n)
-            k15[rows] = block @ _WK
-            g7[rows] = block[:, _GAUSS_IDX] @ _WG
-            resabs[rows] = np.abs(block) @ _WK
-            at += n
-    k15 = half * k15
-    err = np.maximum(np.abs(k15 - half * g7), 50.0 * _EPS * (half * resabs))
-    return k15, err
+    lo2, hi2 = 0.5 * lo, 0.5 * hi
+    mid, half = lo2 + hi2, hi2 - lo2
+    # C-contiguous: einsum sums a row in an order set by the memory layout,
+    # so alike in any C-ordered block (``@`` rounds by the block BLAS gets)
+    ys = np.ascontiguousarray(fv(mid[:, None] + half[:, None] * _NODES, owner))
+    k15 = half * np.einsum("ij,j->i", ys, _WK)
+    g7 = half * np.einsum("ij,j->i", ys[:, 1::2], _WG)
+    resabs = half * np.einsum("ij,j->i", np.abs(ys), _WK)
+    return k15, np.maximum(np.abs(k15 - g7), 50.0 * _EPS * resabs)
 
 
 def _exact_sum(values: list[float]) -> float:
@@ -284,7 +274,7 @@ def _adaptive(
     """Adaptively integrate over each piece [lo[i], hi[i]] to its own
     ``abs_tol[i]``, all pieces sharing every integrand call.
 
-    Per piece: ``initial_panels`` equal panels, then waves that split up to
+    Per piece: ``_INITIAL_PANELS`` equal panels, then waves that split up to
     ``_WAVE`` of the worst panels at once, stopping a wave early at panels
     under 2% of the piece's total error estimate, until the total error
     meets tolerance, overflows, or ``max_subdivisions`` panels are reached
@@ -294,7 +284,7 @@ def _adaptive(
     # result, whose caller decides, so numpy is not to warn about them.
     with np.errstate(over="ignore", invalid="ignore"):
         npieces = lo.size
-        k0 = min(cfg.initial_panels, cfg.max_subdivisions)
+        k0 = min(_INITIAL_PANELS, cfg.max_subdivisions)
         # np.linspace(lo[i], hi[i], k0 + 1) for every piece at once
         delta = hi - lo
         step = delta / k0
@@ -307,7 +297,7 @@ def _adaptive(
         bounds[:, -1] = hi
         vals, errs = _gk15_panels(
             fv, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-            np.arange(npieces).repeat(k0), [k0] * npieces,
+            np.arange(npieces).repeat(k0),
         )
         totals = vals.reshape(npieces, k0).sum(axis=1).tolist()
         total_errs = errs.reshape(npieces, k0).sum(axis=1).tolist()
@@ -337,7 +327,7 @@ def _adaptive(
                     highs += (m, b)
             counts = [2 * len(split) for _, split in waves]
             owner = np.array([piece.index for piece, _ in waves]).repeat(counts)
-            vals, errs = _gk15_panels(fv, np.array(lows), np.array(highs), owner, counts)
+            vals, errs = _gk15_panels(fv, np.array(lows), np.array(highs), owner)
             vals, errs = vals.tolist(), errs.tolist()
             at = 0
             for (piece, split), n in zip(waves, counts):
@@ -684,11 +674,10 @@ def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadRe
 
     ``cfg`` governs the outer pass.  The rows run an order tighter, at
     ``rel_tol / 10`` and ``abs_tol / (10 * width)`` with the same
-    ``max_subdivisions`` and ``initial_panels``, since the error estimate
-    is the outer one plus the width times the worst row's.  The result has
-    converged when the outer pass and every row have; ``subdivisions``
-    counts the outer panels.  DomainError comes only from ``f`` at a node
-    the rule integrates.
+    ``max_subdivisions``, since the error estimate is the outer one plus the
+    width times the worst row's.  The result has converged when the outer
+    pass and every row have; ``subdivisions`` counts the outer panels.
+    DomainError comes only from ``f`` at a node the rule integrates.
     """
     cfg = cfg or QuadConfig()
     fv2 = _as_vector(_checked(f, 2, "integrate_2d"))
@@ -697,7 +686,6 @@ def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadRe
         rel_tol=cfg.rel_tol / 10.0,
         abs_tol=cfg.abs_tol / 10.0 / box.x.length,
         max_subdivisions=cfg.max_subdivisions,
-        initial_panels=cfg.initial_panels,
     )
     edges = [
         lambda xs, s=s, y=y: s(xs, np.full(xs.shape, y))

@@ -63,8 +63,11 @@ class TestIntegrate1D:
         assert q.subdivisions == 8
         assert abs(q.value - 49.5) < 1.0  # value still usable
 
-    def test_subdivisions_at_least_one(self):
-        q = integrate_1d(parse("x", 1), Interval(0, 1), QuadConfig(initial_panels=1))
+    def test_subdivisions_at_least_one(self, monkeypatch):
+        from quasiconv import quadrature
+
+        monkeypatch.setattr(quadrature, "_INITIAL_PANELS", 1)
+        q = integrate_1d(parse("x", 1), Interval(0, 1))
         assert q.subdivisions >= 1
 
 
@@ -291,28 +294,42 @@ class TestVectorAdaptor:
                 call()
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64).tolist()
+
+
 class TestBatchedPanels:
     def test_panel_values_do_not_depend_on_the_batch(self):
-        # BLAS rounds a row of a matrix-vector product by the matrix's size
-        # and the row's place in it; each piece's block must be contracted
-        # as if it were alone in the call
+        # a matrix-vector product rounds a row by the block BLAS is handed;
+        # each panel's sums must come out alike alone, inside any batch, and
+        # whatever the memory offset or order of the integrand's values
         from quasiconv.quadrature import _gk15_panels
 
-        def fv(pts, owner):
-            return np.exp(3.0 * np.sin(40.0 * pts)) * (1.0 + 1e3 * pts**2)
+        def integrand(offset=0, order="C"):
+            def fv(pts, owner):
+                vals = np.exp(3.0 * np.sin(40.0 * pts)) * (1.0 + 1e3 * pts**2)
+                # a C-ordered block that starts ``offset`` doubles into a buffer
+                out = np.empty(vals.size + offset)[offset:].reshape(vals.shape)
+                out[...] = vals
+                return np.asfortranarray(out) if order == "F" else out
+
+            return fv
 
         rng = np.random.default_rng(7)
-        counts = [2, 6, 32, 30, 8, 16, 4, 22, 2, 12]
-        lo = rng.uniform(-1, 1, sum(counts))
-        hi = lo + rng.uniform(1e-3, 0.5, lo.size)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        vals, errs = _gk15_panels(fv, lo, hi, owner, counts)
-        at = 0
-        for n in counts:
-            v, e = _gk15_panels(fv, lo[at : at + n], hi[at : at + n], owner[at : at + n], [n])
-            assert v.tolist() == vals[at : at + n].tolist()
-            assert e.tolist() == errs[at : at + n].tolist()
-            at += n
+        n = 600
+        lo = rng.uniform(-1, 1, n)
+        hi = lo + rng.uniform(1e-3, 0.5, n)
+        owner = rng.integers(0, 10, n)
+        alone = [_gk15_panels(integrand(), lo[i : i + 1], hi[i : i + 1], owner[i : i + 1])
+                 for i in range(n)]
+        want = [_bits(np.concatenate(parts)) for parts in zip(*alone)]
+        for offset, order in ((0, "C"), (1, "C"), (2, "C"), (3, "C"), (1, "F")):
+            at = 0
+            while at < n:
+                rows = slice(at, at + int(rng.choice([1, 2, 3, 8, 15, 16, 32, 61, 128])))
+                got = _gk15_panels(integrand(offset, order), lo[rows], hi[rows], owner[rows])
+                assert [_bits(a) for a in got] == [w[rows] for w in want], (offset, order, rows)
+                at = rows.stop
 
 
 class TestOverflowSafeMidpoints:
@@ -331,7 +348,7 @@ class TestOverflowSafeMidpoints:
 
         lo = np.array([1e308, -1.7e308, 0.9e308])
         hi = np.array([1.7e308, -1e308, 1.79e308])
-        vals, _ = _gk15_panels(fv, lo, hi, np.arange(3), [1, 1, 1])
+        vals, _ = _gk15_panels(fv, lo, hi, np.arange(3))
         (pts,) = seen
         assert np.isfinite(pts).all()
         assert ((pts >= lo[:, None]) & (pts <= hi[:, None])).all()
@@ -387,7 +404,7 @@ class TestOverflowSafeMidpoints:
             seen.append(pts.copy())
             return np.zeros_like(pts)
 
-        _gk15_panels(fv, lo, hi, np.zeros(lo.size, dtype=int), [lo.size])
+        _gk15_panels(fv, lo, hi, np.zeros(lo.size, dtype=int))
         want = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = want[:, None] + half[:, None] * _NODES
@@ -575,25 +592,31 @@ def _per_split_cuts(splits, nrows, iv):
     return cuts
 
 
+def panels(fv, a, b):
+    """Reference GK15 panels [a, b] of the 1D function ``fv``: (values, error
+    estimates).  Each row's Kronrod, Gauss and |f| sums are contracted by
+    ``einsum`` on a C-ordered block, in one order whatever the batch."""
+    from quasiconv.quadrature import _EPS, _NODES, _WG, _WK
+
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    ys = np.ascontiguousarray(fv((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15))
+    k15 = half * np.einsum("ij,j->i", ys, _WK)
+    g7 = half * np.einsum("ij,j->i", ys[:, 1::2], _WG)
+    resabs = half * np.einsum("ij,j->i", np.abs(ys), _WK)
+    return k15, np.maximum(np.abs(k15 - g7), 50.0 * _EPS * resabs)
+
+
 def _reference_integrate_1d(fv, lo, hi, cfg):
     """Reference: the adaptive policy as one sequential loop over one piece
-    (8 initial panels, waves of up to 16 worst splits with the 2% cut-off,
-    frozen unsplittable panels, the subdivision budget)."""
+    (``_INITIAL_PANELS`` initial panels, waves of up to 16 worst splits with
+    the 2% cut-off, frozen unsplittable panels, the subdivision budget)."""
     import heapq
 
-    from quasiconv.quadrature import _EPS, _GAUSS_IDX, _NODES, _WG, _WK
+    from quasiconv import quadrature
 
-    def panels(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ys = fv((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
-        k15 = half * (ys @ _WK)
-        g7 = half * (ys[:, _GAUSS_IDX] @ _WG)
-        resabs = half * (np.abs(ys) @ _WK)
-        return k15, np.maximum(np.abs(k15 - g7), 50.0 * _EPS * resabs)
-
-    k0 = min(cfg.initial_panels, cfg.max_subdivisions)
+    k0 = min(quadrature._INITIAL_PANELS, cfg.max_subdivisions)
     bounds = np.linspace(lo, hi, k0 + 1)
-    vals, errs = panels(bounds[:-1], bounds[1:])
+    vals, errs = panels(fv, bounds[:-1], bounds[1:])
     heap = [(-errs[i], i, bounds[i], bounds[i + 1], vals[i], errs[i]) for i in range(k0)]
     heapq.heapify(heap)
     done = []
@@ -621,7 +644,7 @@ def _reference_integrate_1d(fv, lo, hi, cfg):
             break
         lows = np.array([x for a, b, _, _ in split for x in (a, 0.5 * (a + b))])
         highs = np.array([x for a, b, _, _ in split for x in (0.5 * (a + b), b)])
-        vals, errs = panels(lows, highs)
+        vals, errs = panels(fv, lows, highs)
         for i, (a, b, v, e) in enumerate(split):
             total_val += vals[2 * i] + vals[2 * i + 1] - v
             total_err += errs[2 * i] + errs[2 * i + 1] - e
@@ -636,21 +659,24 @@ def _reference_integrate_1d(fv, lo, hi, cfg):
 class TestAdaptivePolicy:
     """The batched driver against the sequential reference loop, bit for bit."""
 
+    # (initial panels, config)
     CFGS = [
-        QuadConfig(),
-        QuadConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=40),
-        QuadConfig(initial_panels=1),
-        QuadConfig(max_subdivisions=5),
+        (8, QuadConfig()),
+        (8, QuadConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=40)),
+        (1, QuadConfig()),
+        (8, QuadConfig(max_subdivisions=5)),
     ]
 
-    def test_integrate_1d_matches_reference(self):
+    def test_integrate_1d_matches_reference(self, monkeypatch):
+        from quasiconv import quadrature
         from quasiconv.expressions import eval_array
 
         rng = np.random.default_rng(314)
         texts = [_kinked(rng)[0] for _ in range(6)] + ["floor(7*x) + sin(9*x)", "sqrt(abs(x))"]
         for text in texts:
             f = parse(text, 1)
-            for cfg in self.CFGS:
+            for k0, cfg in self.CFGS:
+                monkeypatch.setattr(quadrature, "_INITIAL_PANELS", k0)
                 q = integrate_1d(f, Interval(-1, 1), cfg)
                 want = _reference_integrate_1d(lambda t: eval_array(f, t)[0], -1.0, 1.0, cfg)
                 assert (q.value, q.abs_error_estimate, q.subdivisions, q.converged) == want
@@ -788,10 +814,10 @@ class TestIterated2D:
             return integrate_slices(f, splits, along, values, iv, cfg)
 
         monkeypatch.setattr(quadrature, "_integrate_slices", spy)
-        cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=300, initial_panels=5)
+        monkeypatch.setattr(quadrature, "_INITIAL_PANELS", 5)
+        cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=300)
         integrate_2d(parse("exp(x)*abs(x - y)", 2), Box2.from_bounds(0, 4, -1, 1), cfg)
-        want = QuadConfig(rel_tol=1e-7 / 10, abs_tol=1e-10 / 10 / 4,
-                          max_subdivisions=300, initial_panels=5)
+        want = QuadConfig(rel_tol=1e-7 / 10, abs_tol=1e-10 / 10 / 4, max_subdivisions=300)
         assert seen and all(c == want for c in seen)
 
     def test_rows_do_not_depend_on_the_batch(self, monkeypatch):

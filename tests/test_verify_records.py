@@ -11,9 +11,11 @@ its warning line is pinned too).
 Each record must stay byte-identical.  A change that is meant to move
 quadrature bits rewrites the file by running this module as a script,
 which prints every record that moved: the largest relative move of any
-number in it, apart and within the quadrature error estimates, and any
-change to the exit code, a ``holds``, ``all_hold`` or ``converged`` flag,
-or the words of a text record.
+number in it, of its terms and components, of its slacks and of its
+quadrature error estimates, and any change to the exit code, a ``holds``,
+``all_hold`` or ``converged`` flag, or the words of a text record.  A
+slack is a difference of terms, often zero, so its move is taken relative
+to the largest term of its record.
 """
 
 import contextlib
@@ -113,16 +115,14 @@ def test_record_is_byte_identical(golden, argv):
 
 # --- the rewrite script -----------------------------------------------------
 
-FLAGS = ("holds", "all_hold", "converged")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
 def _leaves(node, path: str = "") -> dict:
     """Every number and flag of a JSON record by its path."""
-    if isinstance(node, dict):
-        return {k: v for key, child in node.items() for k, v in _leaves(child, f"{path}/{key}").items()}
-    if isinstance(node, list):
-        return {k: v for i, child in enumerate(node) for k, v in _leaves(child, f"{path}/{i}").items()}
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {k: v for key, child in items for k, v in _leaves(child, f"{path}/{key}").items()}
     if isinstance(node, (bool, int, float)):
         return {path: node}
     return {}
@@ -137,20 +137,22 @@ def _parsed(r: dict) -> tuple[dict, str]:
         return {f"#{i}": float(t) for i, t in enumerate(numbers)}, _NUMBER.sub("#", r["stdout"])
 
 
-def _relative(a: float, b: float) -> float:
+def _relative(a: float, b: float, scale: float = 0.0) -> float:
+    a, b = float(a), float(b)
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / max(abs(a), abs(b), scale)
 
 
 def moves(old: dict, new: dict) -> dict:
-    """How ``new`` moved from ``old``: the largest relative move of a number
-    apart from the error estimates and within them, and the flags, exit
-    code and words that changed."""
+    """How ``new`` moved from ``old``: the largest relative move of a term or
+    component, of a slack (against the largest term) and of an error
+    estimate, and the flags, exit code and words that changed."""
     (was, old_words), (now, new_words) = _parsed(old), _parsed(new)
-    value = error = 0.0
+    top = {"value": 0.0, "slack": 0.0, "error": 0.0}
+    scale = max([abs(v) for p, v in was.items() if p.startswith("/outcome/terms/")] or [0.0])
     changed = [] if old["exit"] == new["exit"] else [f"exit {old['exit']} -> {new['exit']}"]
     for path in sorted(was.keys() | now.keys()):
         a, b = was.get(path), now.get(path)
@@ -158,14 +160,22 @@ def moves(old: dict, new: dict) -> dict:
             if a != b:
                 changed.append(f"{path} {a} -> {b}")
             continue
-        move = _relative(float(a), float(b))
         if "quad_errors" in path:
-            error = max(error, move)
+            kind, move = "error", _relative(a, b)
+        elif "slack" in path:
+            kind, move = "slack", _relative(a, b, scale)
         else:
-            value = max(value, move)
+            kind, move = "value", _relative(a, b)
+        top[kind] = max(top[kind], move)
     if old_words != new_words or old["stderr"] != new["stderr"]:
         changed.append("words")
-    return {"value": value, "error": error, "changed": changed}
+    return {**top, "changed": changed}
+
+
+def _summary(m: dict) -> str:
+    return (f"largest relative move {max(m['value'], m['slack'], m['error']):.2g} "
+            f"(terms and components {m['value']:.2g}, slacks {m['slack']:.2g}, "
+            f"error estimates {m['error']:.2g})")
 
 
 def rewrite() -> None:
@@ -173,7 +183,7 @@ def rewrite() -> None:
     file."""
     old = {tuple(r["argv"]): r for r in json.loads(DATA.read_text())} if DATA.exists() else {}
     new = [record(argv) for argv in CASES]
-    moved, top_value, top_error = 0, 0.0, 0.0
+    moved, top = 0, {"value": 0.0, "slack": 0.0, "error": 0.0}
     for r in new:
         argv = tuple(r["argv"])
         if argv not in old:
@@ -183,13 +193,10 @@ def rewrite() -> None:
             continue
         m = moves(old[argv], r)
         moved += 1
-        top_value, top_error = max(top_value, m["value"]), max(top_error, m["error"])
-        print(f"moved: {' '.join(argv[2:])}: largest relative move "
-              f"{max(m['value'], m['error']):.2g} (terms, slacks, components "
-              f"{m['value']:.2g}; error estimates {m['error']:.2g})"
+        top = {k: max(v, m[k]) for k, v in top.items()}
+        print(f"moved: {' '.join(argv[2:])}: {_summary(m)}"
               + "".join(f"; CHANGED {c}" for c in m["changed"]))
-    print(f"{moved} of {len(new)} records moved; largest relative move of a term, "
-          f"slack or component {top_value:.2g}, of an error estimate {top_error:.2g}")
+    print(f"{moved} of {len(new)} records moved; {_summary(top)}")
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(new, indent=1) + "\n")
 
