@@ -6,7 +6,9 @@ its ``--json`` record removed.  The cases are the six reports on kinked
 convex functions drawn like those of the ``verify`` benchmark, plus edge
 boxes: tiny, huge, unequal sides, refused, an undefined chord, a failing
 link and an integral that exhausts its budget (once more as text, so that
-its warning line is pinned too).
+its warning line is pinned too), and the chord corrections' refusals: f
+undefined at a chord end or inside the chord, and a chord gap that
+overflows.
 
 Each record must stay byte-identical.  A change that is meant to move
 quadrature bits rewrites the file by running this module as a script,
@@ -61,17 +63,38 @@ EDGES = (
     NOT_CONVERGING,
 )
 
+# chord corrections that refuse the report: each message names f's own
+# point, or (t,) where the gap of two finite chord values overflows
+CHORD_EDGES = tuple(
+    ("JQC1D", f, "-1,1")
+    for f in (
+        "1.7e308*x",
+        "1e308*x",
+        "log(x + 1)",
+        "log(1 - x)",
+        "sqrt(x - 0.3) + log(0.9 - x)",
+        "log(x - 0.2) + 1/(x + 0.6)",
+        "1/(x - 0.7)",
+        "exp(800*x)",
+    )
+) + tuple(
+    ("THM_2_1", f, "-1,1,-1,1")
+    for f in ("log(y + 1) + x", "log(x + 1) + y", "sqrt(x*y + 0.2)", "1.7e308*x + y",
+              "x + 1.7e308*y")
+)
+
 
 def _cases() -> list[tuple[str, ...]]:
     """Every 2D report on each 2D function over [-1, 1]^2 and the second
     one on an off-centre box, every 1D report on each 1D function over
-    [-1, 1] and two on an off-centre interval, then the edge boxes, all as
-    ``--json``, and the non-converging one as text as well."""
+    [-1, 1] and two on an off-centre interval, then the edge boxes and the
+    chord refusals, all as ``--json``, and the non-converging one as text
+    as well."""
     runs = [(r, f, "-1,1,-1,1") for f in KINKED_2D for r in REPORTS_2D]
     runs += [(r, KINKED_2D[1], "-1,0.8,-0.6,1") for r in REPORTS_2D]
     runs += [(r, f, "-1,1") for f in KINKED_1D for r in REPORTS_1D]
     runs += [(r, f, "-0.6,0.9") for f in KINKED_1D[:2] for r in REPORTS_1D]
-    runs += EDGES
+    runs += EDGES + CHORD_EDGES
     cases = [("verify", "--inequality", r, "--f", f, "--domain", d, "--json") for r, f, d in runs]
     r, f, d = NOT_CONVERGING
     return cases + [("verify", "--inequality", r, "--f", f, "--domain", d)]
