@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .domains import Box2, Interval
-from .expressions import Axis, DomainError, Expr, Registers, eval_array, restrict
+from .expressions import Axis, DomainError, Expr, Registers, _mix, eval_array, restrict
 
 __all__ = [
     "ClassId",
@@ -654,18 +654,6 @@ def _halton_cube(m: int, dims: int) -> np.ndarray:
         out[:, j] = acc
     out.setflags(write=False)
     return out
-
-
-def _mix(t, a, b, second: bool = False) -> np.ndarray:
-    """``_mix_a`` (``_mix_b`` when ``second``) lane by lane, at the
-    broadcast shape of its operands, arrays ``a`` and ``b`` and a float or
-    array ``t``: on the grid far smaller than a slab, on the Halton batch
-    up to one slab."""
-    s = 1.0 - t
-    u, v = (s, t) if second else (t, s)
-    mixed = u * a + v * b
-    np.copyto(mixed, a, where=a == b)
-    return mixed
 
 
 def _chords(kind: str) -> tuple[bool, ...]:

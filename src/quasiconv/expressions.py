@@ -692,9 +692,9 @@ def _substitute(root: _Node, nodes: dict[str, _Node]) -> _Node:
 # ---------------------------------------------------------------------------
 # Chord parameterisations and small combinators
 #
-# The substituted trees compute t*a + (1-t)*b and (1-t)*a + t*b with exactly
-# the arithmetic the class templates use, so chord integrands agree with
-# pointwise template evaluations.
+# The substituted trees and the lane mix compute t*a + (1-t)*b and
+# (1-t)*a + t*b with exactly the arithmetic the class templates use, so
+# chord integrands agree with pointwise template evaluations.
 
 
 def chord_substitution(expr: Expr, axis: Axis, a: float, b: float, reverse: bool = False) -> Expr:
@@ -716,6 +716,17 @@ def chord_substitution(expr: Expr, axis: Axis, a: float, b: float, reverse: bool
             _Binary("*", _Binary("-", _Const(1.0), var), _Const(b)),
         )
     return Expr(_substitute(expr.root, {axis.value: chord}), expr.arity)
+
+
+def _mix(t, a, b, second: bool = False) -> np.ndarray:
+    """The chord point ``t*a + (1-t)*b`` (``(1-t)*a + t*b`` when ``second``)
+    on lanes, at the operands' broadcast shape, and ``a`` where ``a == b``,
+    as the classifiers' scalar mixes ``_mix_a`` and ``_mix_b`` give."""
+    s = 1.0 - t
+    u, v = (s, t) if second else (t, s)
+    mixed = u * a + v * b
+    np.copyto(mixed, a, where=a == b)
+    return mixed
 
 
 def difference(g: Expr, h: Expr) -> Expr:

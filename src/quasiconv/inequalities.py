@@ -16,16 +16,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .domains import Box2, Interval
-from .expressions import Axis, DomainError, Expr, chord_substitution, difference, restrict
+from .expressions import Axis, DomainError, Expr, restrict
 from .quadrature import (
     QuadConfig,
     QuadResult,
     integrate_1d,
     integrate_2d,
-    integrate_abs_difference,
-    integrate_abs_slices,
+    integrate_chord_gaps,
     integrate_nested,
 )
+
+# unused here: perfbench/layers.py wraps them by name until ROADMAP direction 8 retires it
+from .expressions import chord_substitution  # noqa: F401
+from .quadrature import integrate_abs_difference  # noqa: F401
 
 __all__ = [
     "VERIFY_TOL",
@@ -37,11 +40,10 @@ __all__ = [
     "max_identity",
     "thm_jqc_coord",
     "thm_wqc_coord",
+    "wqc_bound_1d",
 ]
 
 VERIFY_TOL = 1e-6
-
-_UNIT = Interval(0.0, 1.0)
 
 # The doubly-nested chord corrections run at 1e-8, two orders below the
 # verification tolerance, with the inner pass another order tighter; plain
@@ -223,24 +225,6 @@ class _Means:
 # 1D bounds
 
 
-def _on_chord(f: Expr, err: DomainError, along: Axis, a: float, b: float) -> DomainError:
-    """``err``, raised by the chord difference of f between ``a`` and ``b``
-    at the parameter t it read from the ``along`` slot, restated at f's own
-    point: f's error at the first of the chord points t*a + (1-t)*b and
-    (1-t)*a + t*b where f fails, or ``err`` itself when f fails at neither
-    (the difference overflowed)."""
-    if err.point is None:
-        return err
-    k = 0 if along is Axis.X else 1
-    t = err.point[k]
-    for u in (t * a + (1.0 - t) * b, (1.0 - t) * a + t * b):
-        try:
-            f(*err.point[:k], u, *err.point[k + 1 :])
-        except DomainError as failure:
-            return failure
-    return err
-
-
 def hadamard_1d(f: Expr, iv: Interval) -> InequalityReport:
     """Midpoint value <= integral mean <= endpoint average (for convex f)."""
     m = _Means(f, iv)
@@ -265,12 +249,7 @@ def jqc_bound_1d(f: Expr, iv: Interval) -> InequalityReport:
     m = _Means(f, iv)
     mid_val = f(iv.midpoint)
     mean = m.domain_mean()
-    g = chord_substitution(f, Axis.X, iv.lo, iv.hi)
-    h = chord_substitution(f, Axis.X, iv.lo, iv.hi, reverse=True)
-    try:
-        qI = integrate_abs_difference(g, h, _UNIT, _INNER_CFG)
-    except DomainError as err:
-        raise _on_chord(f, err, Axis.X, iv.lo, iv.hi) from None
+    qI = integrate_chord_gaps(f, Axis.X, iv, None, _INNER_CFG)[0]
     correction = m.mean("chord correction I", qI, 2.0)
     return _report(
         "JQC1D",
@@ -337,36 +316,27 @@ def coord_convex_chain(f: Expr, box: Box2) -> InequalityReport:
 
 
 def _chord_correction_2d(f: Expr, box: Box2, along: Axis) -> QuadResult:
-    """Outer integral (over the other axis) of the inner chord-difference
-    integral along ``along``.
+    """Outer integral (over the other axis) of the inner chord-gap integral
+    along ``along``.
 
     The inner t-integral locates its kinks per outer value, which is why the
     outer loop is the adaptive one.  Each outer integrand call hands all its
-    nodes to one ``integrate_abs_slices`` of the 2D chord difference
-    ``d(t, v)``, with t in the ``along`` slot and the outer value v in the
-    other.
+    nodes to one ``integrate_chord_gaps``, which runs f's own tape at both
+    chord points, so a DomainError names f's own point.
     """
     chord_iv, outer_iv = (box.x, box.y) if along is Axis.X else (box.y, box.x)
-    lo, hi = chord_iv.lo, chord_iv.hi
-    diff = difference(
-        chord_substitution(f, along, lo, hi),
-        chord_substitution(f, along, lo, hi, reverse=True),
+    return integrate_nested(
+        lambda vs: integrate_chord_gaps(f, along, chord_iv, vs, _INNER_CFG), outer_iv, _OUTER_CFG
     )
-    try:
-        return integrate_nested(
-            lambda vs: integrate_abs_slices(diff, along, vs, _UNIT, _INNER_CFG),
-            outer_iv,
-            _OUTER_CFG,
-        )
-    except DomainError as err:
-        raise _on_chord(f, err, along, lo, hi) from None
 
 
 def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
     """Midline-mean average <= double integral mean + H, for f J-quasi-convex
-    on the co-ordinates.  H sums the two chord-difference double integrals
-    with prefactors 1/(4 (d-c)) and 1/(4 (b-a)); it depends only on the
-    rectangle, both inner variables being integrated out.
+    on the co-ordinates.  H sums the two chord-gap double integrals with
+    prefactors 1/(4 (d-c)) and 1/(4 (b-a)); it depends only on the
+    rectangle, both inner variables being integrated out.  Their gaps run
+    f's own tape at both chord points, so f failing on a chord is reported
+    at f's own point.
 
     The chord double integrals run at ``_INNER_CFG`` inside ``_OUTER_CFG``:
     a nested integral's error is the outer error plus the outer length

@@ -6,7 +6,9 @@ panels with the worst error estimates until each piece's summed estimate
 meets tolerance or the subdivision budget runs out.  A row integrator cuts
 each 1D integral first where a split function changes sign (``g - h`` for
 ``|g - h|``, a switching function of the integrand in 2D), so every piece it
-integrates is free of the kinks those functions mark.  ``integrate_2d`` is
+integrates is free of the kinks those functions mark.  A chord gap
+f(P(t)) - f(Q(t)) runs f's own tape at both chord points, mixed on lanes as
+screening mixes them, so its errors name f's own point.  ``integrate_2d`` is
 an iterated integral on the same two parts: an adaptive outer pass over x
 whose integrand calls hand their nodes' y-rows to the row integrator.
 Integrands are parsed expressions (:class:`Expr`), so every 2D integrand
@@ -23,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import Interval, Box2
-from .expressions import ArityError, Axis, DomainError, Expr, difference, eval_array
+from .expressions import ArityError, Axis, DomainError, Expr, _mix, difference, eval_array
 
 __all__ = [
     "QuadConfig",
@@ -31,11 +33,13 @@ __all__ = [
     "integrate_1d",
     "integrate_2d",
     "integrate_abs_difference",
-    "integrate_abs_slices",
+    "integrate_chord_gaps",
     "integrate_nested",
 ]
 
 _EPS = np.finfo(float).eps
+
+_UNIT = Interval(0.0, 1.0)
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (positive abscissae; the full rule is symmetric about zero).
@@ -597,25 +601,49 @@ def integrate_abs_difference(
     )[0]
 
 
-def integrate_abs_slices(
-    d: Expr,
+def integrate_chord_gaps(
+    f: Expr,
     along: Axis,
-    values: np.ndarray,
-    iv: Interval,
+    chord: Interval,
+    values: Optional[np.ndarray] = None,
     cfg: Optional[QuadConfig] = None,
 ) -> list[QuadResult]:
-    """``integrate_abs_difference`` over the 1D slices of a 2D difference.
+    """Integrate ``|f(P(t)) - f(Q(t))|`` over t in [0, 1], cut first where the
+    gap changes sign, with P(t) = t*lo + (1-t)*hi and Q(t) = (1-t)*lo + t*hi
+    on ``chord`` in the ``along`` co-ordinate.  A 1D f (along x, no
+    ``values``) gives one result, a 2D f one per ``v`` in ``values``, its
+    other co-ordinate frozen at ``v``, batched as by :func:`_integrate_slices`.
 
-    For each ``v`` in ``values`` this integrates ``|d|`` with the ``along``
-    co-ordinate running over ``iv`` and the other one frozen at ``v``.  Up
-    to ``_SLICES_PER_BATCH`` slices share each scan, bisection step and
-    adaptive wave, so their evaluations of ``d`` are batched.  Each result
-    is bit-identical to ``integrate_abs_difference`` run on that slice alone.
+    Each call of the gap runs f's own tape once, on both chord points'
+    lanes stacked.  At the first lane that fails, f's scalar call at P, then
+    at Q, raises DomainError at f's own point; where both are finite and
+    only their gap overflows, it names (t[, v]).  The results are those of
+    ``integrate_abs_difference`` on the two ``chord_substitution`` trees.
     """
-    fv2 = _as_vector(_checked(d, 2, "integrate_abs_slices"))
-    return _integrate_slices(
-        lambda xs, ys: np.abs(fv2(xs, ys)), [fv2], along, values, iv, cfg or QuadConfig()
-    )
+    cfg = cfg or QuadConfig()
+    k = 0 if along is Axis.X else 1
+    if _checked(f, 1 if values is None else 2, "integrate_chord_gaps").arity <= k:
+        raise ArityError("integrate_chord_gaps runs a 1D expression along x")
+
+    def gap(*coords: np.ndarray) -> np.ndarray:
+        t, n = coords[k], coords[k].size
+        lanes = [np.concatenate([c, c]) for c in coords]
+        lanes[k] = np.concatenate([_mix(t, chord.lo, chord.hi), _mix(t, chord.lo, chord.hi, True)])
+        vals, ok = eval_array(f, *lanes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = vals[:n] - vals[n:]
+        if not (ok.all() and np.isfinite(d).all()):
+            i = int(np.argmax(~(ok[:n] & ok[n:] & np.isfinite(d))))
+            f(*(float(c[i]) for c in lanes))
+            f(*(float(c[n + i]) for c in lanes))
+            raise DomainError("overflow in '-'", tuple(float(c[i]) for c in coords))
+        return d
+
+    if values is None:
+        return _integrate_rows(
+            lambda ts, rows: np.abs(gap(ts)), [lambda ts, rows: gap(ts)], 1, _UNIT, cfg
+        )
+    return _integrate_slices(lambda xs, ys: np.abs(gap(xs, ys)), [gap], along, values, _UNIT, cfg)
 
 
 def integrate_nested(

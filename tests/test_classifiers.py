@@ -26,7 +26,7 @@ from quasiconv import (
 )
 from quasiconv.classifiers import _halton_cube
 from quasiconv import Axis, DomainError, restrict
-from quasiconv import classifiers
+from quasiconv import classifiers, expressions
 from quasiconv.expressions import _Binary, _Const, _Unary, _Var, Expr, unparse
 
 BOX = Box2.from_bounds(-1, 1, -1, 1)
@@ -941,8 +941,12 @@ def _bits(x) -> np.ndarray:
 
 
 class TestMixVec:
-    """``_mix`` against the scalar mixes ``_mix_a`` and ``_mix_b``, bit
-    for bit, lane by lane."""
+    """``expressions._mix``, the one lane mix of screening and of the chord
+    gaps, against the scalar mixes ``_mix_a`` and ``_mix_b``, bit for bit,
+    lane by lane."""
+
+    def test_screening_runs_the_same_mix(self):
+        assert classifiers._mix is expressions._mix
 
     def expected(self, t, a, b, shape, second):
         mix = classifiers._mix_b if second else classifiers._mix_a
@@ -953,7 +957,7 @@ class TestMixVec:
         for second in (False, True):
             out = np.full(shape, np.nan)
             with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
-                np.copyto(out, classifiers._mix(t, a, b, second))
+                np.copyto(out, expressions._mix(t, a, b, second))
             want = self.expected(t, a, b, shape, second)
             assert np.array_equal(_bits(out), _bits(want)), (second, t, a, b)
 

@@ -590,8 +590,9 @@ def test_no_command_prints_help(capsys):
 
 def test_layer_tracer_counts_batched_quadrature(capsys):
     """The benchmark's layer tracer wraps module bindings by name; they must
-    all still exist, and the batched chord scans must reach the traced
-    ``quadrature.eval_array`` so that their lanes are counted."""
+    all still exist, and the batched chord scans and the stacked chord lanes
+    of ``JQC1D`` must reach the traced ``quadrature.eval_array`` so that
+    their lanes are counted."""
     import sys
     from pathlib import Path
 
@@ -604,10 +605,22 @@ def test_layer_tracer_counts_batched_quadrature(capsys):
         verify = main(["verify", "--inequality", "THM_2_1", "--f", "x^2 + abs(y - 0.3)",
                        "--domain", "0,1,0,1", "--json"])
         verify_totals = {k: dict(v) for k, v in tracer.totals().items()}
+        jqc = main(["verify", "--inequality", "JQC1D", "--f", "x^2", "--domain", "0,1",
+                    "--json"])
+        jqc_totals = {k: dict(v) for k, v in tracer.totals().items()}
         check = main(["check", "--f", "x^2+y^2", "--domain", "0,1,0,1", "--class", "QC2",
                       "--resolution", "5", "--halton", "16", "--json"])
     capsys.readouterr()
-    assert (verify, check) == (0, 0)
+    assert (verify, jqc, check) == (0, 0, 0)
+    ev = {key: jqc_totals["expressions.eval_array"][key]
+          - verify_totals["expressions.eval_array"][key] for key in ("calls", "lanes")}
+    # one call for the integral mean's 8 panels of 15 nodes; then the chord
+    # gap's scan of 257 t's and its two pieces (cut at t = 1/2) of 8 panels,
+    # one call each, on both chord points' lanes stacked
+    assert ev == {"calls": 3, "lanes": 120 + 2 * (257 + 2 * 8 * 15)}
+    # no report builds a chord tree: THM_2_1 restricts only its two midlines
+    assert jqc_totals["expressions.restrict"]["calls"] == 2
+    assert jqc_totals["quadrature.abs_difference"]["calls"] == 0
     quad_lanes = verify_totals["expressions.eval_array"]["lanes"]
     # the first outer call of each chord correction scans 120 nodes x 257
     assert quad_lanes >= 2 * 120 * 257
@@ -617,3 +630,22 @@ def test_layer_tracer_counts_batched_quadrature(capsys):
     totals = tracer.totals()
     assert totals["classifiers.check"]["calls"] == 1
     assert totals["expressions.eval_array"]["lanes"] > quad_lanes
+
+
+def test_package_names_are_exported_by_their_modules():
+    """Each name the package imports from a submodule is in that
+    submodule's ``__all__`` (its public names where it has none, as
+    ``import *`` reads them)."""
+    import ast
+    import importlib
+
+    import quasiconv
+
+    tree = ast.parse(Path(quasiconv.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"quasiconv.{node.module}")
+        public = [name for name in vars(module) if not name.startswith("_")]
+        for alias in node.names:
+            assert alias.name in getattr(module, "__all__", public), (node.module, alias.name)

@@ -23,7 +23,6 @@ from quasiconv.quadrature import (
     integrate_1d,
     integrate_2d,
     integrate_abs_difference,
-    integrate_abs_slices,
     integrate_nested,
 )
 
@@ -323,14 +322,26 @@ class TestChordCorrections:
         )
         return q.value, err, q.converged and all(r.converged for r in inner)
 
+    # a varying exponent needs a positive base
+    BOXES = {"x^y + abs(x - y)": Box2.from_bounds(0.5, 1.5, 0.5, 2)}
+
     @pytest.mark.parametrize(
         "along, text",
-        [(Axis.X, TEXT), (Axis.Y, "exp(0.3*x*y) + abs(sin(2*x) - y + 0.1)")],
+        [
+            (Axis.X, TEXT),
+            (Axis.Y, "exp(0.3*x*y) + abs(sin(2*x) - y + 0.1)"),
+            # drawn like the benchmark's kinked inputs, with an axis kink
+            (Axis.Y, "0.7149*abs(x - y) + 0.4473*max(x, y) + 0.3187*abs(y - 0.2431)"
+             " + 0.5528*(x + 0.1102)^2"),
+            (Axis.X, "floor(3*x) + abs(y - 0.2)"),
+            (Axis.Y, "x^y + abs(x - y)"),
+        ],
     )
     def test_matches_per_node_loop_bit_for_bit(self, along, text):
         f = parse(text, 2)
-        got = _chord_correction_2d(f, self.BOX, along)
-        want = self.reference(f, self.BOX, along)
+        box = self.BOXES.get(text, self.BOX)
+        got = _chord_correction_2d(f, box, along)
+        want = self.reference(f, box, along)
         assert bits(got.value) == bits(want[0])
         assert bits(got.abs_error_estimate) == bits(want[1])
         assert got.converged == want[2]
@@ -408,15 +419,19 @@ class TestQuadErrors:
 
     @staticmethod
     def chord_2d(f, box, along):
+        """The chord double integral on the tree of f's chord difference."""
         from quasiconv.inequalities import _INNER_CFG, _OUTER_CFG
+        from quasiconv.quadrature import _as_vector, _integrate_slices
 
         chord_iv, outer_iv = (box.x, box.y) if along is Axis.X else (box.y, box.x)
-        diff = difference(
+        dv = _as_vector(difference(
             chord_substitution(f, along, chord_iv.lo, chord_iv.hi),
             chord_substitution(f, along, chord_iv.lo, chord_iv.hi, reverse=True),
-        )
+        ))
         return integrate_nested(
-            lambda vs: integrate_abs_slices(diff, along, vs, UNIT_IV, _INNER_CFG),
+            lambda vs: _integrate_slices(
+                lambda xs, ys: np.abs(dv(xs, ys)), [dv], along, vs, UNIT_IV, _INNER_CFG
+            ),
             outer_iv,
             _OUTER_CFG,
         )

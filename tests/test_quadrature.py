@@ -18,7 +18,8 @@ from quasiconv import (
     integrate_abs_difference,
     parse,
 )
-from quasiconv.quadrature import _exact_sum, integrate_abs_slices
+from quasiconv.expressions import chord_substitution, restrict
+from quasiconv.quadrature import _exact_sum, integrate_chord_gaps
 
 
 def exact_poly_integral(coeffs, lo, hi):
@@ -272,6 +273,109 @@ class TestDomainErrorInBatches:
         assert info.value.point == (0.501953125,)
 
 
+def _fields(q):
+    return (q.value, q.abs_error_estimate, q.subdivisions, q.converged)
+
+
+def _on_f(f, err, along, chord):
+    """``err``, raised by the chord trees at the parameter t in the ``along``
+    slot, restated at f's own point: f's error at the first of the chord
+    points t*lo + (1-t)*hi and (1-t)*lo + t*hi where f fails, else ``err``."""
+    k = 0 if along is Axis.X else 1
+    t, lo, hi = err.point[k], chord.lo, chord.hi
+    for u in (t * lo + (1.0 - t) * hi, (1.0 - t) * lo + t * hi):
+        try:
+            f(*err.point[:k], u, *err.point[k + 1 :])
+        except DomainError as failure:
+            return failure
+    return err
+
+
+class TestChordGaps:
+    """integrate_chord_gaps, which runs f's own tape at both chord points,
+    against integrate_abs_difference of the two ``chord_substitution``
+    trees, bit for bit, and the trees' errors restated at f's own point."""
+
+    IV = Interval(-1, 1)
+    CFG = QuadConfig(rel_tol=1e-9, abs_tol=1e-11, max_subdivisions=1024)
+
+    @staticmethod
+    def trees(f, along, chord, v=None):
+        """The two chord trees of f, restricted to the other co-ordinate
+        frozen at ``v`` when one is given."""
+        g, h = (chord_substitution(f, along, chord.lo, chord.hi, reverse=r) for r in (False, True))
+        if v is None:
+            return g, h
+        other = Axis.Y if along is Axis.X else Axis.X
+        return restrict(g, other, v), restrict(h, other, v)
+
+    def test_1d_matches_the_chord_trees(self):
+        rng = np.random.default_rng(1729)
+        cases = [(_kinked(rng)[0], self.IV) for _ in range(6)]
+        cases += [
+            ("floor(7*x) + x^2", self.IV),
+            ("2^x + abs(x - 0.3)", self.IV),
+            ("x^(x + 1) + abs(x - 0.8)", Interval(0.5, 1.5)),
+            ("1/(x - 1.0001)", self.IV),  # a pole just beyond a chord end
+        ]
+        for text, iv in cases:
+            f = parse(text, 1)
+            (got,) = integrate_chord_gaps(f, Axis.X, iv, None, self.CFG)
+            want = integrate_abs_difference(*self.trees(f, Axis.X, iv), Interval(0, 1), self.CFG)
+            assert _fields(got) == _fields(want), text
+
+    @pytest.mark.parametrize("along", [Axis.X, Axis.Y])
+    def test_2d_matches_the_chord_trees_per_value(self, along):
+        box = Box2.from_bounds(-1, 1, -1, 1)
+        cases = [(text, box) for text in _benchmark_2d_inputs([0])]
+        cases += [
+            ("floor(3*x) + abs(y - 0.2)", box),
+            ("x^y + abs(x - y)", Box2.from_bounds(0.5, 1.5, 0.5, 2)),
+            ("2^(x*y) + max(x, y)", box),
+        ]
+        for text, bx in cases:
+            f = parse(text, 2)
+            chord, outer = (bx.x, bx.y) if along is Axis.X else (bx.y, bx.x)
+            vs = np.linspace(outer.lo, outer.hi, 40)  # more than one batch of slices
+            got = integrate_chord_gaps(f, along, chord, vs, self.CFG)
+            want = [
+                integrate_abs_difference(*self.trees(f, along, chord, v), Interval(0, 1), self.CFG)
+                for v in vs.tolist()
+            ]
+            assert [_fields(q) for q in got] == [_fields(q) for q in want], text
+
+    @pytest.mark.parametrize(
+        "text, along, chord, values",
+        [
+            ("1/(x - 1)", Axis.X, IV, None),  # a pole at a chord end
+            ("log(x + 1)", Axis.X, IV, None),
+            ("1/(x - 0.7)", Axis.X, IV, None),  # a pole inside the chord
+            ("1/(x - 1) + 1/(x + 1)", Axis.X, IV, None),  # f fails at both points
+            ("1.7e308*x", Axis.X, IV, None),  # finite values, overflowing gap
+            ("1.7e308*sin(3*x)", Axis.X, IV, None),  # ... first overflowing inside
+            ("y/(x + 1)", Axis.X, IV, [0.5, -0.25]),
+            ("log(x*y + 0.2)", Axis.Y, IV, [0.3, -0.9]),
+            ("x + 1.7e308*y", Axis.Y, IV, [0.25]),
+        ],
+    )
+    def test_errors_name_f_own_point(self, text, along, chord, values):
+        f = parse(text, 1 if values is None else 2)
+        v = None if values is None else values[0]
+        with pytest.raises(DomainError) as tree:
+            integrate_abs_difference(*self.trees(f, along, chord, v), Interval(0, 1), self.CFG)
+        want = tree.value
+        if v is not None:  # the tree's slice point, back in both co-ordinates
+            k = 0 if along is Axis.X else 1
+            pt = [v, v]
+            pt[k] = want.point[0]
+            want = DomainError(want.reason, tuple(pt))
+        want = _on_f(f, want, along, chord)
+        # pytest turns a numpy RuntimeWarning into an error, so none is emitted
+        with pytest.raises(DomainError) as lanes:
+            integrate_chord_gaps(f, along, chord, None if v is None else np.array(values), self.CFG)
+        assert (lanes.value.reason, lanes.value.point) == (want.reason, want.point)
+
+
 class TestVectorAdaptor:
     def test_arity_mismatch_names_the_integrator(self):
         with pytest.raises(ArityError, match="integrate_1d needs a 1D expression"):
@@ -286,8 +390,8 @@ class TestVectorAdaptor:
             ("integrate_2d", lambda: integrate_2d(lambda x, y: x, box)),
             ("integrate_abs_difference",
              lambda: integrate_abs_difference(lambda t: t, lambda t: 1.0 - t, iv)),
-            ("integrate_abs_slices",
-             lambda: integrate_abs_slices(lambda x, y: x - y, Axis.X, np.array([0.5]), iv)),
+            ("integrate_chord_gaps",
+             lambda: integrate_chord_gaps(lambda x, y: x - y, Axis.X, iv, np.array([0.5]))),
         ]
         for name, call in calls:
             with pytest.raises(TypeError, match=f"^{name} needs a parsed expression$"):
