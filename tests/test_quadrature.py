@@ -382,6 +382,11 @@ class TestVectorAdaptor:
             integrate_1d(parse("x + y", 2), Interval(0, 1))
         with pytest.raises(ArityError, match="integrate_2d needs a 2D expression"):
             integrate_2d(parse("x", 1), Box2.from_bounds(0, 1, 0, 1))
+        # a 2D f needs its frozen values, and a 1D f has no y to run along
+        with pytest.raises(ArityError, match="integrate_chord_gaps needs a 1D expression"):
+            integrate_chord_gaps(parse("x + y", 2), Axis.X, Interval(0, 1))
+        with pytest.raises(ArityError, match="integrate_chord_gaps runs a 1D expression along x"):
+            integrate_chord_gaps(parse("x", 1), Axis.Y, Interval(0, 1))
 
     def test_callable_is_refused_by_name(self):
         iv, box = Interval(0, 1), Box2.from_bounds(0, 1, 0, 1)
