@@ -567,16 +567,17 @@ class _Pool(threading.local):
     """The slab-sized buffers screening computes its results into, one flat
     array per name, kept for the thread's life so that no slab allocates
     them: the allocator would hand large ones back to the system and fault
-    them in again.  The chord mixes and the C/J rhs terms are not pooled:
-    they are computed at their operands' own shape, small on the grid and
-    up to one slab on the Halton batch.  A request views the named buffer
-    at its shape, growing it first if it is too small, so a short last
-    slab fits.  The screen asks for at most two point sets of ``_CHUNK``
-    lanes per buffer, besides f on the grid's points (slices times n^d
-    lanes), so the pool stays at a few megabytes at the default budget;
-    the grid's per-check pair mask, which outgrows a slab at large
-    resolutions, is not pooled either, nor is its table of f at the mixed
-    points (:class:`_Table`)."""
+    them in again.  The chord mixes, C's rhs terms and the rhs of every
+    other template are not pooled: they are computed at their operands' own
+    shape, small on the grid and up to one slab on the Halton batch.  Only
+    C's rhs, whose weights follow the slab's parameter, sums into a pooled
+    buffer.  A request views the named buffer at its shape, growing it
+    first if it is too small, so a short last slab fits.  The screen asks
+    for at most two point sets of ``_CHUNK`` lanes per buffer, besides f on
+    the grid's points (slices times n^d lanes), so the pool stays at a few
+    megabytes at the default budget; the grid's per-check pair mask, which
+    outgrows a slab at large resolutions, is not pooled either, nor is its
+    table of f at the mixed points (:class:`_Table`)."""
 
     def __init__(self) -> None:
         self.flat: dict[str, np.ndarray] = {}
@@ -828,10 +829,13 @@ class _Screen:
         A slab fixes the leading indices, spans a range of the next axis
         and, on each axis after it, the range that axis screens: the largest
         whole slab that holds at most ``_CHUNK`` lanes.  ``lanes(parts,
-        chunk)`` gives (margin, violating, undefined) on the slab of shape
-        ``chunk``, ``parts`` being the ``views``, arrays that broadcast to
-        ``shape``, cut down to it.  Returns True at the first slab with an
-        undefined lane, where it stops.
+        chunk, floor)`` gives (margin, violating, undefined) on the slab of
+        shape ``chunk``, ``parts`` being the ``views``, arrays that
+        broadcast to ``shape``, cut down to it; violating may be None when
+        no margin exceeds ``floor``, max(1e-9, the least best margin of the
+        slab's slices), since no lane at or below it can change a slice's
+        best.  Returns True at the first slab with an undefined lane, where
+        it stops.
 
         Where a slab fixes the x1 axis, two skips cut the index range of an
         axis.  ``mirror`` names the axes (a, b) of x1 and x2 when a
@@ -885,31 +889,32 @@ class _Screen:
             for lo in range(starts[j], stops[j], step):
                 hi = min(lo + step, stops[j])
                 parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
-                margin, viol, bad = lanes(parts, (hi - lo,) + chunk)
                 s, at = divmod(flat + lo * strides[j], strides[0])
                 rows, cols = (hi - lo, chunk) if j == 0 else (1, (hi - lo,) + chunk)
-                if self._add(
-                    s, id0 + at, margin.reshape(rows, -1), viol.reshape(rows, -1),
-                    bad.reshape(rows, -1), cols, steps,
-                ):
+                floor = max(1e-9, min(self.margin[s : s + rows]))
+                margin, viol, bad = lanes(parts, (hi - lo,) + chunk, floor)
+                if self._add(s, id0 + at, rows, margin, viol, bad, cols, steps):
                     return True
         return False
 
     def _add(
-        self, s: int, start: int, margin: np.ndarray, viol: np.ndarray, bad: np.ndarray,
-        cols: tuple, steps: list,
+        self, s: int, start: int, rows: int, margin: np.ndarray,
+        viol: Optional[np.ndarray], bad: np.ndarray, cols: tuple, steps: list,
     ) -> bool:
-        """Rows are slices s, s + 1, ...  A row's columns are a C-order
-        block of shape ``cols`` whose axes step ``steps`` ids, the first
-        column being id ``start``, so column order is id order."""
+        """The slab's ``rows`` rows are slices s, s + 1, ...  A row's
+        columns are a C-order block of shape ``cols`` whose axes step
+        ``steps`` ids, the first column being id ``start``, so column order
+        is id order.  ``viol`` is None where no lane violates."""
         if bad.any():
+            bad = bad.reshape(rows, -1)
             for r in np.flatnonzero(bad.any(axis=1)).tolist():
                 self.bad[s + r] = start + _offset(int(np.argmax(bad[r])), cols, steps)
             return True
-        if not viol.any():
+        if viol is None or not viol.any():
             return False
         # violating margins exceed their tolerance, so they are neither NaN
         # nor -inf, and the first largest is the lowest id among equals
+        margin, viol = margin.reshape(rows, -1), viol.reshape(rows, -1)
         best = _POOL.take("best", margin.shape)
         best.fill(-math.inf)
         np.copyto(best, margin, where=viol)
@@ -1018,8 +1023,9 @@ def _chord_sides(
 
 
 def _lane_margins(
-    kind: str, params: list, chord: tuple, F1, F2, shape: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    kind: str, params: list, chord: tuple, F1, F2, shape: tuple,
+    floor: Optional[float] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Vectorised template; mirrors ``_template`` lane by lane.
 
     ``params`` holds the candidates' parameters, broadcastable to
@@ -1028,11 +1034,15 @@ def _lane_margins(
     Returns (margin, over, ok), pool views of ``shape``: ``over`` marks
     margins that clear the violation tolerance, ``ok`` lanes whose mixed
     points all evaluate.
+
+    ``floor``, when given, is a margin that a lane must exceed to matter: a
+    slab whose largest margin is at most ``floor`` skips the tolerance and
+    returns ``over`` as None.  No margin of such a slab is NaN, since a NaN
+    maximum fails the test.
     """
     sides, oks = chord
     lhs, ok = sides[0], oks[0]
-    rhs, margin, tau = _POOL.takes(("rhs", "margin", "tau"), shape)
-    over = _POOL.take("over", shape, bool)
+    margin = _POOL.take("margin", shape)
     # sums of values near the float range overflow, and inf - inf is NaN
     with np.errstate(all="ignore"):
         if kind == "W":
@@ -1041,18 +1051,25 @@ def _lane_margins(
         elif kind == "WQC":
             ok &= oks[1]
             np.multiply(0.5, np.add(lhs, sides[1], out=lhs), out=lhs)
-        if kind in ("C", "J"):
-            # the terms at their own shape, on the grid far smaller than rhs
-            a, b = (params[0], 1.0 - params[0]) if kind == "C" else (0.5, 0.5)
-            np.add(np.multiply(a, F1), np.multiply(b, F2), out=rhs)
+        # rhs at its operands' shape, on the grid far smaller than the slab,
+        # but for C, whose weights follow the slab's parameter
+        if kind == "C":
+            rhs = _POOL.take("rhs", shape)
+            np.add(np.multiply(params[0], F1), np.multiply(1.0 - params[0], F2), out=rhs)
+        elif kind == "J":
+            rhs = np.add(np.multiply(0.5, F1), np.multiply(0.5, F2))
         elif kind == "W":
-            np.add(F1, F2, out=rhs)
+            rhs = np.add(F1, F2)
         else:  # QC, JQC, WQC
-            np.maximum(F1, F2, out=rhs)
-        # tau = 1e-9 * max(1, max(|lhs|, |rhs|)); margin holds |rhs| first
-        np.maximum(np.abs(lhs, out=tau), np.abs(rhs, out=margin), out=tau)
-        np.multiply(1e-9, np.maximum(1.0, tau, out=tau), out=tau)
+            rhs = np.maximum(F1, F2)
         np.subtract(lhs, rhs, out=margin)
+        if floor is not None and margin.max() <= floor:
+            return margin, None, ok
+        # tau = 1e-9 * max(1, max(|lhs|, |rhs|)); rhs holds |rhs| after
+        tau = _POOL.take("tau", shape)
+        over = _POOL.take("over", shape, bool)
+        np.maximum(np.abs(lhs, out=tau), np.abs(rhs, out=rhs), out=tau)
+        np.multiply(1e-9, np.maximum(1.0, tau, out=tau), out=tau)
         np.greater(margin, tau, out=over)
     return margin, over, ok
 
@@ -1198,18 +1215,20 @@ def _screen(
         """Slice s's frozen axis and value."""
         return (Axis.X if frozen[1][s] else Axis.Y), float(frozen[0][s])
 
-    def screened(params, chord, F1, F2, chunk, live, ok=None):
-        margin, over, ok_mixed = _lane_margins(kind, params, chord, F1, F2, chunk)
+    def screened(params, chord, F1, F2, chunk, live, floor, ok=None):
+        margin, over, ok_mixed = _lane_margins(kind, params, chord, F1, F2, chunk, floor)
         if ok is not None:
             ok_mixed &= ok
         ok = ok_mixed
-        # a NaN margin decides nothing: the lane counts as undefined (min
-        # propagates NaN, so the mask is built only when there is one)
-        if np.isnan(margin.min()):
-            nan = np.isnan(margin, out=_POOL.take("scratch", chunk, bool))
-            ok &= np.logical_not(nan, out=nan)
-        viol = np.logical_and(over, live, out=over)
-        viol &= ok
+        viol = None  # a skipped slab: no lane is NaN, none violates
+        if over is not None:
+            # a NaN margin decides nothing: the lane counts as undefined
+            # (min propagates NaN, so the mask is built only when there is one)
+            if np.isnan(margin.min()):
+                nan = np.isnan(margin, out=_POOL.take("scratch", chunk, bool))
+                ok &= np.logical_not(nan, out=nan)
+            viol = np.logical_and(over, live, out=over)
+            viol &= ok
         bad = np.logical_not(ok, out=ok)
         bad &= live
         return margin, viol, bad
@@ -1250,14 +1269,16 @@ def _screen(
             lanes = lanes * (n // 2 + 1) // n
         table = _Table.build(f, kind, cols, lanes)
 
-    def grid_lanes(parts, chunk):
+    def grid_lanes(parts, chunk, floor):
         c = len(cols)
         rest = parts[c + 3 :]
         if table is None:
             chord = _chord_sides(kind, f, d, parts[:c], chunk, rest or None)
         else:
             chord = table.gather(rest, chunk)
-        return screened(parts[2 * d : c], chord, parts[c], parts[c + 1], chunk, parts[c + 2])
+        return screened(
+            parts[2 * d : c], chord, parts[c], parts[c + 1], chunk, parts[c + 2], floor
+        )
 
     views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or (table.at if table else ()))]
     if live_slices and screen.scan(
@@ -1272,7 +1293,7 @@ def _screen(
             lo[a % d, :, None] + width[a % d, :, None] * cube[:, a] for a in range(2 * d)
         ] + [cube[None, :, a] for a in range(2 * d, ndim)]
 
-        def halton_lanes(parts, chunk):
+        def halton_lanes(parts, chunk, floor):
             hcols, fzp = parts[:ndim], parts[ndim:] or None
             p1, p2 = hcols[:d], hcols[d : 2 * d]
             (F1, F2), (ok, ok2) = _eval_lanes(f, [p1, p2], chunk, fzp)
@@ -1281,7 +1302,7 @@ def _screen(
                 p1, p2, ordered_only, *_POOL.takes(("live", "scratch"), chunk, bool)
             )
             chord = _chord_sides(kind, f, d, hcols, chunk, fzp)
-            return screened(hcols[2 * d :], chord, F1, F2, chunk, live, ok)
+            return screened(hcols[2 * d :], chord, F1, F2, chunk, live, floor, ok)
 
         views = halton + list(frozen_on(2) or ())
         screen.scan((live_slices, m), math.prod(grid_shape), views, halton_lanes)

@@ -1235,3 +1235,164 @@ class TestGoldenLanes:
 
         classifiers._golden_lanes(fn, 1, 50)
         assert min(seen) < 0.3
+
+
+def screen_states(monkeypatch, check, floor=True):
+    """Run ``check`` with the scan's floor, or with every ``_lane_margins``
+    call's floor forced to None, and return the verdict's repr, each
+    ``_Screen``'s per-slice (best, margin, bad) and how many slabs skipped
+    the tolerance."""
+    screens, skips = [], []
+    lane_margins = classifiers._lane_margins
+
+    class Recorded(classifiers._Screen):
+        def __init__(self, slices):
+            super().__init__(slices)
+            screens.append(self)
+
+    def margins(*args):
+        out = lane_margins(*args) if floor else lane_margins(*args[:6])
+        skips.append(out[1] is None)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(classifiers, "_Screen", Recorded)
+        m.setattr(classifiers, "_lane_margins", margins)
+        verdict = repr(check())
+    return verdict, [(s.best, s.margin, s.bad) for s in screens], sum(skips)
+
+
+# (class, f, domain, budget, slab size): a plain W2; W2 on the Halton batch
+# alone (a grid of 2 tests t and s at 0 and 1 only), in slabs within its one
+# slice; co-ordinate checks whose slices violate by different margins,
+# larger on the earlier y-frozen slices, with slabs within a slice, and
+# Halton slabs of several slices whose grid bests differ (at 512 and 1024
+# lanes, and at the default budget and slab size).  The peak of
+# "-(2 - y)*abs(x - 0.3*y)" moves with y, so that the Halton batch beats
+# the grid's best on some slices only
+FLOOR_CASES = (
+    (ClassId.W2, "max(x*y, x - y) - abs(x + 0.5*y)", BOX, FAST, None),
+    (ClassId.W2, "max(x*y, x - y) - abs(x + 0.5*y)", BOX, FAST, 256),
+    (ClassId.W2, "-(x^2) - y^2 + 0.3*x*y", BOX, SearchBudget(grid_n=2, halton_count=512), 64),
+    (ClassId.COORD_QC2, "-(2 - y)*abs(x - 0.3*y)", BOX, FAST, 64),
+    (ClassId.COORD_QC2, "-(2 - y)*abs(x - 0.3*y)", BOX, FAST, 512),
+    (ClassId.COORD_QC2, "-(2 - y)*abs(x - 0.3*y)", BOX, FAST, 1024),
+    (ClassId.COORD_JQC2, "-(2 - y)*abs(x - 0.3*y)", BOX, FAST, 1024),
+    (ClassId.COORD_C2, "-(2 - y)*abs(x - 0.3*y) + x*y", BOX, FAST, 1024),
+    (ClassId.COORD_C2, "-(2 - y)*abs(x - 0.3*y) + x*y", BOX, SearchBudget(), None),
+    (ClassId.COORD_W2, "-(2 - y)*abs(x - 0.3*y)", BOX, FAST, 128),
+)
+
+
+class TestBoundFirstFloor:
+    @pytest.mark.parametrize(
+        "cid, text, dom, budget, chunk", FLOOR_CASES,
+        ids=[f"{c.value}-{chunk}" for c, *_, chunk in FLOOR_CASES],
+    )
+    def test_floor_keeps_every_slice(self, monkeypatch, cid, text, dom, budget, chunk):
+        # a slab skips the tolerance only where no lane can change a slice:
+        # every slice's best id, margin and first undefined id, and the
+        # verdict, match the scan that never skips
+        if chunk is not None:
+            monkeypatch.setattr(classifiers, "_CHUNK", chunk)
+        f = parse(text, 2)
+
+        def check():
+            return check_membership(f, dom, cid, budget=budget)
+
+        verdict, states, skips = screen_states(monkeypatch, check)
+        assert skips, "no slab skipped: the case does not test the floor"
+        assert (verdict, states) == screen_states(monkeypatch, check, floor=False)[:2]
+
+    def test_refinement_takes_no_floor(self, monkeypatch):
+        # _refine reads ``over`` at the refined parameters, so it must not
+        # let a floor skip it
+        floors, inside = [], []
+        lane_margins, refine = classifiers._lane_margins, classifiers._refine
+
+        def margins(*args):
+            if inside:
+                floors.append(args[6:])
+            return lane_margins(*args)
+
+        def refined(*args, **kwargs):
+            inside.append(True)
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(classifiers, "_lane_margins", margins)
+        monkeypatch.setattr(classifiers, "_refine", refined)
+        f = parse("-(2 - y)*abs(x - 0.3*y)", 2)
+        assert check_membership(f, BOX, ClassId.COORD_QC2, budget=FAST).violated
+        assert floors and all(floor in ((), (None,)) for floor in floors)
+
+
+def lane_margins_of(kind, lhs, rhs_ends, floor):
+    """``_lane_margins`` on one slab of hand-made lanes: f at the chord
+    point(s) ``lhs``, one list per chord point, and at the two ends
+    ``rhs_ends``; returns copies of (margin, over or None, ok)."""
+    sides = np.array(lhs, dtype=float)
+    F1, F2 = (np.array(v, dtype=float) for v in rhs_ends)
+    oks = np.ones(sides.shape, bool)
+    margin, over, ok = classifiers._lane_margins(
+        kind, [], (sides, oks), F1, F2, F1.shape, floor
+    )
+    return margin.copy(), None if over is None else over.copy(), ok.copy()
+
+
+def spied_slabs(monkeypatch):
+    """Record, per ``_lane_margins`` call, (skipped, has a NaN margin, has
+    an undefined chord point)."""
+    slabs = []
+    lane_margins = classifiers._lane_margins
+
+    def margins(*args):
+        margin, over, ok = lane_margins(*args)
+        slabs.append((over is None, bool(np.isnan(margin).any()), not ok.all()))
+        return margin, over, ok
+
+    monkeypatch.setattr(classifiers, "_lane_margins", margins)
+    return slabs
+
+
+class TestLaneMarginsFloor:
+    def test_nan_margin_takes_the_full_path(self, monkeypatch):
+        # max propagates NaN, and NaN <= floor fails: the floor above every
+        # other margin skips nothing
+        margin, over, _ = lane_margins_of("QC", [[0.0, math.nan, 1.0]], ([0.0] * 3,) * 2, 5.0)
+        assert over is not None and over.tolist() == [False, False, True]
+        assert math.isnan(margin[1])
+        # in a check, the lane is then undefined: f is defined at the
+        # candidate, but its W sums overflow and inf - inf is NaN
+        slabs = spied_slabs(monkeypatch)
+        f = parse("1.7e308*x*x", 1)
+        v = check_membership(f, REF_INTERVAL, ClassId.W1, budget=DYADIC_BUDGET)
+        assert v.undefined and v.point is None and v.candidate is not None
+        assert slabs[0] == (False, True, False)
+
+    def test_max_equal_to_floor_is_skipped(self):
+        lanes = ([[0.5, 0.25, -1.0]], ([0.0] * 3,) * 2)
+        margin, over, _ = lane_margins_of("QC", *lanes, 0.5)
+        assert over is None and margin.tolist() == [0.5, 0.25, -1.0]
+        _, over, _ = lane_margins_of("QC", *lanes, math.nextafter(0.5, 0.0))
+        assert over.tolist() == [True, True, False]
+
+    def test_inf_margin_takes_the_full_path_and_is_not_over(self):
+        # W's two chord values of 1e308 sum to inf: its tolerance is inf too
+        margin, over, _ = lane_margins_of("W", [[1e308, 0.0], [1e308, 0.0]], ([0.0] * 2,) * 2,
+                                          1e300)
+        assert margin[0] == math.inf
+        assert over is not None and not over.any()
+
+    def test_undefined_lane_in_a_skipped_slab_stops_the_scan(self, monkeypatch):
+        # f is x, undefined at the mixed point -0.25 (1/(1/0) is the finite 0
+        # on an undefined lane): its margins are rounding noise, so the one
+        # grid slab is skipped, and its undefined lane still ends the check
+        slabs = spied_slabs(monkeypatch)
+        f = parse("x + 0*(1/(1/(x + 0.25)))", 1)
+        budget = SearchBudget(grid_n=5, halton_count=64)
+        v = check_membership(f, Interval(-1.0, 1.0), ClassId.C1, budget=budget)
+        assert v.undefined and v.point == (-0.25,) and v.samples == 5**3 - 5**2 + 64
+        assert slabs == [(True, False, True)]
