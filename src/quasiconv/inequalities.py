@@ -203,7 +203,7 @@ class _Means:
     def line_means(self, names: tuple[str, ...]) -> dict[str, float]:
         """Means of f along the named lines of the rectangle, out of its two
         midlines and four edges.  Only those lines are integrated, so f need
-        not be defined on the others."""
+        not be defined on the others.  A DomainError names f's own point."""
         x, y = self.domain.x, self.domain.y
         lines = {
             "horizontal midline": (Axis.Y, y.midpoint, x),
@@ -216,7 +216,15 @@ class _Means:
         means = {}
         for name in names:
             axis, at, iv = lines[name]
-            q = integrate_1d(restrict(self.f, axis, at), iv)
+            try:
+                q = integrate_1d(restrict(self.f, axis, at), iv)
+            except DomainError as err:
+                if err.point is None:
+                    raise
+                # the restriction names its free co-ordinate alone
+                (u,) = err.point
+                point = (at, u) if axis is Axis.X else (u, at)
+                raise DomainError(err.reason, point) from None
             means[name] = self.mean(name, q, iv.length)
         return means
 

@@ -6,9 +6,9 @@ its ``--json`` record removed.  The cases are the six reports on kinked
 convex functions drawn like those of the ``verify`` benchmark, plus edge
 boxes: tiny, huge, unequal sides, refused, an undefined chord, a failing
 link and an integral that exhausts its budget (once more as text, so that
-its warning line is pinned too), and the chord corrections' refusals: f
+its warning line is pinned too), the chord corrections' refusals: f
 undefined at a chord end or inside the chord, and a chord gap that
-overflows.
+overflows, and line means that refuse a 2D report at f's own point.
 
 Each record must stay byte-identical.  A change that is meant to move
 quadrature bits rewrites the file by running this module as a script,
@@ -83,18 +83,25 @@ CHORD_EDGES = tuple(
               "x + 1.7e308*y")
 )
 
+# midline means that refuse the report: each message names the point in f's
+# co-ordinates, with the frozen one
+LINE_EDGES = tuple(
+    ("THM_2_1", f, "-1,1,-1,1")
+    for f in ("1/(x - 0.3) + log(0.5 - y)", "1/(y - 0.3) + log(0.5 - x)")
+)
+
 
 def _cases() -> list[tuple[str, ...]]:
     """Every 2D report on each 2D function over [-1, 1]^2 and the second
     one on an off-centre box, every 1D report on each 1D function over
     [-1, 1] and two on an off-centre interval, then the edge boxes and the
-    chord refusals, all as ``--json``, and the non-converging one as text
-    as well."""
+    chord and line-mean refusals, all as ``--json``, and the non-converging
+    one as text as well."""
     runs = [(r, f, "-1,1,-1,1") for f in KINKED_2D for r in REPORTS_2D]
     runs += [(r, KINKED_2D[1], "-1,0.8,-0.6,1") for r in REPORTS_2D]
     runs += [(r, f, "-1,1") for f in KINKED_1D for r in REPORTS_1D]
     runs += [(r, f, "-0.6,0.9") for f in KINKED_1D[:2] for r in REPORTS_1D]
-    runs += EDGES + CHORD_EDGES
+    runs += EDGES + CHORD_EDGES + LINE_EDGES
     cases = [("verify", "--inequality", r, "--f", f, "--domain", d, "--json") for r, f, d in runs]
     r, f, d = NOT_CONVERGING
     return cases + [("verify", "--inequality", r, "--f", f, "--domain", d)]
