@@ -1237,29 +1237,39 @@ class TestGoldenLanes:
         assert min(seen) < 0.3
 
 
-def screen_states(monkeypatch, check, floor=True):
-    """Run ``check`` with the scan's floor, or with every ``_lane_margins``
-    call's floor forced to None, and return the verdict's repr, each
-    ``_Screen``'s per-slice (best, margin, bad) and how many slabs skipped
-    the tolerance."""
-    screens, skips = [], []
+def spied_slabs(monkeypatch, floor=True):
+    """Record, per ``_lane_margins`` call, (skipped, has a NaN margin, has
+    an undefined chord point); without ``floor``, each call's floor is
+    forced to None."""
+    slabs = []
     lane_margins = classifiers._lane_margins
+
+    def margins(*args):
+        margin, over, ok = lane_margins(*(args if floor else args[:6]))
+        slabs.append((over is None, bool(np.isnan(margin).any()), not ok.all()))
+        return margin, over, ok
+
+    monkeypatch.setattr(classifiers, "_lane_margins", margins)
+    return slabs
+
+
+def screen_states(monkeypatch, check, floor=True):
+    """Run ``check`` as :func:`spied_slabs` sets the floor, and return the
+    verdict's repr, each ``_Screen``'s per-slice (best, margin, bad) and
+    how many slabs skipped the tolerance."""
+    screens = []
 
     class Recorded(classifiers._Screen):
         def __init__(self, slices):
             super().__init__(slices)
             screens.append(self)
 
-    def margins(*args):
-        out = lane_margins(*args) if floor else lane_margins(*args[:6])
-        skips.append(out[1] is None)
-        return out
-
     with monkeypatch.context() as m:
         m.setattr(classifiers, "_Screen", Recorded)
-        m.setattr(classifiers, "_lane_margins", margins)
+        slabs = spied_slabs(m, floor)
         verdict = repr(check())
-    return verdict, [(s.best, s.margin, s.bad) for s in screens], sum(skips)
+    states = [(s.best, s.margin, s.bad) for s in screens]
+    return verdict, states, sum(skipped for skipped, _, _ in slabs)
 
 
 # (class, f, domain, budget, slab size): a plain W2; W2 on the Halton batch
@@ -1340,21 +1350,6 @@ def lane_margins_of(kind, lhs, rhs_ends, floor):
         kind, [], (sides, oks), F1, F2, F1.shape, floor
     )
     return margin.copy(), None if over is None else over.copy(), ok.copy()
-
-
-def spied_slabs(monkeypatch):
-    """Record, per ``_lane_margins`` call, (skipped, has a NaN margin, has
-    an undefined chord point)."""
-    slabs = []
-    lane_margins = classifiers._lane_margins
-
-    def margins(*args):
-        margin, over, ok = lane_margins(*args)
-        slabs.append((over is None, bool(np.isnan(margin).any()), not ok.all()))
-        return margin, over, ok
-
-    monkeypatch.setattr(classifiers, "_lane_margins", margins)
-    return slabs
 
 
 class TestLaneMarginsFloor:
