@@ -219,9 +219,7 @@ class _Means:
             try:
                 q = integrate_1d(restrict(self.f, axis, at), iv)
             except DomainError as err:
-                if err.point is None:
-                    raise
-                # the restriction names its free co-ordinate alone
+                # the restriction's scalar call names its free co-ordinate
                 (u,) = err.point
                 point = (at, u) if axis is Axis.X else (u, at)
                 raise DomainError(err.reason, point) from None
