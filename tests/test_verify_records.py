@@ -83,11 +83,15 @@ CHORD_EDGES = tuple(
               "x + 1.7e308*y")
 )
 
-# midline means that refuse the report: each message names the point in f's
-# co-ordinates, with the frozen one
+# line means that refuse the report: each message names the point in f's
+# co-ordinates, with the frozen one: midlines, then an edge and a midline of
+# the other two 2D reports
 LINE_EDGES = tuple(
     ("THM_2_1", f, "-1,1,-1,1")
     for f in ("1/(x - 0.3) + log(0.5 - y)", "1/(y - 0.3) + log(0.5 - x)")
+) + (
+    ("THM_2_4", "log(0.5 - y) + x", "-1,1,-1,1"),
+    ("CHAIN1_6", "log(abs(x)) + y", "-1,1,-1,1"),
 )
 
 
