@@ -30,6 +30,7 @@ from quasiconv import classifiers, expressions
 from quasiconv.expressions import _Binary, _Const, _Unary, _Var, Expr, unparse
 
 BOX = Box2.from_bounds(-1, 1, -1, 1)
+UNEQUAL_BOX = Box2.from_bounds(-1, 0.8, -0.6, 1)
 FAST = SearchBudget(grid_n=9, halton_count=256, slices=5)
 
 
@@ -211,6 +212,33 @@ class TestWitnessSoundness:
             assert lhs == w.lhs and rhs == w.rhs
             assert w.margin > violation_tolerance(w.lhs, w.rhs)
         assert found > 50  # the family must actually generate violations
+
+    # the default budget, then one whose Halton batch finds the witness
+    # (a grid of side 2 tests the parameters only at 0 and 1)
+    @pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(grid_n=2)],
+                             ids=["grid", "halton"])
+    @pytest.mark.parametrize("cid", list(ClassId), ids=lambda c: c.value)
+    def test_witness_lies_in_the_domain(self, cid, budget):
+        # a concave peak in y violates every class; a co-ordinate check
+        # finds its best witness on an x-frozen slice that shares a slab
+        # with y-frozen ones, at y's end -0.6, outside x's interval
+        box = UNEQUAL_BOX
+        if cid.arity == 1 and not cid.is_coordinate:
+            runs = [(parse("-(x - 0.1)^2", 1), iv) for iv in (box.x, box.y)]
+        else:
+            runs = [(parse("-(y - 0.1)^2 + x", 2), box)]
+        for f, domain in runs:
+            verdict = check_membership(f, domain, cid, budget=budget)
+            assert verdict.violated
+            w = verdict.witness
+            if cid.is_coordinate:
+                free, frozen = (box.y, box.x) if w.frozen_axis == "x" else (box.x, box.y)
+                assert frozen.lo <= w.frozen_value <= frozen.hi
+                ivs = (free,)
+            else:
+                ivs = (domain,) if cid.arity == 1 else (box.x, box.y)
+            for p in (w.p1, w.p2):
+                assert all(iv.lo <= v <= iv.hi for iv, v in zip(ivs, p)), (p, ivs)
 
     def test_scale_covariance_power_of_two(self):
         # scaling by powers of two is exact in floats, so quasi-class margins
@@ -1260,8 +1288,8 @@ def screen_states(monkeypatch, check, floor=True):
     screens = []
 
     class Recorded(classifiers._Screen):
-        def __init__(self, slices):
-            super().__init__(slices)
+        def __init__(self, *args):
+            super().__init__(*args)
             screens.append(self)
 
     with monkeypatch.context() as m:
