@@ -805,26 +805,28 @@ def _refine(
 
 
 class _Screen:
-    """Per slice: the best violating candidate id, by largest margin and
-    then lowest id, with its margin, and the first undefined id (-1 for
-    none)."""
+    """Per slice: the best violating candidate, by largest margin and then
+    screening order, with its margin, and the first undefined candidate in
+    screening order (None for none), each as the values of its ``ndim``
+    columns."""
 
-    def __init__(self, slices: int) -> None:
+    def __init__(self, slices: int, ndim: int) -> None:
+        self.ndim = ndim
         self.margin = [-math.inf] * slices
-        self.best = [-1] * slices
-        self.bad = [-1] * slices
+        self.best: list = [None] * slices
+        self.bad: list = [None] * slices
 
     def scan(
         self,
         shape: tuple[int, ...],
-        id0: int,
         views: list,
         lanes: Callable,
         mirror: Optional[tuple[int, int]] = None,
         reflect: Optional[int] = None,
     ) -> bool:
         """Screen a C-order tensor of ``shape``, slices on its first axis,
-        in slabs in id order; a slice's ids start at ``id0``.
+        in slabs in C order; the first ``ndim`` of ``views`` are the
+        candidates' columns.
 
         A slab fixes the leading indices, spans a range of the next axis
         and, on each axis after it, the range that axis screens: the largest
@@ -843,14 +845,13 @@ class _Screen:
         axis b screens from the index on axis a on.  ``reflect`` names the
         first parameter axis when a candidate and its twin with every
         parameter index i moved to n - 1 - i have one margin: that axis
-        screens indices 0 to n // 2.  The lowest id of the candidates that
-        the two swaps connect passes both, so each skipped candidate has
-        the margin of a screened one with a lower id.  A prefix outside the
-        ranges is skipped whole; the slab axis and the axes after it are
-        cut to theirs, with the views that span them, and a slab's step is
-        reckoned on the cut shape."""
+        screens indices 0 to n // 2.  Of the candidates that the two swaps
+        connect, the first in C order passes both, so each skipped
+        candidate has the margin of one screened before it.  A prefix
+        outside the ranges is skipped whole; the slab axis and the axes
+        after it are cut to theirs, with the views that span them, and a
+        slab's step is reckoned on the cut shape."""
         j = next(a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= _CHUNK)
-        strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
         a, b = mirror if mirror is not None and mirror[0] < j else (None, None)
         # per axis, the index range [start, stop) screened; b's start is
         # the prefix's index a
@@ -864,9 +865,6 @@ class _Screen:
         trailing = b is not None and b > j
         # the axes each view spans rather than broadcasts on
         spans = [[size > 1 for size in v.shape] for v in views]
-        # a row's columns are per slice its block of the trailing axes, or
-        # the slab's block: the id steps of their axes
-        steps = strides[1:] if j == 0 else strides[j:]
         for prefix in itertools.product(*map(range, stops[:j])):
             if b is not None:
                 if b < j and prefix[b] < prefix[a]:
@@ -876,63 +874,58 @@ class _Screen:
                 v[tuple(i if full else 0 for i, full in zip(prefix, span))]
                 for v, span in zip(views, spans)
             ]
-            # the id of the lane at the prefix, index 0 of the slab axis and
-            # the trailing axes' starts
-            flat = sum(i * stride for i, stride in zip(prefix, strides))
             chunk = rest
             if trailing:
                 at_b = (slice(None),) * (b - j) + (slice(starts[b], None),)
                 heads = [h[at_b] if span[b] else h for h, span in zip(heads, spans)]
                 chunk = rest[: b - j - 1] + (stops[b] - starts[b],) + rest[b - j :]
-                flat += starts[b] * strides[b]
             step = min(stops[j], _CHUNK // math.prod(chunk))
             for lo in range(starts[j], stops[j], step):
                 hi = min(lo + step, stops[j])
                 parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
-                s, at = divmod(flat + lo * strides[j], strides[0])
-                rows, cols = (hi - lo, chunk) if j == 0 else (1, (hi - lo,) + chunk)
+                # a slab on the slice axis holds a row per slice
+                s, rows = (lo, hi - lo) if j == 0 else (prefix[0], 1)
                 floor = max(1e-9, min(self.margin[s : s + rows]))
                 margin, viol, bad = lanes(parts, (hi - lo,) + chunk, floor)
-                if self._add(s, id0 + at, rows, margin, viol, bad, cols, steps):
+                if self._add(s, rows, margin, viol, bad, parts[: self.ndim]):
                     return True
         return False
 
     def _add(
-        self, s: int, start: int, rows: int, margin: np.ndarray,
-        viol: Optional[np.ndarray], bad: np.ndarray, cols: tuple, steps: list,
+        self, s: int, rows: int, margin: np.ndarray, viol: Optional[np.ndarray],
+        bad: np.ndarray, cols: list,
     ) -> bool:
-        """The slab's ``rows`` rows are slices s, s + 1, ...  A row's
-        columns are a C-order block of shape ``cols`` whose axes step
-        ``steps`` ids, the first column being id ``start``, so column order
-        is id order.  ``viol`` is None where no lane violates."""
+        """The slab's ``rows`` rows are slices s, s + 1, ... in C order, so
+        lane order is screening order; ``cols`` are the candidates' column
+        views cut to the slab.  ``viol`` is None where no lane violates."""
+        shape, width = margin.shape, margin.size // rows
+
+        def candidate(r: int, i: int) -> list[float]:
+            """The column values of lane i of row r."""
+            at = np.unravel_index(r * width + i, shape)
+            return [
+                float(v[tuple(k if size > 1 else 0 for k, size in zip(at, v.shape))])
+                for v in cols
+            ]
+
         if bad.any():
-            bad = bad.reshape(rows, -1)
+            bad = bad.reshape(rows, width)
             for r in np.flatnonzero(bad.any(axis=1)).tolist():
-                self.bad[s + r] = start + _offset(int(np.argmax(bad[r])), cols, steps)
+                self.bad[s + r] = candidate(r, int(np.argmax(bad[r])))
             return True
         if viol is None or not viol.any():
             return False
         # violating margins exceed their tolerance, so they are neither NaN
-        # nor -inf, and the first largest is the lowest id among equals
-        margin, viol = margin.reshape(rows, -1), viol.reshape(rows, -1)
+        # nor -inf, and the first largest is the first screened among equals
+        margin, viol = margin.reshape(rows, width), viol.reshape(rows, width)
         best = _POOL.take("best", margin.shape)
         best.fill(-math.inf)
         np.copyto(best, margin, where=viol)
         for r, i in enumerate(best.argmax(axis=1).tolist()):
             if best[r, i] > self.margin[s + r]:
                 self.margin[s + r] = float(best[r, i])
-                self.best[s + r] = start + _offset(i, cols, steps)
+                self.best[s + r] = candidate(r, i)
         return False
-
-
-def _offset(i: int, shape: tuple, steps: list) -> int:
-    """The id offset of element i of a C-order block of ``shape`` whose
-    axes step ``steps`` ids."""
-    offset = 0
-    for size, step in zip(reversed(shape), reversed(steps)):
-        i, k = divmod(i, size)
-        offset += k * step
-    return offset
 
 
 def _place(arr: np.ndarray, axes, ndim: int) -> np.ndarray:
@@ -1148,22 +1141,6 @@ def _reflects(n: int) -> bool:
     return np.array_equal(1.0 - lam, lam[::-1]) and np.array_equal(1.0 - (1.0 - lam), lam)
 
 
-def _candidate(
-    s: int, i: int, cols: list, halton: list, grid_shape: tuple
-) -> list[float]:
-    """Co-ordinates and parameters of candidate ``i`` of slice ``s``, in
-    column order: grid ids first, then Halton ids."""
-    grid_total = math.prod(grid_shape)
-    if i < grid_total:
-        at, views = (s, *np.unravel_index(i, grid_shape)), cols
-    else:
-        at, views = (s, i - grid_total), halton
-    return [
-        float(v[tuple(j if size > 1 else 0 for j, size in zip(at, v.shape))])
-        for v in views
-    ]
-
-
 def _screen(
     f: Expr,
     ivs: Sequence[tuple[Interval, ...]],
@@ -1178,8 +1155,8 @@ def _screen(
     co-ordinate check has one per partial mapping, on ``ivs[s]``, and
     ``frozen`` holds each slice's frozen value and whether x is the frozen
     co-ordinate; f then runs on its own 2D tape (see :func:`_eval_lanes`).
-    Within a slice the flat grid index is the candidate id, Halton ids
-    follow the grid, and equal margins rank by lower id.
+    Within a slice the grid is screened in C order, then the Halton batch
+    in its order, and equal margins rank by screening order.
 
     The grid of a plain 2D check of a class with a parameter (C2, QC2, W2,
     W2-ordered, WQC2) gathers f at its chord points from a :class:`_Table`
@@ -1240,7 +1217,6 @@ def _screen(
     okg = okg.reshape(slices, -1)
     # screening stops before the first slice undefined on its own grid
     live_slices = int(np.argmin(okg.all(axis=1))) if not okg.all() else slices
-    grid_shape = (n,) * ndim
     cols = [_place(grids[a % d], (0, 1 + a), 1 + ndim) for a in range(2 * d)] + [
         _place(np.linspace(0.0, 1.0, n), (1 + a,), 1 + ndim) for a in range(2 * d, ndim)
     ]
@@ -1252,7 +1228,7 @@ def _screen(
     live = _screened_pairs(
         cols[:d], cols[d : 2 * d], ordered_only, np.empty(pairs, bool), np.empty(pairs, bool)
     )
-    screen = _Screen(slices)
+    screen = _Screen(slices, ndim)
     # these templates are symmetric in (p1, p2), bit for bit; C's and QC's
     # in (p1, p2, lam) and (p2, p1, 1 - lam), a grid value on a dyadic grid
     mirrored = kind in ("J", "JQC", "W", "WQC") or (kind in ("C", "QC") and _reflects(n))
@@ -1264,7 +1240,7 @@ def _screen(
     if live_slices and frozen is None and d == 2 and names:
         # the mixed points the lane path evaluates: the mirror screens half,
         # and the reflection n // 2 + 1 of the n values of t
-        lanes = len(_chords(kind)) * math.prod(grid_shape) // (2 if mirrored else 1)
+        lanes = len(_chords(kind)) * n**ndim // (2 if mirrored else 1)
         if reflect is not None:
             lanes = lanes * (n // 2 + 1) // n
         table = _Table.build(f, kind, cols, lanes)
@@ -1281,11 +1257,9 @@ def _screen(
         )
 
     views = cols + [F1, F2, live, *(frozen_on(1 + ndim) or (table.at if table else ()))]
-    if live_slices and screen.scan(
-        (live_slices,) + grid_shape, 0, views, grid_lanes, mirror, reflect
-    ):
-        live_slices = next(s for s, i in enumerate(screen.bad) if i >= 0)
-    halton: list = []
+    grid = (live_slices,) + (n,) * ndim
+    if live_slices and screen.scan(grid, views, grid_lanes, mirror, reflect):
+        live_slices = next(s for s, c in enumerate(screen.bad) if c is not None)
     if m > 0 and live_slices:
         cube = _halton_cube(m, ndim)
         lo, width = np.array([[(iv.lo, iv.hi - iv.lo) for iv in row] for row in ivs]).T
@@ -1305,13 +1279,13 @@ def _screen(
             return screened(hcols[2 * d :], chord, F1, F2, chunk, live, floor, ok)
 
         views = halton + list(frozen_on(2) or ())
-        screen.scan((live_slices, m), math.prod(grid_shape), views, halton_lanes)
+        screen.scan((live_slices, m), views, halton_lanes)
     per_slice = n**ndim - n ** (ndim - d) + m  # by index: see the README
-    undefined = [s for s, i in enumerate(screen.bad) if i >= 0]
+    undefined = [s for s, c in enumerate(screen.bad) if c is not None]
     if undefined:
         s = undefined[0]
         found = dict(status="undefined", resolution=resolution, samples=(s + 1) * per_slice)
-        vals = _candidate(s, screen.bad[s], cols, halton, grid_shape)
+        vals = screen.bad[s]
         p1, p2, params = vals[:d], vals[d : 2 * d], dict(zip(names, vals[2 * d :]))
         try:
             _template(class_id, lambda *pt: f(*lift(pt, s)), p1, p2, params)
@@ -1331,7 +1305,7 @@ def _screen(
             status="undefined", resolution=resolution, samples=s * per_slice, point=point
         )
     found = dict(resolution=resolution, samples=slices * per_slice)
-    hits = [s for s, i in enumerate(screen.best) if i >= 0]
+    hits = [s for s, c in enumerate(screen.best) if c is not None]
     if not hits:
         return Verdict(status="no_violation_found", **found)
     cands, margins = _refine(
@@ -1339,7 +1313,7 @@ def _screen(
         names,
         f,
         d,
-        np.array([_candidate(s, screen.best[s], cols, halton, grid_shape) for s in hits]),
+        np.array([screen.best[s] for s in hits]),
         np.array([screen.margin[s] for s in hits]),
         budget.refine_iters,
         frozen and tuple(v[hits, None] for v in frozen),
