@@ -3,10 +3,12 @@
 Each operation takes a parsed expression and its domain, computes the named
 terms of one inequality chain with the quadrature engine, lists the
 consecutive slacks, and marks a link as holding when its slack is at least
-``-VERIFY_TOL``.  Quadrature runs two to three orders tighter than that
-tolerance so integration error cannot flip a verdict; a non-converged
-integral is surfaced in the report instead, and a value that is not finite
-refuses the report with DomainError.
+``-VERIFY_TOL``.  That tolerance is absolute: it neither scales with f nor
+allows for the quadrature error estimates, which exceed it for a large f
+(``HH1D`` on ``1e12*x`` over [-1, 1] has one of 5.6e-3), so integration
+error can decide a link; ROADMAP direction 2 plans a band that accounts for
+both.  A non-converged integral is surfaced in the report, and a value
+that is not finite refuses the report with DomainError.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .domains import Box2, Interval
-from .expressions import Axis, DomainError, Expr, restrict
+from .expressions import Axis, DomainError, Expr
 from .quadrature import (
     QuadConfig,
     QuadResult,
+    _as_vector,
+    _integrate_slices,
     integrate_1d,
     integrate_2d,
     integrate_chord_gaps,
@@ -27,7 +31,7 @@ from .quadrature import (
 )
 
 # unused here: perfbench/layers.py wraps them by name until ROADMAP direction 8 retires it
-from .expressions import chord_substitution  # noqa: F401
+from .expressions import chord_substitution, restrict  # noqa: F401
 from .quadrature import integrate_abs_difference  # noqa: F401
 
 __all__ = [
@@ -203,26 +207,23 @@ class _Means:
     def line_means(self, names: tuple[str, ...]) -> dict[str, float]:
         """Means of f along the named lines of the rectangle, out of its two
         midlines and four edges.  Only those lines are integrated, so f need
-        not be defined on the others.  A DomainError names f's own point."""
+        not be defined on the others.  Each line runs f's own tape, one line
+        per call, so a DomainError names f's own point, on the first line
+        that fails."""
         x, y = self.domain.x, self.domain.y
+        # (the co-ordinate that runs, the other one's value, the interval run)
         lines = {
-            "horizontal midline": (Axis.Y, y.midpoint, x),
-            "vertical midline": (Axis.X, x.midpoint, y),
-            "bottom edge": (Axis.Y, y.lo, x),
-            "top edge": (Axis.Y, y.hi, x),
-            "left edge": (Axis.X, x.lo, y),
-            "right edge": (Axis.X, x.hi, y),
+            "horizontal midline": (Axis.X, y.midpoint, x),
+            "vertical midline": (Axis.Y, x.midpoint, y),
+            "bottom edge": (Axis.X, y.lo, x),
+            "top edge": (Axis.X, y.hi, x),
+            "left edge": (Axis.Y, x.lo, y),
+            "right edge": (Axis.Y, x.hi, y),
         }
         means = {}
         for name in names:
-            axis, at, iv = lines[name]
-            try:
-                q = integrate_1d(restrict(self.f, axis, at), iv)
-            except DomainError as err:
-                # the restriction's scalar call names its free co-ordinate
-                (u,) = err.point
-                point = (at, u) if axis is Axis.X else (u, at)
-                raise DomainError(err.reason, point) from None
+            along, at, iv = lines[name]
+            (q,) = _integrate_slices(_as_vector(self.f), (), along, [at], iv, QuadConfig())
             means[name] = self.mean(name, q, iv.length)
         return means
 

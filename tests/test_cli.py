@@ -618,14 +618,15 @@ def test_layer_tracer_counts_batched_quadrature(capsys):
     # gap's scan of 257 t's and its two pieces (cut at t = 1/2) of 8 panels,
     # one call each, on both chord points' lanes stacked
     assert ev == {"calls": 3, "lanes": 120 + 2 * (257 + 2 * 8 * 15)}
-    # no report builds a chord tree: THM_2_1 restricts only its two midlines
-    assert jqc_totals["expressions.restrict"]["calls"] == 2
+    # no report builds a chord tree or restricts f: THM_2_1 integrates its
+    # two midlines on f's own tape
+    assert jqc_totals["expressions.restrict"]["calls"] == 0
     assert jqc_totals["quadrature.abs_difference"]["calls"] == 0
     quad_lanes = verify_totals["expressions.eval_array"]["lanes"]
     # the first outer call of each chord correction scans 120 nodes x 257
     assert quad_lanes >= 2 * 120 * 257
-    # the two midlines: THM_2_1 integrates no edge
-    assert verify_totals["quadrature.integrate_1d"]["calls"] == 2
+    # THM_2_1's midlines run on f's own tape, not as 1D integrals
+    assert verify_totals["quadrature.integrate_1d"]["calls"] == 0
     assert verify_totals["quadrature.integrate_2d"]["calls"] == 1
     totals = tracer.totals()
     assert totals["classifiers.check"]["calls"] == 1

@@ -210,13 +210,16 @@ class TestLineIntegrals:
         from quasiconv import inequalities
 
         seen = []
-        real = inequalities.integrate_1d
+        real = inequalities._integrate_slices
 
-        def spy(fn, iv, *args):
-            seen.append((fn(0.0), iv))
-            return real(fn, iv, *args)
+        def spy(fv, splits, along, values, iv, cfg):
+            # one line per call: the line's integrand at 0, and its interval
+            (at,) = values
+            t, v = np.zeros(1), np.full(1, at)
+            seen.append((float(fv(*((t, v) if along is Axis.X else (v, t)))[0]), iv))
+            return real(fv, splits, along, values, iv, cfg)
 
-        monkeypatch.setattr(inequalities, "integrate_1d", spy)
+        monkeypatch.setattr(inequalities, "_integrate_slices", spy)
         report(parse("x + 100*y", 2), self.BOX)
         return seen
 
@@ -253,9 +256,9 @@ class TestLineIntegrals:
         ],
     )
     def test_undefined_line_names_fs_own_point(self, report, text, axis, at):
-        # the line's restriction fails at its free co-ordinate; the error
-        # names the 2D point, frozen co-ordinate ``axis`` at ``at``, which
-        # f itself fails at with the same words
+        # the line runs f's own tape, so the error names the 2D point,
+        # frozen co-ordinate ``axis`` at ``at``, which f itself fails at
+        # with the same words
         f = parse(text, 2)
         with pytest.raises(DomainError) as err:
             report(f, Box2.from_bounds(-1, 1, -1, 1))
