@@ -32,7 +32,8 @@ print(f"int |x-y| over box   = {q.value:.15f}  (err <= {q.abs_error_estimate:.1e
 
 # Integrands of the form |g - h| get their sign changes located first on a
 # uniform scan, each root bisected to 1e-12, and the pieces integrated
-# separately; this is the workhorse behind the chord correction terms.
+# separately.  The chord correction terms cut their gaps |f(P(t)) - f(Q(t))|
+# the same way, running f's own tape at both chord points.
 g = parse("1 - 2*x", 1)
 h = parse("0*x", 1)
 q = integrate_abs_difference(g, h, Interval(0, 1))

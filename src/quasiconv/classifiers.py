@@ -145,9 +145,14 @@ class NotApplicableError(ValueError):
     """The requested witness transformation does not exist for this class."""
 
 
+# violation_tolerance's factor and scale floor; no tolerance is below _VIOLATION_FLOOR
+_VIOLATION_REL, _VIOLATION_SCALE = 1e-9, 1.0
+_VIOLATION_FLOOR = _VIOLATION_REL * _VIOLATION_SCALE
+
+
 def violation_tolerance(lhs: float, rhs: float) -> float:
     """Soundness boundary separating genuine violations from float noise."""
-    return 1e-9 * max(1.0, abs(lhs), abs(rhs))
+    return _VIOLATION_REL * max(_VIOLATION_SCALE, abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -834,10 +839,10 @@ class _Screen:
         chunk, floor)`` gives (margin, violating, undefined) on the slab of
         shape ``chunk``, ``parts`` being the ``views``, arrays that
         broadcast to ``shape``, cut down to it; violating may be None when
-        no margin exceeds ``floor``, max(1e-9, the least best margin of the
-        slab's slices), since no lane at or below it can change a slice's
-        best.  Returns True at the first slab with an undefined lane, where
-        it stops.
+        no margin exceeds ``floor``, max(_VIOLATION_FLOOR, the least best
+        margin of the slab's slices), since no lane at or below it can
+        change a slice's best.  Returns True at the first slab with an
+        undefined lane, where it stops.
 
         Where a slab fixes the x1 axis, two skips cut the index range of an
         axis.  ``mirror`` names the axes (a, b) of x1 and x2 when a
@@ -885,7 +890,7 @@ class _Screen:
                 parts = [h[lo:hi] if span[j] else h for h, span in zip(heads, spans)]
                 # a slab on the slice axis holds a row per slice
                 s, rows = (lo, hi - lo) if j == 0 else (prefix[0], 1)
-                floor = max(1e-9, min(self.margin[s : s + rows]))
+                floor = max(_VIOLATION_FLOOR, min(self.margin[s : s + rows]))
                 margin, viol, bad = lanes(parts, (hi - lo,) + chunk, floor)
                 if self._add(s, rows, margin, viol, bad, parts[: self.ndim]):
                     return True
@@ -1058,11 +1063,11 @@ def _lane_margins(
         np.subtract(lhs, rhs, out=margin)
         if floor is not None and margin.max() <= floor:
             return margin, None, ok
-        # tau = 1e-9 * max(1, max(|lhs|, |rhs|)); rhs holds |rhs| after
+        # tau = violation_tolerance(lhs, rhs) per lane; rhs holds |rhs| after
         tau = _POOL.take("tau", shape)
         over = _POOL.take("over", shape, bool)
         np.maximum(np.abs(lhs, out=tau), np.abs(rhs, out=rhs), out=tau)
-        np.multiply(1e-9, np.maximum(1.0, tau, out=tau), out=tau)
+        np.multiply(_VIOLATION_REL, np.maximum(_VIOLATION_SCALE, tau, out=tau), out=tau)
         np.greater(margin, tau, out=over)
     return margin, over, ok
 

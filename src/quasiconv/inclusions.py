@@ -390,6 +390,8 @@ def family_from_name(name: str) -> Family:
 # ---------------------------------------------------------------------------
 # Separation search
 
+_SEARCH_BUDGET = SearchBudget(grid_n=9, halton_count=512, slices=5)  # of each check
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -399,7 +401,6 @@ class SearchConfig:
     trials: int = 100
     seed: int = 0
     domain: Union[Interval, Box2] = Box2.from_bounds(-1.0, 1.0, -1.0, 1.0)
-    budget: SearchBudget = SearchBudget(grid_n=9, halton_count=512, slices=5)
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -461,10 +462,10 @@ def search_separation(cfg: SearchConfig) -> SearchResult:
     """
     for trial in range(cfg.trials):
         f = sample_trial(cfg, trial)
-        v_not = check_membership(f, cfg.domain, cfg.target_not_in, budget=cfg.budget)
+        v_not = check_membership(f, cfg.domain, cfg.target_not_in, budget=_SEARCH_BUDGET)
         if not v_not.violated:
             continue
-        v_in = check_membership(f, cfg.domain, cfg.target_in, budget=cfg.budget)
+        v_in = check_membership(f, cfg.domain, cfg.target_in, budget=_SEARCH_BUDGET)
         if v_in.no_violation_found:
             return SearchResult(
                 found=True,

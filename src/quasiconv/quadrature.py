@@ -3,14 +3,15 @@
 The base rule is the 15-point Kronrod extension of 7-point Gauss.  One
 adaptive driver integrates many pieces per integrand call, bisecting the
 panels with the worst error estimates until each piece's summed estimate
-meets tolerance or the subdivision budget runs out.  A row integrator cuts
-each 1D integral first where a split function changes sign (``g - h`` for
-``|g - h|``, a switching function of the integrand in 2D), so every piece it
-integrates is free of the kinks those functions mark.  A chord gap
-f(P(t)) - f(Q(t)) runs f's own tape at both chord points, mixed on lanes as
-screening mixes them, so its errors name f's own point.  ``integrate_2d`` is
-an iterated integral on the same two parts: an adaptive outer pass over x
-whose integrand calls hand their nodes' y-rows to the row integrator.
+meets tolerance or the subdivision budget runs out.  Every integral,
+``integrate_1d`` included, is a row of one row integrator, which cuts each
+row first where a split function changes sign (``g - h`` for ``|g - h|``, a
+switching function in 2D), so every piece is free of the kinks they mark; a
+row with no split function is one piece.  A chord gap f(P(t)) - f(Q(t))
+runs f's own tape at both chord points, mixed on lanes as screening mixes
+them, so its errors name f's own point.  ``integrate_2d`` is an iterated
+integral on the same two parts: an adaptive outer pass over x whose
+integrand calls hand their nodes' y-rows to the row integrator.
 Integrands are parsed expressions (:class:`Expr`), so every 2D integrand
 has its switching functions; anything else is a TypeError.
 """
@@ -111,7 +112,6 @@ class QuadResult:
             raise ValueError("subdivisions must be at least 1")
 
 
-VectorFn = Callable[[np.ndarray], np.ndarray]
 Vector2Fn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -140,9 +140,8 @@ def _as_vector(f: Expr) -> Callable[..., np.ndarray]:
     return fv
 
 
-# An integrand over the panels of many pieces: (panel nodes (k, 15), the
-# piece of each panel (k,)) -> values (k, 15).
-PanelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# A batch of 1D functions: (parameters t, the row of each t) -> f_row(t).
+RowsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # starting panel count; several panels keep one accidental agreement of
 # the embedded rules from terminating adaptivity on a non-smooth integrand
@@ -153,10 +152,11 @@ _WAVE = 16
 
 
 def _gk15_panels(
-    fv: PanelFn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
+    f: RowsFn, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod panels [lo, hi] of many pieces in one integrand call:
-    (values, error estimates).
+    """Gauss-Kronrod panels [lo, hi] of many pieces in one integrand call,
+    f's lanes being the 15 nodes of each panel in turn and ``rows`` the row
+    of each lane: (values, error estimates).
 
     Each panel's Kronrod, Gauss and |f| sums run in one fixed order, the
     same for every row, so a panel's value does not depend on what else
@@ -164,9 +164,10 @@ def _gk15_panels(
     """
     lo2, hi2 = 0.5 * lo, 0.5 * hi
     mid, half = lo2 + hi2, hi2 - lo2
+    pts = mid[:, None] + half[:, None] * _NODES
     # C-contiguous: einsum sums a row in an order set by the memory layout,
     # so alike in any C-ordered block (``@`` rounds by the block BLAS gets)
-    ys = np.ascontiguousarray(fv(mid[:, None] + half[:, None] * _NODES, owner))
+    ys = np.ascontiguousarray(f(pts.ravel(), rows).reshape(pts.shape))
     k15 = half * np.einsum("ij,j->i", ys, _WK)
     g7 = half * np.einsum("ij,j->i", ys[:, 1::2], _WG)
     resabs = half * np.einsum("ij,j->i", np.abs(ys), _WK)
@@ -269,14 +270,16 @@ class _Piece:
 
 
 def _adaptive(
-    fv: PanelFn,
+    f: RowsFn,
     lo: np.ndarray,
     hi: np.ndarray,
+    rows: np.ndarray,
     abs_tol: list[float],
     cfg: QuadConfig,
 ) -> list[QuadResult]:
-    """Adaptively integrate over each piece [lo[i], hi[i]] to its own
-    ``abs_tol[i]``, all pieces sharing every integrand call.
+    """Adaptively integrate f_row over each piece [lo[i], hi[i]] of row
+    ``rows[i]`` to its own ``abs_tol[i]``, all pieces sharing every
+    integrand call.
 
     Per piece: ``_INITIAL_PANELS`` equal panels, then waves that split up to
     ``_WAVE`` of the worst panels at once, stopping a wave early at panels
@@ -300,8 +303,7 @@ def _adaptive(
         bounds += lo[:, None]
         bounds[:, -1] = hi
         vals, errs = _gk15_panels(
-            fv, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-            np.arange(npieces).repeat(k0),
+            f, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(), rows.repeat(15 * k0)
         )
         totals = vals.reshape(npieces, k0).sum(axis=1).tolist()
         total_errs = errs.reshape(npieces, k0).sum(axis=1).tolist()
@@ -330,8 +332,8 @@ def _adaptive(
                     lows += (a, m)
                     highs += (m, b)
             counts = [2 * len(split) for _, split in waves]
-            owner = np.array([piece.index for piece, _ in waves]).repeat(counts)
-            vals, errs = _gk15_panels(fv, np.array(lows), np.array(highs), owner)
+            lanes = rows[[piece.index for piece, _ in waves]].repeat([15 * n for n in counts])
+            vals, errs = _gk15_panels(f, np.array(lows), np.array(highs), lanes)
             vals, errs = vals.tolist(), errs.tolist()
             at = 0
             for (piece, split), n in zip(waves, counts):
@@ -349,13 +351,7 @@ def integrate_1d(f: Expr, iv: Interval, cfg: Optional[QuadConfig] = None) -> Qua
     """
     cfg = cfg or QuadConfig()
     fv = _as_vector(_checked(f, 1, "integrate_1d"))
-    return _adaptive(
-        lambda pts, owner: fv(pts.ravel()).reshape(pts.shape),
-        np.array([iv.lo]),
-        np.array([iv.hi]),
-        [cfg.abs_tol],
-        cfg,
-    )[0]
+    return _integrate_rows(lambda ts, rows: fv(ts), (), 1, iv, cfg)[0]
 
 
 # Slices integrated together.  This bounds the lanes of one integrand call
@@ -366,9 +362,6 @@ _SLICES_PER_BATCH = 32
 
 # bisection steps taken per call of a split function (2^5 - 1 points a bracket)
 _BISECT_LEVELS = 5
-
-# A batch of 1D functions: (parameters t, the row of each t) -> f_row(t).
-RowsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _bisect_roots(
@@ -485,6 +478,8 @@ def _cuts(splits: Sequence[RowsFn], nrows: int, iv: Interval) -> list[list[float
     returns NaN where it has no value; such a point cuts nothing.
     """
     cuts: list[list[float]] = [[] for _ in range(nrows)]
+    if not splits:
+        return cuts
     grid = np.linspace(iv.lo, iv.hi, 257)
     brows, bcols, dlos = [], [], []
     for split in splits:
@@ -499,14 +494,13 @@ def _cuts(splits: Sequence[RowsFn], nrows: int, iv: Interval) -> list[list[float
         brows.append(brow)
         bcols.append(bcol)
         dlos.append(sv[brow, bcol])
-    if splits:
-        brow, bcol = np.concatenate(brows), np.concatenate(bcols)
-        roots = _bisect_roots(
-            _on_brackets(splits, [b.size for b in brows], brow),
-            np.arange(brow.size), grid[bcol], grid[bcol + 1], np.concatenate(dlos),
-        )
-        for r, t in zip(brow.tolist(), roots.tolist()):
-            cuts[r].append(t)
+    brow, bcol = np.concatenate(brows), np.concatenate(bcols)
+    roots = _bisect_roots(
+        _on_brackets(splits, [b.size for b in brows], brow),
+        np.arange(brow.size), grid[bcol], grid[bcol + 1], np.concatenate(dlos),
+    )
+    for r, t in zip(brow.tolist(), roots.tolist()):
+        cuts[r].append(t)
     return cuts
 
 
@@ -518,7 +512,7 @@ def _integrate_rows(
 
     f_row is integrated on each piece to ``abs_tol`` over the row's piece
     count.  Every wave of the adaptive pieces of all rows shares one call
-    of f.
+    of f.  A row of one piece is that piece's result.
     """
     rows: list[int] = []
     pieces: list[tuple[float, float]] = []
@@ -529,29 +523,21 @@ def _integrate_rows(
         rows += [r] * len(row_pieces)
         pieces += row_pieces
         per_row.append(len(row_pieces))
-    piece_row = np.array(rows)
     lo, hi = np.array(pieces).T
     abs_tol = [cfg.abs_tol / per_row[r] for r in rows]
-    results = _adaptive(
-        lambda pts, owner: f(pts.ravel(), np.repeat(piece_row[owner], 15)).reshape(pts.shape),
-        lo,
-        hi,
-        abs_tol,
-        cfg,
-    )
+    results = _adaptive(f, lo, hi, np.array(rows), abs_tol, cfg)
     out = []
     at = 0
     for n in per_row:
         rs = results[at : at + n]
         at += n
-        out.append(
-            _summed(
-                [r.value for r in rs],
-                [r.abs_error_estimate for r in rs],
-                sum(r.subdivisions for r in rs),
-                all(r.converged for r in rs),
-            )
-        )
+        # _summed of one piece's result gives its own bits back
+        out.append(rs[0] if n == 1 else _summed(
+            [r.value for r in rs],
+            [r.abs_error_estimate for r in rs],
+            sum(r.subdivisions for r in rs),
+            all(r.converged for r in rs),
+        ))
     return out
 
 
@@ -650,7 +636,7 @@ def integrate_nested(
     inner: Callable[[np.ndarray], list[QuadResult]],
     iv: Interval,
     cfg: QuadConfig,
-    splits: Sequence[VectorFn] = (),
+    splits: Sequence[RowsFn] = (),
 ) -> QuadResult:
     """Integrate over ``iv`` the inner integrals that ``inner`` computes for
     each array of outer nodes, the interval first cut where a split
@@ -671,7 +657,7 @@ def integrate_nested(
             inner_converged = inner_converged and q.converged
         return np.array([q.value for q in results])
 
-    q = _integrate_rows(outer, [lambda ts, rows, s=s: s(ts) for s in splits], 1, iv, cfg)[0]
+    q = _integrate_rows(outer, splits, 1, iv, cfg)[0]
     err = q.abs_error_estimate + iv.length * worst
     return QuadResult(
         q.value, err, q.subdivisions, q.converged and inner_converged and math.isfinite(err)
@@ -716,7 +702,7 @@ def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadRe
         max_subdivisions=cfg.max_subdivisions,
     )
     edges = [
-        lambda xs, s=s, y=y: s(xs, np.full(xs.shape, y))
+        lambda xs, rows, s=s, y=y: s(xs, np.full(xs.shape, y))
         for s in switches
         for y in (box.y.lo, box.y.hi)
     ]

@@ -6,6 +6,7 @@ import random
 import shutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,8 +86,28 @@ def test_renamed_copies_each_load_their_own_gallery(two_copies):
     assert a.__name__ == "quasiconv_copy_a" and a.classifiers.__name__.startswith(a.__name__)
     assert [entry.name for entry in a.load_gallery()] == want
     assert [entry.name for entry in b.load_gallery()] == want[:-1]
-    rc, seconds = ab_ops.run_op(importlib.import_module("quasiconv_copy_b.cli"), ("gallery",))
+    rc, seconds, _ = ab_ops.run_op(importlib.import_module("quasiconv_copy_b.cli"), ("gallery",))
     assert rc == 0 and seconds > 0
+
+
+def test_untimed_pass_lists_each_op_whose_output_differs(two_copies):
+    # the copies differ only in the gallery: its listing differs, and a
+    # verify record differs only in its wall_time, which is not compared
+    clis = {
+        side: importlib.import_module(f"{copy.__name__}.cli")
+        for side, copy in zip(ab_ops.SIDES, two_copies)
+    }
+    verify = ("verify", "--inequality", "HH1D", "--f", "abs(x - 0.3)", "--domain", "-1,1", "--json")
+    ops = [
+        SimpleNamespace(label="HH1D", argv=verify, expect_pass=True),
+        SimpleNamespace(label="gallery", argv=("gallery",), expect_pass=True),
+        SimpleNamespace(label="bad", argv=("verify", "--f", "x"), expect_pass=True),
+    ]
+    kept, left_out, outputs_differ = ab_ops.untimed_pass(clis, ops)
+    assert kept == ops[:2] and [op["label"] for op in left_out] == ["bad"]
+    assert outputs_differ == [{"label": "gallery", "argv": ["gallery"]}]
+    _, _, (out, err) = ab_ops.run_op(clis["parent"], verify)
+    assert '"wall_time"\n' in out and err == ""
 
 
 def test_ops_come_from_the_benchmark_workloads():

@@ -1342,6 +1342,20 @@ class TestBoundFirstFloor:
         assert skips, "no slab skipped: the case does not test the floor"
         assert (verdict, states) == screen_states(monkeypatch, check, floor=False)[:2]
 
+    def test_scan_floor_is_the_least_violation_tolerance(self, monkeypatch):
+        # a slice with no violation yet floors at the least tolerance any
+        # candidate has; a higher floor would skip real violations
+        floors = []
+        lane_margins = classifiers._lane_margins
+
+        def margins(*args):
+            floors.append(args[6])
+            return lane_margins(*args)
+
+        monkeypatch.setattr(classifiers, "_lane_margins", margins)
+        assert not check_membership(parse("x*x + y*y", 2), BOX, ClassId.QC2, budget=FAST).violated
+        assert floors and set(floors) == {violation_tolerance(0.0, 0.0)}
+
     def test_refinement_takes_no_floor(self, monkeypatch):
         # _refine reads ``over`` at the refined parameters, so it must not
         # let a floor skip it

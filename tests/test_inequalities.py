@@ -339,8 +339,9 @@ class TestChordCorrections:
             return q.value
 
         q = _adaptive(
-            lambda pts, owner: np.array([node(v) for v in pts.ravel()]).reshape(pts.shape),
-            np.array([outer_iv.lo]), np.array([outer_iv.hi]), [_OUTER_CFG.abs_tol], _OUTER_CFG,
+            lambda ts, rows: np.array([node(v) for v in ts]),
+            np.array([outer_iv.lo]), np.array([outer_iv.hi]), np.zeros(1, dtype=int),
+            [_OUTER_CFG.abs_tol], _OUTER_CFG,
         )[0]
         err = q.abs_error_estimate + outer_iv.length * max(
             r.abs_error_estimate for r in inner

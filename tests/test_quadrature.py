@@ -411,16 +411,18 @@ class TestBatchedPanels:
     def test_panel_values_do_not_depend_on_the_batch(self):
         # a matrix-vector product rounds a row by the block BLAS is handed;
         # each panel's sums must come out alike alone, inside any batch, and
-        # whatever the memory offset or order of the integrand's values
+        # whatever the memory offset or stride of the integrand's values
         from quasiconv.quadrature import _gk15_panels
 
-        def integrand(offset=0, order="C"):
-            def fv(pts, owner):
-                vals = np.exp(3.0 * np.sin(40.0 * pts)) * (1.0 + 1e3 * pts**2)
-                # a C-ordered block that starts ``offset`` doubles into a buffer
-                out = np.empty(vals.size + offset)[offset:].reshape(vals.shape)
+        def integrand(offset=0, stride=1):
+            def fv(ts, rows):
+                assert rows.shape == ts.shape
+                vals = np.exp(3.0 * np.sin(40.0 * ts)) * (1.0 + 1e3 * ts**2)
+                # a flat view that starts ``offset`` doubles into a buffer and
+                # steps ``stride`` doubles a lane
+                out = np.empty(vals.size * stride + offset)[offset::stride]
                 out[...] = vals
-                return np.asfortranarray(out) if order == "F" else out
+                return out
 
             return fv
 
@@ -428,16 +430,19 @@ class TestBatchedPanels:
         n = 600
         lo = rng.uniform(-1, 1, n)
         hi = lo + rng.uniform(1e-3, 0.5, n)
-        owner = rng.integers(0, 10, n)
-        alone = [_gk15_panels(integrand(), lo[i : i + 1], hi[i : i + 1], owner[i : i + 1])
-                 for i in range(n)]
+        lanes = rng.integers(0, 10, n).repeat(15)
+
+        def panels_of(fv, rows):
+            return _gk15_panels(fv, lo[rows], hi[rows], lanes[15 * rows.start : 15 * rows.stop])
+
+        alone = [panels_of(integrand(), slice(i, i + 1)) for i in range(n)]
         want = [_bits(np.concatenate(parts)) for parts in zip(*alone)]
-        for offset, order in ((0, "C"), (1, "C"), (2, "C"), (3, "C"), (1, "F")):
+        for offset, stride in ((0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (0, 3)):
             at = 0
             while at < n:
                 rows = slice(at, at + int(rng.choice([1, 2, 3, 8, 15, 16, 32, 61, 128])))
-                got = _gk15_panels(integrand(offset, order), lo[rows], hi[rows], owner[rows])
-                assert [_bits(a) for a in got] == [w[rows] for w in want], (offset, order, rows)
+                got = panels_of(integrand(offset, stride), rows)
+                assert [_bits(a) for a in got] == [w[rows] for w in want], (offset, stride, rows)
                 at = rows.stop
 
 
@@ -451,13 +456,13 @@ class TestOverflowSafeMidpoints:
 
         seen = []
 
-        def fv(pts, owner):
-            seen.append(pts.copy())
-            return np.ones_like(pts)
+        def fv(ts, rows):
+            seen.append(ts.reshape(-1, 15).copy())
+            return np.ones_like(ts)
 
         lo = np.array([1e308, -1.7e308, 0.9e308])
         hi = np.array([1.7e308, -1e308, 1.79e308])
-        vals, _ = _gk15_panels(fv, lo, hi, np.arange(3))
+        vals, _ = _gk15_panels(fv, lo, hi, np.arange(3).repeat(15))
         (pts,) = seen
         assert np.isfinite(pts).all()
         assert ((pts >= lo[:, None]) & (pts <= hi[:, None])).all()
@@ -509,17 +514,58 @@ class TestOverflowSafeMidpoints:
         lo, hi = lo[keep], hi[keep]
         seen = []
 
-        def fv(pts, owner):
-            seen.append(pts.copy())
-            return np.zeros_like(pts)
+        def fv(ts, rows):
+            seen.append(ts.reshape(-1, 15).copy())
+            return np.zeros_like(ts)
 
-        _gk15_panels(fv, lo, hi, np.zeros(lo.size, dtype=int))
+        _gk15_panels(fv, lo, hi, np.zeros(15 * lo.size, dtype=int))
         want = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = want[:, None] + half[:, None] * _NODES
         assert seen[0].view(np.int64).tolist() == nodes.view(np.int64).tolist()
         mids = np.array([Interval(a, b).midpoint for a, b in zip(lo.tolist(), hi.tolist())])
         assert mids.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestOneDriver:
+    """``integrate_1d`` is a row of ``_integrate_rows`` with no split
+    function: one piece of the adaptive driver, bit for bit."""
+
+    @staticmethod
+    def one_piece(f, iv, cfg):
+        from quasiconv.quadrature import _adaptive, _as_vector
+
+        fv = _as_vector(f)
+        return _adaptive(
+            lambda ts, rows: fv(ts), np.array([iv.lo]), np.array([iv.hi]),
+            np.zeros(1, dtype=int), [cfg.abs_tol], cfg,
+        )[0]
+
+    CASES = [
+        # kinked inputs, converged and starved
+        *[(_kinked(np.random.default_rng(seed))[0], Interval(-1, 1), cfg)
+          for seed in range(4) for cfg in (QuadConfig(), QuadConfig(max_subdivisions=8))],
+        ("abs(x - 0.251)", Interval(-1, 1), QuadConfig(max_subdivisions=8)),
+        # panels that overflow, to inf and to inf - inf
+        ("x", Interval(0, 1e308), QuadConfig()),
+        ("x*1.7e306", Interval(-100, 100), QuadConfig()),
+        # subnormal widths, the second too narrow for a nonzero panel step
+        ("abs(x) + 1", Interval(-1e-310, 1e-310), QuadConfig()),
+        ("x + 1", Interval(0.0, 2e-323), QuadConfig()),
+    ]
+
+    @pytest.mark.parametrize("text, iv, cfg", CASES)
+    def test_integrate_1d_is_one_piece(self, text, iv, cfg):
+        f = parse(text, 1)
+        got, want = integrate_1d(f, iv, cfg), self.one_piece(f, iv, cfg)
+        assert [repr(v) for v in _as_tuple(got)] == [repr(v) for v in _as_tuple(want)]
+
+    def test_cuts_without_split_functions_call_nothing(self, monkeypatch):
+        from quasiconv import quadrature
+
+        for name in ("np", "_bisect_roots", "_on_brackets"):
+            monkeypatch.setattr(quadrature, name, None)
+        assert quadrature._cuts((), 3, Interval(0, 1)) == [[], [], []]
 
 
 class TestOverflowedTotals:

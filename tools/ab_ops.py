@@ -17,7 +17,9 @@ read-only) for each seed, drawn as ``perfbench/run.py`` draws them.  Every op
 runs once per side untimed, then ``--repeat`` times per side, the two sides
 one after the other, alternating which runs first.  An op whose exit code
 differs between the sides, or from the one its workload expects, is reported
-and left out of the timings.
+and left out of the timings.  The untimed runs also compare each op's output:
+an op whose stdout, with the JSON record's ``wall_time`` removed, or whose
+stderr differs between the sides is listed under ``outputs_differ``.
 
 Prints one JSON object: per side the median and 90th-percentile op time and
 the median round wall (the sum of one repetition's op times), and the
@@ -35,6 +37,7 @@ import importlib.util
 import io
 import json
 import random
+import re
 import statistics
 import sys
 import time
@@ -45,6 +48,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from pair_bench import _git, _seeds, export, quartiles  # noqa: E402
 
 SIDES = ("parent", "change")
+
+_WALL_TIME = re.compile(r'"wall_time": [-+.0-9eE]+')
 
 
 def load_package(src: Path, name: str) -> ModuleType:
@@ -70,10 +75,11 @@ def load_workloads(checkout: Path) -> ModuleType:
     return module
 
 
-def run_op(cli: ModuleType, argv: tuple) -> tuple[object, float]:
-    """One ``cli.main`` call with its output dropped; (exit code, seconds)."""
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+def run_op(cli: ModuleType, argv: tuple) -> tuple[object, float, tuple[str, str]]:
+    """One ``cli.main`` call: (exit code, seconds, its output), the output
+    being (stdout with the JSON ``wall_time`` removed, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         t0 = time.perf_counter()
         try:
             rc = cli.main(list(argv))
@@ -82,7 +88,7 @@ def run_op(cli: ModuleType, argv: tuple) -> tuple[object, float]:
         except Exception as exc:  # a crash is an exit code the sides compare
             rc = f"{type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - t0
-    return rc, seconds
+    return rc, seconds, (_WALL_TIME.sub('"wall_time"', out.getvalue()), err.getvalue())
 
 
 def _p90(values: list[float]) -> float:
@@ -123,6 +129,23 @@ def expected_rc(op) -> int:
     return 0 if op.expect_pass else 1
 
 
+def untimed_pass(clis: dict[str, ModuleType], ops: list) -> tuple[list, list, list]:
+    """Run every op once per side: (the ops kept for timing, those left out
+    by exit code, the label and argv of each op whose output differs)."""
+    kept, left_out, outputs_differ = [], [], []
+    for op in ops:
+        runs = {side: run_op(clis[side], op.argv) for side in SIDES}
+        rcs = {side: rc for side, (rc, _, _) in runs.items()}
+        if rcs["parent"] == rcs["change"] == expected_rc(op):
+            kept.append(op)
+        else:
+            left_out.append({"label": op.label, "argv": list(op.argv),
+                             "expected": expected_rc(op), **rcs})
+        if runs["parent"][2] != runs["change"][2]:
+            outputs_differ.append({"label": op.label, "argv": list(op.argv)})
+    return kept, left_out, outputs_differ
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
@@ -150,14 +173,7 @@ def main() -> int:
         for op in workloads.ROUNDS[args.workload](random.Random(f"{args.workload}:{seed}"))
     ]
 
-    kept, left_out = [], []
-    for op in ops:
-        rcs = {side: run_op(clis[side], op.argv)[0] for side in SIDES}
-        if rcs["parent"] == rcs["change"] == expected_rc(op):
-            kept.append(op)
-        else:
-            left_out.append({"label": op.label, "argv": list(op.argv),
-                             "expected": expected_rc(op), **rcs})
+    kept, left_out, outputs_differ = untimed_pass(clis, ops)
     if not kept:
         sys.exit(f"error: every op was left out: {json.dumps(left_out)}")
 
@@ -178,6 +194,7 @@ def main() -> int:
         "commits": {side: commit[:7] for side, commit in commits.items()},
         **summarize(times, [op.label for op in kept]),
         "left_out": left_out,
+        "outputs_differ": outputs_differ,
     }
     print(json.dumps(record, indent=1))
     return 0
