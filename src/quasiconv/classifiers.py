@@ -274,7 +274,6 @@ class SearchBudget:
 
     grid_n: int = 17
     halton_count: int = 4096
-    refine_iters: int = 50
     slices: int = 9
 
     def __post_init__(self) -> None:
@@ -365,20 +364,11 @@ def _template(
     f1 = F(*pt1)
     f2 = F(*pt2)
     aux: dict[str, float] = {}
-    if kind == "C":
-        lam = float(params["lam"])
+    if kind in ("C", "J", "QC", "JQC"):
+        # J and JQC are C and QC at lam = 1/2
+        lam = 0.5 if kind in ("J", "JQC") else float(params["lam"])
         lhs = F(*_mix_point(_mix_a, lam, lam, pt1, pt2))
-        rhs = lam * f1 + (1.0 - lam) * f2
-    elif kind == "J":
-        lhs = F(*_mix_point(_mix_a, 0.5, 0.5, pt1, pt2))
-        rhs = 0.5 * f1 + 0.5 * f2
-    elif kind == "QC":
-        lam = float(params["lam"])
-        lhs = F(*_mix_point(_mix_a, lam, lam, pt1, pt2))
-        rhs = max(f1, f2)
-    elif kind == "JQC":
-        lhs = F(*_mix_point(_mix_a, 0.5, 0.5, pt1, pt2))
-        rhs = max(f1, f2)
+        rhs = lam * f1 + (1.0 - lam) * f2 if kind in ("C", "J") else max(f1, f2)
     elif kind == "WQC":
         t = float(params["t"])
         term_a = F(*_mix_point(_mix_a, t, t, pt1, pt2))
@@ -564,7 +554,7 @@ _CHUNK = 1 << 15  # most lanes per slab and per call: its arrays stay in L2
 # most points of a grid's table of f at its mixed points, in slabs: a
 # default W2 on a dyadic box needs 66,049 points, about two slabs
 _TABLE_SLABS = 4
-_POOL_VIEWS = 1024  # views the pool keeps before it forgets them all
+_POOL_VIEWS = 1024  # views each of the pool's caches keeps, least recently used out first
 _INPUTS = ("in0", "in1")  # pool names of the contiguous co-ordinate lanes
 
 
@@ -572,70 +562,51 @@ class _Pool(threading.local):
     """The slab-sized buffers screening computes its results into, one flat
     array per name, kept for the thread's life so that no slab allocates
     them: the allocator would hand large ones back to the system and fault
-    them in again.  The chord mixes, C's rhs terms and the rhs of every
-    other template are not pooled: they are computed at their operands' own
-    shape, small on the grid and up to one slab on the Halton batch.  Only
-    C's rhs, whose weights follow the slab's parameter, sums into a pooled
-    buffer.  A request views the named buffer at its shape, growing it
-    first if it is too small, so a short last slab fits.  The screen asks
-    for at most two point sets of ``_CHUNK`` lanes per buffer, besides f on
-    the grid's points (slices times n^d lanes), so the pool stays at a few
-    megabytes at the default budget; the grid's per-check pair mask, which
-    outgrows a slab at large resolutions, is not pooled either, nor is its
-    table of f at the mixed points (:class:`_Table`)."""
+    them in again.  The chord mixes and the rhs of QC, W and WQC are
+    computed at their operands' own shape, small on the grid and up to one
+    slab on the Halton batch; only the rhs of C and J, whose weights follow
+    the slab's parameter, sums into a pooled buffer.  A request views the
+    named buffer at its shape, growing it first if it is too small, so a
+    short last slab fits.  ``take``, ``takes`` and ``registers`` keep the
+    views in least-recently-used caches, since a small check asks for the
+    same few dozen thousands of times; a growth clears all three.  The
+    screen asks for at most two point sets of ``_CHUNK`` lanes per buffer,
+    besides f on the grid's points (slices times n^d lanes), so the pool
+    stays at a few megabytes at the default budget; the grid's per-check
+    pair mask, which outgrows a slab at large resolutions, is not pooled,
+    nor is its table of f at the mixed points (:class:`_Table`)."""
 
     def __init__(self) -> None:
         self.flat: dict[str, np.ndarray] = {}
-        # the views handed out, by name and shape: a small check asks for
-        # the same few dozen thousands of times
-        self.views: dict[tuple, object] = {}
+        self.take = lru_cache(maxsize=_POOL_VIEWS)(self._view)
+        self.takes = lru_cache(maxsize=_POOL_VIEWS)(self._views)
+        self.registers = lru_cache(maxsize=_POOL_VIEWS)(self._registers)
 
-    def take(self, name: str, shape: tuple, dtype: type = float) -> np.ndarray:
-        view = self.views.get((name, shape))
-        if view is None:
-            view = self.views[name, shape] = self._view(name, shape, dtype)
-        return view
-
-    def takes(self, names: tuple, shape: tuple, dtype: type = float) -> tuple:
-        """``take`` of each of ``names``."""
-        views = self.views.get((names, shape))
-        if views is None:
-            views = self.views[names, shape] = tuple(
-                self._view(name, shape, dtype) for name in names
-            )
-        return views
-
-    def _view(self, name: str, shape: tuple, dtype: type) -> np.ndarray:
+    def _view(self, name: str, shape: tuple, dtype: type = float) -> np.ndarray:
         size = math.prod(shape)
         buf = self.flat.get(name)
         if buf is None or buf.size < size:
             buf = self.flat[name] = np.empty(size, dtype)
-            self.views.clear()  # they may view the buffer just replaced
-        if len(self.views) >= _POOL_VIEWS:
-            self.views.clear()
+            # a cached view, or a register file's, may view the old buffer
+            for cache in (self.take, self.takes, self.registers):
+                cache.cache_clear()
         return buf[:size].reshape(shape)
 
-    def registers(self, f: Expr, home: str, shape: tuple, i: int, step: int) -> Registers:
-        """A register file for f on the point sets ``i:i + step`` of the
-        (k, *rest) lanes ``shape``, whose values and mask land in those of
-        the buffers named by ``home``."""
-        key = (home, f.registers, shape, i, step)
-        regs = self.views.get(key)
-        if regs is None:
-            lanes = (step,) + shape[1:]
-            values = self.takes(_register_names(f.registers), lanes)
-            regs = Registers(
-                (self.take(home, shape)[i : i + step], *values),
-                self.take(home + "_ok", shape, bool)[i : i + step],
-                self.take("scratch", lanes, bool),
-            )
-            self.views[key] = regs
-        return regs
+    def _views(self, names: tuple, shape: tuple, dtype: type = float) -> tuple:
+        """``take`` of each of ``names``."""
+        return tuple(self._view(name, shape, dtype) for name in names)
 
-
-def _register_names(count: int) -> tuple[str, ...]:
-    """Pool names of the registers after the first of ``count``."""
-    return tuple(f"reg{k}" for k in range(1, count))
+    def _registers(self, count: int, home: str, shape: tuple, i: int, step: int) -> Registers:
+        """A register file of ``count`` registers on the point sets ``i:i +
+        step`` of the (k, *rest) lanes ``shape``, whose values and mask land
+        in those of the buffers named by ``home``."""
+        lanes = (step,) + shape[1:]
+        values = self.takes(tuple(f"reg{k}" for k in range(1, count)), lanes)
+        return Registers(
+            (self.take(home, shape)[i : i + step], *values),
+            self.take(home + "_ok", shape, bool)[i : i + step],
+            self.take("scratch", lanes, bool),
+        )
 
 
 _POOL = _Pool()
@@ -668,6 +639,7 @@ def _chords(kind: str) -> tuple[bool, ...]:
     return (False, True) if kind in ("W", "WQC") else (False,)
 
 
+_REFINE_ITERS = 50  # golden-section steps per parameter in witness refinement
 _GOLDEN_STEPS = 5  # golden-section steps per call of the margin in refinement
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -769,11 +741,11 @@ def _refine(
     d: int,
     cands: np.ndarray,
     margins: np.ndarray,
-    iters: int,
     frozen: Optional[tuple] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Co-ordinate-wise golden-section ascent of the margin over the
-    parameters, for every row of ``cands`` at once.
+    parameters, ``_REFINE_ITERS`` steps each, for every row of ``cands`` at
+    once.
 
     Rows hold a candidate's columns (x1[, y1], x2[, y2], t[, s]) as in the
     screen, ``margins`` their margins, and ``frozen`` is passed to
@@ -782,7 +754,7 @@ def _refine(
     |lhs| and |rhs|, so every row stays a witness.  Returns the rows and
     their margins.
     """
-    if not names or iters <= 0:
+    if not names or _REFINE_ITERS <= 0:
         return cands, margins
     rows = len(cands)
     cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
@@ -799,7 +771,7 @@ def _refine(
             margin, _, ok = sides(ts)
             return margin, ok
 
-        t, m = (np.array(v) for v in _golden_lanes(margin_at, rows, iters))
+        t, m = (np.array(v) for v in _golden_lanes(margin_at, rows, _REFINE_ITERS))
         better = m > margins
         if better.any():
             # m is the margin at t, and the lane's ``over`` is m > tolerance
@@ -997,7 +969,7 @@ def _eval_sets(
             for lane, at_x, elsewhere in zip(lanes, (value, u), (u, value)):
                 np.copyto(lane, elsewhere)
                 np.copyto(lane, at_x, where=on_x)
-        eval_array(f, *lanes, regs=_POOL.registers(f, home, ins[0].shape, i, step))
+        eval_array(f, *lanes, regs=_POOL.registers(f.registers, home, ins[0].shape, i, step))
     return _POOL.take(home, ins[0].shape), _POOL.take(home + "_ok", ins[0].shape, bool)
 
 
@@ -1050,12 +1022,11 @@ def _lane_margins(
             ok &= oks[1]
             np.multiply(0.5, np.add(lhs, sides[1], out=lhs), out=lhs)
         # rhs at its operands' shape, on the grid far smaller than the slab,
-        # but for C, whose weights follow the slab's parameter
-        if kind == "C":
+        # but for C and J, whose weights follow the slab's parameter
+        if kind in ("C", "J"):
             rhs = _POOL.take("rhs", shape)
-            np.add(np.multiply(params[0], F1), np.multiply(1.0 - params[0], F2), out=rhs)
-        elif kind == "J":
-            rhs = np.add(np.multiply(0.5, F1), np.multiply(0.5, F2))
+            lam = params[0] if params else 0.5
+            np.add(np.multiply(lam, F1), np.multiply(1.0 - lam, F2), out=rhs)
         elif kind == "W":
             rhs = np.add(F1, F2)
         else:  # QC, JQC, WQC
@@ -1320,7 +1291,6 @@ def _screen(
         d,
         np.array([screen.best[s] for s in hits]),
         np.array([screen.margin[s] for s in hits]),
-        budget.refine_iters,
         frozen and tuple(v[hits, None] for v in frozen),
     )
     # lanes and scalar calls run one tape, and a 2D lane at a frozen value

@@ -6,7 +6,7 @@ consecutive slacks, and marks a link as holding when its slack is at least
 ``-VERIFY_TOL``.  That tolerance is absolute: it neither scales with f nor
 allows for the quadrature error estimates, which exceed it for a large f
 (``HH1D`` on ``1e12*x`` over [-1, 1] has one of 5.6e-3), so integration
-error can decide a link; ROADMAP direction 2 plans a band that accounts for
+error can decide a link; the ROADMAP's scale-aware link band accounts for
 both.  A non-converged integral is surfaced in the report, and a value
 that is not finite refuses the report with DomainError.
 """
@@ -30,7 +30,7 @@ from .quadrature import (
     integrate_nested,
 )
 
-# unused here: perfbench/layers.py wraps them by name until ROADMAP direction 8 retires it
+# unused here: perfbench/layers.py wraps them until the ROADMAP's run statistics retire it
 from .expressions import chord_substitution, restrict  # noqa: F401
 from .quadrature import integrate_abs_difference  # noqa: F401
 
@@ -52,7 +52,7 @@ VERIFY_TOL = 1e-6
 # The doubly-nested chord corrections run at 1e-8, the inner pass an order
 # tighter; plain single integrals keep the engine defaults.  Both are relative
 # to each integral: for a large f the errors, reported in ``quad_errors``,
-# can exceed the absolute ``VERIFY_TOL`` (ROADMAP direction 2 plans a band).
+# can exceed the absolute ``VERIFY_TOL``; the ROADMAP's scale-aware link band counts them.
 _INNER_CFG = QuadConfig(rel_tol=1e-9, abs_tol=1e-11, max_subdivisions=1024)
 _OUTER_CFG = QuadConfig(rel_tol=1e-8, abs_tol=1e-9, max_subdivisions=384)
 
@@ -357,7 +357,7 @@ def thm_jqc_coord(f: Expr, box: Box2) -> InequalityReport:
     outer one, and its cost is the product of the two budgets.  One
     ``QuadConfig`` cannot say both.  Both are relative to each integral, so
     for a large f the chord errors in ``quad_errors`` exceed ``VERIFY_TOL``
-    (ROADMAP direction 2 plans a band that counts them).
+    (the ROADMAP's scale-aware link band counts them).
     """
     m = _Means(f, box)
     mean_h, mean_v = m.line_means(_MIDLINES).values()

@@ -462,7 +462,7 @@ class TestW2Readings:
         ).no_violation_found
 
 
-REF_BUDGET = SearchBudget(grid_n=4, halton_count=16, refine_iters=0)
+REF_BUDGET = SearchBudget(grid_n=4, halton_count=16)
 REF_INTERVAL = Interval(-1.0, 0.8)
 REF_BOX = Box2.from_bounds(-1.0, 0.8, -0.6, 1.0)
 # + - * abs min max only: the scalar and vector evaluators agree bit for bit
@@ -500,6 +500,16 @@ MIRRORED = [c for c in ClassId if c.kind in ("J", "JQC", "W", "WQC") and not c.i
 # the joint classes whose template is symmetric in (p1, p2, lam) and
 # (p2, p1, 1 - lam), mirrored on a dyadic parameter grid only
 REFLECTED = [c for c in ClassId if c.kind in ("C", "QC") and not c.is_coordinate]
+
+
+@pytest.fixture
+def refine_iters(request, monkeypatch):
+    """Set the golden-section steps per parameter with which a check refines
+    its witness to the test's indirect parameter, or to 0 (no refinement)
+    when it has none, and return them."""
+    iters = getattr(request, "param", 0)
+    monkeypatch.setattr(classifiers, "_REFINE_ITERS", iters)
+    return iters
 
 
 @functools.cache
@@ -593,6 +603,7 @@ def reference_screen(f, domain, cid, budget):
 
 
 class TestReferenceScreen:
+    @pytest.mark.usefixtures("refine_iters")
     @pytest.mark.parametrize(
         "cid", [c for c in ClassId if not c.is_coordinate], ids=lambda c: c.value
     )
@@ -609,6 +620,7 @@ class TestReferenceScreen:
             # repr compares every witness field bit for bit
             assert repr(got.witness) == repr(witness), text
 
+    @pytest.mark.usefixtures("refine_iters")
     @pytest.mark.parametrize("chunk", [1, 4, 16, 64, 100, 125, 255, 700])
     @pytest.mark.parametrize("cid", MIRRORED + REFLECTED, ids=lambda c: c.value)
     def test_mirrored_skip_matches_plain_loop(self, monkeypatch, cid, chunk):
@@ -790,25 +802,55 @@ class TestReferenceScreen:
         assert sizes[0] == n**d and sum(sizes[1:]) == 2 * lanes_per_point
 
     def test_default_checks_bind_fewer_views_than_the_cap(self, monkeypatch):
-        # from a fresh pool, the default checks of a screen round bind
-        # fewer views than the cap at which the pool forgets them all, so
-        # the slab shapes of the cut grids cannot push a round over it
-        class Counting(dict):
-            bound = 0
-
-            def __setitem__(self, key, value):
-                self.bound += 1
-                super().__setitem__(key, value)
-
+        # the default checks of a screen round grow the pool's buffers in
+        # the first round only.  A growth clears the view caches and their
+        # counts, so the second round binds again what the first bound
+        # before its last growth; it grows nothing, and binds fewer views
+        # per cache than the cache keeps, so a third round finds every view
+        # it asks for
         pool = classifiers._Pool()
-        pool.views = Counting()
         monkeypatch.setattr(classifiers, "_POOL", pool)
+        caches = (pool.take, pool.takes, pool.registers)
         f = parse("0.7*(x - 0.2)^2 + 1.1*(y + 0.1)^2", 2)
-        for cid in (
-            ClassId.W2, ClassId.W2_ORDERED, ClassId.C2, ClassId.QC2, ClassId.WQC2, ClassId.COORD_W2,
-        ):
-            assert check_membership(f, BOX, cid).no_violation_found
-        assert pool.views.bound < classifiers._POOL_VIEWS
+
+        def screen_round():
+            for cid in (
+                ClassId.W2, ClassId.W2_ORDERED, ClassId.C2, ClassId.QC2, ClassId.WQC2,
+                ClassId.COORD_W2,
+            ):
+                assert check_membership(f, BOX, cid).no_violation_found
+            return [cache.cache_info() for cache in caches], {
+                name: buf.size for name, buf in pool.flat.items()
+            }
+
+        first, grown = screen_round()
+        second, sizes = screen_round()
+        assert sizes == grown
+        for a, b in zip(first, second):
+            # a full cache stays full, so none evicted a view
+            assert 0 < b.misses - a.misses <= b.currsize < classifiers._POOL_VIEWS
+        third, _ = screen_round()
+        assert [info.misses for info in third] == [info.misses for info in second]
+        assert all(c.hits > b.hits for b, c in zip(second, third))
+
+    def test_register_files_follow_a_grown_home_buffer(self):
+        # a register file's values[0] is a slice of its home buffer, which
+        # the screen reads back through take(home, shape): when a larger
+        # request replaces that buffer, the register file bound for the old
+        # shape is bound again, on the new buffer
+        pool = classifiers._Pool()
+        small, large = (2, 3), (2, 40)
+        old = pool.registers(3, "ends", small, 0, 2)
+        assert np.shares_memory(old.values[0], pool.take("ends", small))
+        grown = pool.registers(3, "ends", large, 1, 1)
+        assert np.shares_memory(grown.values[0], pool.take("ends", large))
+        new = pool.registers(3, "ends", small, 0, 2)
+        home = pool.take("ends", small)
+        assert new is not old and not np.shares_memory(old.values[0], home)
+        assert np.shares_memory(new.values[0], home)
+        assert np.shares_memory(new.ok, pool.take("ends_ok", small, bool))
+        new.values[0][...] = 7.0
+        assert (home == 7.0).all()
 
     @pytest.mark.parametrize("cid", MIRRORED + REFLECTED, ids=lambda c: c.value)
     def test_templates_are_symmetric_in_the_pair(self, cid):
@@ -1095,19 +1137,20 @@ def refine_reference(cid, f, p1, p2, params, iters):
     return current
 
 
-def reference_coordinate_check(f, box, cid, slices, budget):
+def reference_coordinate_check(f, box, cid, slices, budget, iters, monkeypatch):
     """Per-slice oracle of ``coordinate_check``: ``restrict``, a 1D screen
-    without refinement, then the scalar reference refinement.  The first
-    undefined slice ends the check; otherwise the largest refined margin
-    wins, the earlier slice on a tie.  Returns (status, samples, point,
-    candidate, witness), points in f's co-ordinates."""
-    plain = replace(budget, refine_iters=0)
+    without refinement, then the scalar reference refinement of ``iters``
+    steps.  The first undefined slice ends the check; otherwise the largest
+    refined margin wins, the earlier slice on a tie.  Returns (status,
+    samples, point, candidate, witness), points in f's co-ordinates."""
     samples, best = 0, None
     for axis, frozen_iv, run_iv in ((Axis.Y, box.y, box.x), (Axis.X, box.x, box.y)):
         for value in np.linspace(frozen_iv.lo, frozen_iv.hi, slices):
             value = float(value)
             g = restrict(f, axis, value)
-            v = check_membership(g, run_iv, cid, budget=plain)
+            with monkeypatch.context() as plain:
+                plain.setattr(classifiers, "_REFINE_ITERS", 0)
+                v = check_membership(g, run_iv, cid, budget=budget)
             samples += v.samples
             if v.undefined:
                 if v.candidate is not None:
@@ -1118,7 +1161,7 @@ def reference_coordinate_check(f, box, cid, slices, budget):
             if v.violated:
                 w = v.witness
                 params = {k: w.params[k] for k in cid.param_names}
-                params = refine_reference(cid, g, w.p1, w.p2, params, budget.refine_iters)
+                params = refine_reference(cid, g, w.p1, w.p2, params, iters)
                 w = make_witness(cid, g, w.p1, w.p2, params, axis.value, value)
                 if best is None or w.margin > best.margin:
                     best = w
@@ -1138,9 +1181,10 @@ COORD_FUNCTIONS = (
     "-(1.7e308*x*x) + y",  # NaN margins
 )
 COORD_BOX = Box2.from_bounds(-1.0, 1.0, -1.0, 1.0)
+# each budget with the golden-section steps its checks refine with
 COORD_BUDGETS = (
-    SearchBudget(grid_n=5, halton_count=32, refine_iters=12, slices=5),
-    SearchBudget(grid_n=4, halton_count=16, refine_iters=50, slices=3),
+    (SearchBudget(grid_n=5, halton_count=32, slices=5), 12),
+    (SearchBudget(grid_n=4, halton_count=16, slices=3), 50),
 )
 
 
@@ -1150,18 +1194,20 @@ class TestCoordinateBatch:
     # skip, and W's and WQC's t, trailing at 16 and the slab axis at 4,
     # screens 3 of its 5 values
     @pytest.mark.parametrize("chunk", [None, 4, 16, 64, 1000])
-    @pytest.mark.parametrize("budget", COORD_BUDGETS, ids=["n5", "n4"])
+    @pytest.mark.parametrize(
+        "budget, refine_iters", COORD_BUDGETS, ids=["n5", "n4"], indirect=["refine_iters"]
+    )
     @pytest.mark.parametrize(
         "cid", [c for c in ClassId if c.is_coordinate], ids=lambda c: c.value
     )
-    def test_matches_per_slice_loop(self, monkeypatch, cid, budget, chunk):
+    def test_matches_per_slice_loop(self, monkeypatch, cid, budget, refine_iters, chunk):
         if chunk is not None:
             monkeypatch.setattr(classifiers, "_CHUNK", chunk)
         one_d = classifiers.COORD_TO_1D[cid]
         for text in COORD_FUNCTIONS:
             f = parse(text, 2)
             status, samples, point, candidate, witness = reference_coordinate_check(
-                f, COORD_BOX, one_d, budget.slices, budget
+                f, COORD_BOX, one_d, budget.slices, budget, refine_iters, monkeypatch
             )
             got = check_membership(f, COORD_BOX, cid, budget=budget)
             assert (got.status, got.samples, got.point, got.candidate) == (
@@ -1174,7 +1220,7 @@ class TestCoordinateBatch:
         # the differential inputs cover a grid-undefined slice after defined
         # ones, an undefined mixed point, an inequality that overflows where
         # f is defined, ties across slices and violations
-        budget = COORD_BUDGETS[0]
+        budget = COORD_BUDGETS[0][0]
         # candidates per slice: grid pairs off the diagonal, then Halton
         per_c = 5**3 - 5**2 + 32
         per_j = 5**2 - 5 + 32
@@ -1379,6 +1425,40 @@ class TestBoundFirstFloor:
         f = parse("-(2 - y)*abs(x - 0.3*y)", 2)
         assert check_membership(f, BOX, ClassId.COORD_QC2, budget=FAST).violated
         assert floors and all(floor in ((), (None,)) for floor in floors)
+
+
+class TestJensenAtOneHalf:
+    @pytest.mark.parametrize("kind, twin", [("J", "C"), ("JQC", "QC")])
+    def test_scalar_sides_are_c_and_qc_at_one_half(self, kind, twin):
+        # J and JQC are C and QC at lam = 1/2, bit for bit
+        rng = np.random.default_rng(1962)
+        for arity in (1, 2):
+            cid, at_half = (ClassId.from_name(f"{k}{arity}") for k in (kind, twin))
+            for text in SYMMETRY_TEXTS:
+                f = parse(text if arity == 2 else text.replace("y", "x"), arity)
+                for p1, p2 in rng.uniform(-2, 2, (100, 2, arity)).tolist():
+                    got = defining_inequality(cid, f, p1, p2)
+                    want = defining_inequality(at_half, f, p1, p2, {"lam": 0.5})
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (text, p1, p2)
+
+    @pytest.mark.parametrize("kind, twin", [("J", "C"), ("JQC", "QC")])
+    def test_lane_sides_are_c_and_qc_at_one_half(self, kind, twin):
+        # the lane template of J and JQC, which take no parameter, against
+        # C's and QC's at a parameter of 1/2 on every lane: margins, and
+        # with them the right sides, bit for bit, and the tolerance test.
+        # The values include zeros of both signs and sums that overflow
+        rng = np.random.default_rng(1963)
+        specials = [0.0, -0.0, 1e308, -1e308, 1.7e308, 5e-324]
+        values = [np.concatenate([rng.uniform(-2, 2, 200), rng.choice(specials, 40)])
+                  for _ in range(3)]
+        lhs, F1, F2 = (v[None, :] for v in values)
+        shape = lhs.shape
+        out = []
+        for k, params in ((kind, []), (twin, [np.full(shape, 0.5)])):
+            chord = (lhs.copy(), np.ones(shape, bool))
+            margin, over, ok = classifiers._lane_margins(k, params, chord, F1, F2, shape)
+            out.append((_bits(margin).tolist(), over.tolist(), ok.tolist()))
+        assert out[0] == out[1]
 
 
 def lane_margins_of(kind, lhs, rhs_ends, floor):

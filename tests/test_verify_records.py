@@ -30,7 +30,10 @@ from pathlib import Path
 
 import pytest
 
-from quasiconv import cli
+if __name__ == "__main__":  # as a script, import the tree this file is in
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from quasiconv import cli  # noqa: E402
 
 DATA = Path(__file__).resolve().parent / "data" / "verify_records.json"
 
