@@ -570,11 +570,12 @@ class _Pool(threading.local):
     short last slab fits.  ``take``, ``takes`` and ``registers`` keep the
     views in least-recently-used caches, since a small check asks for the
     same few dozen thousands of times; a growth clears all three.  The
-    screen asks for at most two point sets of ``_CHUNK`` lanes per buffer,
-    besides f on the grid's points (slices times n^d lanes), so the pool
-    stays at a few megabytes at the default budget; the grid's per-check
-    pair mask, which outgrows a slab at large resolutions, is not pooled,
-    nor is its table of f at the mixed points (:class:`_Table`)."""
+    screen asks for at most four point sets of ``_CHUNK`` lanes per buffer
+    (p1, p2 and the two chord points of a W or WQC Halton slab), besides
+    f on the grid's points (slices times n^d lanes), so the pool stays at a
+    few megabytes at the default budget; the grid's per-check pair mask,
+    which outgrows a slab at large resolutions, is not pooled, nor is its
+    table of f at the mixed points (:class:`_Table`)."""
 
     def __init__(self) -> None:
         self.flat: dict[str, np.ndarray] = {}
@@ -749,7 +750,8 @@ def _refine(
 
     Rows hold a candidate's columns (x1[, y1], x2[, y2], t[, s]) as in the
     screen, ``margins`` their margins, and ``frozen`` is passed to
-    :func:`_eval_lanes`.  A refined value replaces a row's only when its
+    :func:`_eval_lanes`, which each golden-section call of the margin calls
+    once, on both points and the chord points.  A refined value replaces a row's only when its
     margin is larger and clears the violation tolerance, which grows with
     |lhs| and |rhs|, so every row stays a witness.  Returns the rows and
     their margins.
@@ -757,15 +759,14 @@ def _refine(
     if not names or _REFINE_ITERS <= 0:
         return cands, margins
     rows = len(cands)
-    cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
-    (F1, F2), _ = _eval_lanes(f, [cols[:d], cols[d : 2 * d]], (rows, 1), frozen)
     for j in range(2 * d, cands.shape[1]):
         cols = [cands[:, i : i + 1] for i in range(cands.shape[1])]
 
         def sides(ts: np.ndarray) -> tuple:
             cols[j] = ts
-            chord = _chord_sides(kind, f, d, cols, ts.shape, frozen)
-            return _lane_margins(kind, cols[2 * d :], chord, F1, F2, ts.shape)
+            points = [cols[:d], cols[d : 2 * d], *_chord_points(kind, d, cols)]
+            (F1, F2, *chords), (_, _, *oks) = _eval_lanes(f, points, ts.shape, frozen)
+            return _lane_margins(kind, cols[2 * d :], (chords, oks), F1, F2, ts.shape)
 
         def margin_at(ts: np.ndarray) -> tuple:
             margin, _, ok = sides(ts)
@@ -930,37 +931,30 @@ def _screened_pairs(
 
 
 def _eval_lanes(
-    f: Expr, points: list, shape: tuple, frozen: Optional[tuple] = None, home: str = "ends"
+    f: Expr, point_sets: list, shape: tuple, frozen: Optional[tuple] = None,
+    home: str = "sides",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """f at each of the k point sets in ``points``, lists of co-ordinates
-    broadcastable to ``shape``: see :func:`_eval_sets`, which this calls
-    after copying them onto contiguous lanes."""
-    ins = _POOL.takes(_INPUTS[: len(points[0])], (len(points),) + shape)
-    for i, coords in enumerate(points):
-        for lane, c in zip(ins, coords):
-            np.copyto(lane[i], c)
-    return _eval_sets(f, ins, frozen, home)
-
-
-def _eval_sets(
-    f: Expr, ins: list, frozen: Optional[tuple], home: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """f on k point sets at once: ``ins`` holds one (k, *shape) array of
-    lanes per co-ordinate.  Returns (values, defined), each (k, *shape),
-    in the pool buffers named by ``home``, where they stay until the next
-    request for that home.  Sets that fit in ``_CHUNK`` lanes together
-    share one call, whose fixed cost outweighs their lanes; larger ones
-    take a call each, so that no call holds more lanes than one set.
+    """f at each of the k point sets in ``point_sets``, lists of
+    co-ordinates broadcastable to ``shape``, copied onto contiguous lanes.
+    Returns (values, defined), each (k, *shape), in the pool buffers named
+    by ``home``, where they stay until the next request for that home.
+    Sets that fit in ``_CHUNK`` lanes together share one call, whose fixed
+    cost outweighs their lanes; larger ones take a call each, so that no
+    call holds more lanes than one set.
 
     With ``frozen``, a (value, on_x) pair broadcastable to ``shape``, the one
     co-ordinate is a partial mapping's free variable u, and the 2D f runs at
     (value, u) where ``on_x`` holds and at (u, value) elsewhere: bit for bit
     what ``restrict`` of f would give at u.
     """
-    k, shape = ins[0].shape[0], ins[0].shape[1:]
+    k, sets = len(point_sets), (len(point_sets),) + shape
+    ins = _POOL.takes(_INPUTS[: len(point_sets[0])], sets)
+    for i, coords in enumerate(point_sets):
+        for lane, c in zip(ins, coords):
+            np.copyto(lane[i], c)
     step = k if k * math.prod(shape) <= _CHUNK else 1
     for i in range(0, k, step):
-        lanes = ins if step == k else [c[i : i + step] for c in ins]
+        lanes = [c[i : i + step] for c in ins]
         if frozen is not None:
             value, on_x = frozen
             (u,) = lanes
@@ -969,27 +963,18 @@ def _eval_sets(
             for lane, at_x, elsewhere in zip(lanes, (value, u), (u, value)):
                 np.copyto(lane, elsewhere)
                 np.copyto(lane, at_x, where=on_x)
-        eval_array(f, *lanes, regs=_POOL.registers(f.registers, home, ins[0].shape, i, step))
-    return _POOL.take(home, ins[0].shape), _POOL.take(home + "_ok", ins[0].shape, bool)
+        eval_array(f, *lanes, regs=_POOL.registers(f.registers, home, sets, i, step))
+    return _POOL.take(home, sets), _POOL.take(home + "_ok", sets, bool)
 
 
-def _chord_sides(
-    kind: str, f: Expr, d: int, cols: list, shape: tuple, frozen=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """f at the chord points of the candidates whose co-ordinates and
-    parameters ``cols`` holds, ordered (x1[, y1], x2[, y2], t[, s]) and
-    broadcastable to ``shape``, mixed onto lanes: (values, defined), each
-    (chords, *shape), in the pool buffers named ``sides``.  ``frozen`` is
-    passed to :func:`_eval_sets`."""
+def _chord_points(kind: str, d: int, cols: list) -> list:
+    """The chord points of the candidates whose co-ordinates and parameters
+    ``cols`` holds, ordered (x1[, y1], x2[, y2], t[, s]), as point sets for
+    :func:`_eval_lanes`: one parameter mixes every axis, W2's (t, s) mix x
+    and y separately, and J and JQC mix at 1/2."""
     p1, p2, params = cols[:d], cols[d : 2 * d], cols[2 * d :]
-    # one parameter mixes every axis; W2's (t, s) mix x and y separately
     ts = [params[a % len(params)] if params else 0.5 for a in range(d)]
-    chords = _chords(kind)
-    ins = _POOL.takes(_INPUTS[:d], (len(chords),) + shape)
-    for i, flip in enumerate(chords):
-        for a in range(d):
-            np.copyto(ins[a][i], _mix(ts[a], p1[a], p2[a], flip))
-    return _eval_sets(f, ins, frozen, "sides")
+    return [[_mix(ts[a], p1[a], p2[a], flip) for a in range(d)] for flip in _chords(kind)]
 
 
 def _lane_margins(
@@ -999,9 +984,9 @@ def _lane_margins(
     """Vectorised template; mirrors ``_template`` lane by lane.
 
     ``params`` holds the candidates' parameters, broadcastable to
-    ``shape``; ``chord`` is f at their chord points as
-    :func:`_chord_sides` gives it, and F1 and F2 are f at the two points.
-    Returns (margin, over, ok), pool views of ``shape``: ``over`` marks
+    ``shape``; ``chord`` is (values, defined) of f at their chord points,
+    in the order of :func:`_chord_points`, and F1 and F2 are f at the two
+    points.  Returns (margin, over, ok), pool views of ``shape``: ``over`` marks
     margins that clear the violation tolerance, ``ok`` lanes whose mixed
     points all evaluate.
 
@@ -1065,7 +1050,7 @@ class _Table:
             for c in range(0, len(ys), width):
                 block = values[r : r + rows, c : c + width]
                 points = [[xs[r : r + rows, None], ys[None, c : c + width]]]
-                (v,), (defined,) = _eval_lanes(f, points, block.shape, home="sides")
+                (v,), (defined,) = _eval_lanes(f, points, block.shape)
                 block[...], ok[r : r + rows, c : c + width] = v, defined
         self.values = values.ravel()
         self.ok = None if ok.all() else ok.ravel()  # None: no mask to gather
@@ -1076,11 +1061,9 @@ class _Table:
         """The table of f on the grid whose columns ``cols`` are placed as
         in :func:`_screen`, or None if it would hold ``lanes`` points or
         more, or more than ``_TABLE_SLABS`` slabs of them."""
-        p1, p2, params = cols[:2], cols[2:4], cols[4:]
         axes = []
-        for a in range(2):
-            t = params[a % len(params)]
-            mixed = np.stack([_mix(t, p1[a], p2[a], flip) for flip in _chords(kind)])
+        for mixed in zip(*_chord_points(kind, 2, cols)):
+            mixed = np.stack(mixed)
             bits, inverse = np.unique(mixed.view(np.uint64), return_inverse=True)
             axes.append((bits.view(float), inverse.reshape(mixed.shape)))
         size = len(axes[0][0]) * len(axes[1][0])
@@ -1090,8 +1073,8 @@ class _Table:
 
     def gather(self, at: list, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
         """f at the chord points of a slab of ``shape``, ``at`` being the
-        index views cut to it: (values, defined) as :func:`_chord_sides`
-        gives them, in the same pool buffers."""
+        index views cut to it: (values, defined) as :func:`_eval_lanes`
+        gives them at :func:`_chord_points`, in the same pool buffers."""
         k = len(at) // 2
         sides = _POOL.take("sides", (k,) + shape)
         oks = _POOL.take("sides_ok", (k,) + shape, bool)
@@ -1225,7 +1208,7 @@ def _screen(
         c = len(cols)
         rest = parts[c + 3 :]
         if table is None:
-            chord = _chord_sides(kind, f, d, parts[:c], chunk, rest or None)
+            chord = _eval_lanes(f, _chord_points(kind, d, parts[:c]), chunk, rest or None)
         else:
             chord = table.gather(rest, chunk)
         return screened(
@@ -1246,13 +1229,14 @@ def _screen(
         def halton_lanes(parts, chunk, floor):
             hcols, fzp = parts[:ndim], parts[ndim:] or None
             p1, p2 = hcols[:d], hcols[d : 2 * d]
-            (F1, F2), (ok, ok2) = _eval_lanes(f, [p1, p2], chunk, fzp)
+            (F1, F2, *sides), (ok, ok2, *oks) = _eval_lanes(
+                f, [p1, p2, *_chord_points(kind, d, hcols)], chunk, fzp
+            )
             ok &= ok2
             live = _screened_pairs(
                 p1, p2, ordered_only, *_POOL.takes(("live", "scratch"), chunk, bool)
             )
-            chord = _chord_sides(kind, f, d, hcols, chunk, fzp)
-            return screened(hcols[2 * d :], chord, F1, F2, chunk, live, floor, ok)
+            return screened(hcols[2 * d :], (sides, oks), F1, F2, chunk, live, floor, ok)
 
         views = halton + list(frozen_on(2) or ())
         screen.scan((live_slices, m), views, halton_lanes)

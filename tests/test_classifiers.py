@@ -673,8 +673,55 @@ class TestReferenceScreen:
         assert got.no_violation_found and got.samples == 4**6 - 4**4 + 16
         sizes = [math.prod(shape) for shape in lanes]
         # f on the 16 grid points, then one call per slab and chord point,
-        # then f at both ends and both chord points of the 16 Halton pairs
-        assert sizes == [16] + [64] * (2 * 2560 // 64) + [32, 32]
+        # then one call of f at both ends and both chord points of the 16
+        # Halton pairs, 4 * 16 lanes
+        assert sizes == [16] + [64] * (2 * 2560 // 64) + [64]
+
+    @pytest.mark.parametrize(
+        "cid, dom, text, sizes",
+        [
+            # f on the 4 grid points, the grid's one slab of 4^3 lanes, then
+            # p1, p2 and the chord point of the 16 Halton pairs
+            (ClassId.QC1, REF_INTERVAL, "x*x", [4, 4**3, 3 * 16]),
+            # on frozen lanes, 6 slices: f on their 6 * 4 grid points, both
+            # chord points of the grid's one slab, then p1, p2 and both
+            # chord points of the slices' 6 * 16 Halton pairs
+            (ClassId.COORD_W2, REF_BOX, "x*x + y*y", [6 * 4, 2 * 6 * 4**3, 4 * 6 * 16]),
+        ],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_halton_slab_evaluates_in_one_call(self, monkeypatch, cid, dom, text, sizes):
+        lanes = counting_lanes(monkeypatch)
+        budget = SearchBudget(grid_n=4, halton_count=16, slices=3)
+        got = check_membership(parse(text, cid.arity), dom, cid, budget=budget)
+        assert got.no_violation_found
+        assert [math.prod(shape) for shape in lanes] == sizes
+
+    def test_refinement_evaluates_each_golden_step_in_one_call(self, monkeypatch):
+        # refinement computes the margin at the points of up to 5 golden
+        # steps, and at the refined parameter, each in one call of f at p1,
+        # p2 and the chord point of the violating candidate
+        lanes = counting_lanes(monkeypatch)
+        margins, before = [], []
+        lane_margins, refine = classifiers._lane_margins, classifiers._refine
+
+        def counted_margins(*args, **kwargs):
+            margins.append(args[5])  # the lane shape
+            return lane_margins(*args, **kwargs)
+
+        def counted_refine(*args):
+            before.extend((len(lanes), len(margins)))
+            return refine(*args)
+
+        monkeypatch.setattr(classifiers, "_lane_margins", counted_margins)
+        monkeypatch.setattr(classifiers, "_refine", counted_refine)
+        got = check_membership(parse("-(x*x)", 1), REF_INTERVAL, ClassId.C1, budget=REF_BUDGET)
+        assert got.violated
+        calls, steps = lanes[before[0] :], margins[before[1] :]
+        # 1 + 45 / 5 calls of the margin over 50 golden steps, and the check
+        # of the refined parameter
+        assert len(steps) == 11
+        assert calls == [(3, *shape) for shape in steps]
 
     @pytest.mark.parametrize(
         "cid, n, lanes_per_point",
@@ -840,15 +887,15 @@ class TestReferenceScreen:
         # shape is bound again, on the new buffer
         pool = classifiers._Pool()
         small, large = (2, 3), (2, 40)
-        old = pool.registers(3, "ends", small, 0, 2)
-        assert np.shares_memory(old.values[0], pool.take("ends", small))
-        grown = pool.registers(3, "ends", large, 1, 1)
-        assert np.shares_memory(grown.values[0], pool.take("ends", large))
-        new = pool.registers(3, "ends", small, 0, 2)
-        home = pool.take("ends", small)
+        old = pool.registers(3, "sides", small, 0, 2)
+        assert np.shares_memory(old.values[0], pool.take("sides", small))
+        grown = pool.registers(3, "sides", large, 1, 1)
+        assert np.shares_memory(grown.values[0], pool.take("sides", large))
+        new = pool.registers(3, "sides", small, 0, 2)
+        home = pool.take("sides", small)
         assert new is not old and not np.shares_memory(old.values[0], home)
         assert np.shares_memory(new.values[0], home)
-        assert np.shares_memory(new.ok, pool.take("ends_ok", small, bool))
+        assert np.shares_memory(new.ok, pool.take("sides_ok", small, bool))
         new.values[0][...] = 7.0
         assert (home == 7.0).all()
 
