@@ -218,6 +218,35 @@ class Expr:
             found.setdefault(expr.text, expr)
         return tuple(found.values())
 
+    def affine_in(self, axis: Axis) -> bool:
+        """Whether the tree is affine in the ``axis`` co-ordinate, the other
+        one counting as a constant: it holds only constants, variables,
+        ``neg``, ``+`` and ``-``, ``*`` by a factor free of that variable
+        and ``/`` by a divisor free of it.  A subtree free of the variable
+        is a constant on each line it runs along, whatever its operators.
+        """
+        var = axis.value
+
+        def leaf(node: _Node) -> tuple[bool, bool]:
+            # (holds the variable, affine in it)
+            return isinstance(node, _Var) and node.name == var, True
+
+        def build(node: _Node, *args: tuple[bool, bool]) -> tuple[bool, bool]:
+            holds = any(h for h, _ in args)
+            if not holds:
+                return False, True
+            if node.op in ("neg", "+", "-"):
+                return True, all(a for _, a in args)
+            if node.op == "*":
+                (hl, al), (hr, ar) = args
+                return True, (not hl and ar) or (not hr and al)
+            if node.op == "/":
+                (_, al), (hr, _) = args
+                return True, al and not hr
+            return True, False
+
+        return _fold(self.root, leaf, build)[1]
+
     def __call__(self, x: float, y: Optional[float] = None) -> float:
         if self.arity == 2 and y is None:
             raise ArityError("2D expression needs both co-ordinates")
@@ -571,6 +600,17 @@ class Registers(NamedTuple):
     scratch: np.ndarray
 
 
+def _one_nan(vals, scratch: Optional[np.ndarray] = None):
+    """``vals`` with ``np.nan`` on every NaN lane.  Of two NaN operands numpy
+    keeps one, and which one differs when it computes in place, so without
+    this the register path and the plain one, or a constant and the same
+    value on lanes, give NaNs of other bits."""
+    if isinstance(vals, np.ndarray):
+        np.copyto(vals, np.nan, where=np.isnan(vals, out=scratch))
+        return vals
+    return np.nan if math.isnan(vals) else vals
+
+
 def eval_array(
     expr: Expr,
     xs: np.ndarray,
@@ -584,7 +624,8 @@ def eval_array(
     A lane is undefined as soon as any node's value leaves the finite reals.
     Only the root and the computed operands of guard opcodes are tested: the
     other opcodes keep a non-finite operand non-finite, and literals are
-    finite.
+    finite.  An undefined lane whose value is NaN holds ``np.nan`` itself,
+    whichever NaN its operands carried.
 
     With ``regs`` the values and the mask are ``regs.values[0]`` and
     ``regs.ok``, the inputs being copied there when the root is a bare
@@ -622,6 +663,8 @@ def eval_array(
         vals = stack[0]
         if check_root:
             ok &= np.isfinite(vals, out=regs and regs.scratch)
+            if not ok.all():
+                vals = _one_nan(vals, regs and regs.scratch)
     if regs is not None:
         if vals is not regs.values[0]:
             np.copyto(regs.values[0], vals)

@@ -24,6 +24,7 @@ from .quadrature import (
     QuadResult,
     _as_vector,
     _integrate_slices,
+    _switch_values,
     integrate_1d,
     integrate_2d,
     integrate_chord_gaps,
@@ -213,9 +214,11 @@ class _Means:
     def line_means(self, names: tuple[str, ...]) -> dict[str, float]:
         """Means of f along the named lines of the rectangle, out of its two
         midlines and four edges.  Only those lines are integrated, so f need
-        not be defined on the others.  Each line runs f's own tape, one line
-        per call, so a DomainError names f's own point, on the first line
-        that fails."""
+        not be defined on the others.  Each line is cut where a switching
+        function of f changes sign, in closed form where it is affine along
+        the line, as the rows of ``integrate_2d`` are.  Each line runs f's
+        own tape, one line per call, so a DomainError names f's own point,
+        on the first line that fails."""
         x, y = self.domain.x, self.domain.y
         # (the co-ordinate that runs, the other one's value, the interval run)
         lines = {
@@ -226,10 +229,12 @@ class _Means:
             "left edge": (Axis.Y, x.lo, y),
             "right edge": (Axis.Y, x.hi, y),
         }
+        fv = _as_vector(self.f)
         means = {}
         for name in names:
             along, at, iv = lines[name]
-            (q,) = _integrate_slices(_as_vector(self.f), (), along, [at], iv, QuadConfig())
+            splits = [_switch_values(s, along) for s in self.f.switches]
+            (q,) = _integrate_slices(fv, splits, along, [at], iv, QuadConfig())
             means[name] = self.mean(name, q, iv.length)
         return means
 

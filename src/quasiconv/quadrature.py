@@ -7,9 +7,12 @@ meets tolerance or the subdivision budget runs out.  Every integral,
 ``integrate_1d`` included, is a row of one row integrator, which cuts each
 row first where a split function changes sign (``g - h`` for ``|g - h|``, a
 switching function in 2D), so every piece is free of the kinks they mark; a
-row with no split function is one piece.  A chord gap f(P(t)) - f(Q(t))
-runs f's own tape at both chord points, mixed on lanes as screening mixes
-them, so its errors name f's own point.  ``integrate_2d`` is an iterated
+row with no split function is one piece.  A split function affine in the
+row's parameter is cut in closed form, any other by a scan and a
+bisection.  A chord gap f(P(t)) - f(Q(t)) runs f's own tape at both chord
+points, mixed on lanes as screening mixes them, so its errors name f's own
+point; being odd about t = 1/2, it is integrated over half the chord and
+doubled.  ``integrate_2d`` is an iterated
 integral on the same two parts: an adaptive outer pass over x whose
 integrand calls hand their nodes' y-rows to the row integrator.
 Integrands are parsed expressions (:class:`Expr`), so every 2D integrand
@@ -21,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +43,8 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-_UNIT = Interval(0.0, 1.0)
+# the first half of a chord's parameter range
+_HALF = Interval(0.0, 0.5)
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (positive abscissae; the full rule is symmetric about zero).
@@ -469,34 +473,82 @@ def _on_brackets(splits: Sequence[RowsFn], counts: list[int], brow: np.ndarray) 
     return d
 
 
+class _Affine(NamedTuple):
+    """A split function affine in the parameter of its rows, which
+    :func:`_cuts` solves in closed form instead of scanning."""
+
+    fn: RowsFn
+
+    def __call__(self, ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return self.fn(ts, rows)
+
+
+def _affine_roots(
+    s: RowsFn, rows: np.ndarray, iv: Interval
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sign changes on ``iv`` of a split function affine in the
+    parameter, on ``rows``, from one call of it at both ends of each row:
+    (the rows where it changes sign, each one's root, the rows where it is
+    not finite at an end, which are left to the scan).
+
+    An affine s changes sign at most once, where s(lo) and s(hi) are of
+    opposite signs, at lo + (hi - lo)*s(lo)/(s(lo) - s(hi)).  That fraction
+    is taken as 1/(1 - s(hi)/s(lo)), which no overflow can take out of
+    [0, 1].
+    """
+    ends = s(np.tile([iv.lo, iv.hi], rows.size), rows.repeat(2)).reshape(rows.size, 2)
+    slo, shi = ends[:, 0], ends[:, 1]
+    finite = np.isfinite(slo) & np.isfinite(shi)
+    change = finite & (np.sign(slo) * np.sign(shi) < 0.0)
+    with np.errstate(over="ignore"):
+        frac = 1.0 / (1.0 - shi[change] / slo[change])
+    roots = np.minimum(iv.lo + iv.length * frac, iv.hi)
+    return rows[change], roots, rows[~finite]
+
+
 def _cuts(splits: Sequence[RowsFn], nrows: int, iv: Interval) -> list[list[float]]:
     """Per row, the points of ``iv`` where a split function changes sign.
 
-    Sign changes are bracketed on a 257-point uniform scan, one call of each
-    split function for all rows, and the brackets of every split function
-    are bisected to 1e-12 together (:func:`_on_brackets`).  A split function
-    returns NaN where it has no value; such a point cuts nothing.
+    An :class:`_Affine` split function is solved in closed form
+    (:func:`_affine_roots`), and scanned only on rows where it is not
+    finite at an end.  Every other one has its sign changes bracketed on a
+    257-point uniform scan, one call for all its rows, and the brackets of
+    every scanned split function are bisected to 1e-12 together
+    (:func:`_on_brackets`).  A split function returns NaN where it has no
+    value; such a point cuts nothing.
     """
     cuts: list[list[float]] = [[] for _ in range(nrows)]
     if not splits:
         return cuts
+    every = np.arange(nrows)
+    scans = []
+    for split in splits:
+        if isinstance(split, _Affine):
+            rows, roots, rest = _affine_roots(split, every, iv)
+            for r, t in zip(rows.tolist(), roots.tolist()):
+                cuts[r].append(t)
+            if rest.size:
+                scans.append((split, rest))
+        else:
+            scans.append((split, every))
+    if not scans:
+        return cuts
     grid = np.linspace(iv.lo, iv.hi, 257)
     brows, bcols, dlos = [], [], []
-    for split in splits:
-        sv = split(np.tile(grid, nrows), np.repeat(np.arange(nrows), 257))
-        sv = sv.reshape(nrows, 257)
+    for split, rows in scans:
+        sv = split(np.tile(grid, rows.size), rows.repeat(257)).reshape(rows.size, 257)
         with np.errstate(over="ignore"):  # only the sign of a product counts
             # an isolated zero with a sign change across it is itself the kink
             zrow, zcol = np.nonzero((sv[:, 1:-1] == 0.0) & (sv[:, :-2] * sv[:, 2:] < 0.0))
             brow, bcol = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
-        for r, t in zip(zrow.tolist(), grid[zcol + 1].tolist()):
+        for r, t in zip(rows[zrow].tolist(), grid[zcol + 1].tolist()):
             cuts[r].append(t)
-        brows.append(brow)
+        brows.append(rows[brow])
         bcols.append(bcol)
         dlos.append(sv[brow, bcol])
     brow, bcol = np.concatenate(brows), np.concatenate(bcols)
     roots = _bisect_roots(
-        _on_brackets(splits, [b.size for b in brows], brow),
+        _on_brackets([split for split, _ in scans], [b.size for b in brows], brow),
         np.arange(brow.size), grid[bcol], grid[bcol + 1], np.concatenate(dlos),
     )
     for r, t in zip(brow.tolist(), roots.tolist()):
@@ -541,6 +593,17 @@ def _integrate_rows(
     return out
 
 
+def _on_rows(fn: Vector2Fn, along: Axis, frozen: np.ndarray) -> RowsFn:
+    """``fn`` on rows: the ``along`` co-ordinate is the parameter and the
+    other one is frozen at ``frozen[row]``.  An :class:`_Affine` function
+    stays one."""
+    if isinstance(fn, _Affine):
+        return _Affine(_on_rows(fn.fn, along, frozen))
+    if along is Axis.X:
+        return lambda ts, rows: fn(ts, frozen[rows])
+    return lambda ts, rows: fn(frozen[rows], ts)
+
+
 def _integrate_slices(
     f: Vector2Fn,
     splits: Sequence[Vector2Fn],
@@ -552,6 +615,9 @@ def _integrate_slices(
     """Integrate the 1D slices of a 2D function, cut where its split
     functions change sign: for each ``v`` in ``values``, the ``along``
     co-ordinate runs over ``iv`` and the other one is frozen at ``v``.
+    A split function affine in the ``along`` co-ordinate is passed as an
+    :class:`_Affine` and cut in closed form, any other is scanned
+    (:func:`_cuts`).
 
     Up to ``_SLICES_PER_BATCH`` slices share each call of ``f`` and of each
     split function; a slice's result does not depend on the others.
@@ -560,13 +626,13 @@ def _integrate_slices(
     out: list[QuadResult] = []
     for start in range(0, vs.size, _SLICES_PER_BATCH):
         batch = vs[start : start + _SLICES_PER_BATCH]
-
-        def on_rows(fn: Vector2Fn, batch: np.ndarray = batch) -> RowsFn:
-            if along is Axis.X:
-                return lambda ts, rows: fn(ts, batch[rows])
-            return lambda ts, rows: fn(batch[rows], ts)
-
-        out += _integrate_rows(on_rows(f), [on_rows(s) for s in splits], batch.size, iv, cfg)
+        out += _integrate_rows(
+            _on_rows(f, along, batch),
+            [_on_rows(s, along, batch) for s in splits],
+            batch.size,
+            iv,
+            cfg,
+        )
     return out
 
 
@@ -594,17 +660,24 @@ def integrate_chord_gaps(
     values: Optional[np.ndarray] = None,
     cfg: Optional[QuadConfig] = None,
 ) -> list[QuadResult]:
-    """Integrate ``|f(P(t)) - f(Q(t))|`` over t in [0, 1], cut first where the
-    gap changes sign, with P(t) = t*lo + (1-t)*hi and Q(t) = (1-t)*lo + t*hi
-    on ``chord`` in the ``along`` co-ordinate.  A 1D f (along x, no
-    ``values``) gives one result, a 2D f one per ``v`` in ``values``, its
-    other co-ordinate frozen at ``v``, batched as by :func:`_integrate_slices`.
+    """Integrate ``|f(P(t)) - f(Q(t))|`` over t in [0, 1], with
+    P(t) = t*lo + (1-t)*hi and Q(t) = (1-t)*lo + t*hi on ``chord`` in the
+    ``along`` co-ordinate.  A 1D f (along x, no ``values``) gives one
+    result, a 2D f one per ``v`` in ``values``, its other co-ordinate
+    frozen at ``v``, batched as by :func:`_integrate_slices`.
+
+    Since Q(t) = P(1 - t), the gap is odd about t = 1/2 and its two halves
+    carry the same integral: the gap is integrated over [0, 1/2], where P
+    covers [mid, hi] and Q [lo, mid], at ``abs_tol / 2``, cut first where
+    it changes sign, and the value and the error estimate are doubled,
+    which is exact short of overflow.  The results are twice those of
+    ``integrate_abs_difference`` on the two ``chord_substitution`` trees
+    over [0, 1/2] at ``abs_tol / 2``.
 
     Each call of the gap runs f's own tape once, on both chord points'
     lanes stacked.  At the first lane that fails, f's scalar call at P, then
     at Q, raises DomainError at f's own point; where both are finite and
-    only their gap overflows, it names (t[, v]).  The results are those of
-    ``integrate_abs_difference`` on the two ``chord_substitution`` trees.
+    only their gap overflows, it names (t[, v]).
     """
     cfg = cfg or QuadConfig()
     k = 0 if along is Axis.X else 1
@@ -625,11 +698,25 @@ def integrate_chord_gaps(
             raise DomainError("overflow in '-'", tuple(float(c[i]) for c in coords))
         return d
 
+    half_cfg = QuadConfig(cfg.rel_tol, cfg.abs_tol / 2.0, cfg.max_subdivisions)
     if values is None:
-        return _integrate_rows(
-            lambda ts, rows: np.abs(gap(ts)), [lambda ts, rows: gap(ts)], 1, _UNIT, cfg
+        halves = _integrate_rows(
+            lambda ts, rows: np.abs(gap(ts)), [lambda ts, rows: gap(ts)], 1, _HALF, half_cfg
         )
-    return _integrate_slices(lambda xs, ys: np.abs(gap(xs, ys)), [gap], along, values, _UNIT, cfg)
+    else:
+        halves = _integrate_slices(
+            lambda xs, ys: np.abs(gap(xs, ys)), [gap], along, values, _HALF, half_cfg
+        )
+    return [_doubled(q) for q in halves]
+
+
+def _doubled(q: QuadResult) -> QuadResult:
+    """Twice ``q``: its value and error estimate doubled; it has converged
+    only if they stay finite."""
+    value, err = 2.0 * q.value, 2.0 * q.abs_error_estimate
+    return QuadResult(
+        value, err, q.subdivisions, q.converged and math.isfinite(value) and math.isfinite(err)
+    )
 
 
 def integrate_nested(
@@ -664,15 +751,17 @@ def integrate_nested(
     )
 
 
-def _switch_values(switch: Expr) -> Vector2Fn:
+def _switch_values(switch: Expr, along: Axis) -> Vector2Fn:
     """Lanes of a 2D switching function, NaN where it has no finite value
-    (a switching function may overflow where f is finite)."""
+    (a switching function may overflow where f is finite), as an
+    :class:`_Affine` where it is affine in the ``along`` co-ordinate, which
+    its lines run along."""
 
     def sv(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         vals, ok = eval_array(switch, xs, ys)
         return np.where(ok, vals, np.nan)
 
-    return sv
+    return _Affine(sv) if switch.affine_in(along) else sv
 
 
 def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -684,7 +773,8 @@ def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadRe
     (:attr:`Expr.switches`) changes sign, so a kink crossing the rectangle
     is a breakpoint of every row it meets; the outer interval is cut where
     one changes sign along the bottom or the top edge, which catches kinks
-    along x.
+    along x.  A switching function affine along the line it is cut on is
+    cut in closed form, any other is scanned (:func:`_cuts`).
 
     ``cfg`` governs the outer pass.  The rows run an order tighter, at
     ``rel_tol / 10`` and ``abs_tol / (10 * width)`` with the same
@@ -695,19 +785,19 @@ def integrate_2d(f: Expr, box: Box2, cfg: Optional[QuadConfig] = None) -> QuadRe
     """
     cfg = cfg or QuadConfig()
     fv2 = _as_vector(_checked(f, 2, "integrate_2d"))
-    switches = [_switch_values(s) for s in f.switches]
+    row_switches = [_switch_values(s, Axis.Y) for s in f.switches]
     row_cfg = QuadConfig(
         rel_tol=cfg.rel_tol / 10.0,
         abs_tol=cfg.abs_tol / 10.0 / box.x.length,
         max_subdivisions=cfg.max_subdivisions,
     )
     edges = [
-        lambda xs, rows, s=s, y=y: s(xs, np.full(xs.shape, y))
-        for s in switches
+        _on_rows(_switch_values(s, Axis.X), Axis.X, np.array([y]))
+        for s in f.switches
         for y in (box.y.lo, box.y.hi)
     ]
     return integrate_nested(
-        lambda xs: _integrate_slices(fv2, switches, Axis.Y, xs, box.y, row_cfg),
+        lambda xs: _integrate_slices(fv2, row_switches, Axis.Y, xs, box.y, row_cfg),
         box.x,
         cfg,
         edges,

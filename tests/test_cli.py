@@ -615,9 +615,10 @@ def test_layer_tracer_counts_batched_quadrature(capsys):
     ev = {key: jqc_totals["expressions.eval_array"][key]
           - verify_totals["expressions.eval_array"][key] for key in ("calls", "lanes")}
     # one call for the integral mean's 8 panels of 15 nodes; then the chord
-    # gap's scan of 257 t's and its two pieces (cut at t = 1/2) of 8 panels,
-    # one call each, on both chord points' lanes stacked
-    assert ev == {"calls": 3, "lanes": 120 + 2 * (257 + 2 * 8 * 15)}
+    # gap's scan of 257 t's over [0, 1/2], where its zero at t = 1/2 is an
+    # end and cuts nothing, and its one piece of 8 panels, one call each, on
+    # both chord points' lanes stacked
+    assert ev == {"calls": 3, "lanes": 120 + 2 * (257 + 8 * 15)}
     # no report builds a chord tree or restricts f: THM_2_1 integrates its
     # two midlines on f's own tape
     assert jqc_totals["expressions.restrict"]["calls"] == 0

@@ -425,6 +425,8 @@ def _same_bits(a, b):
 @example(parse("1^(y*1e300)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
 @example(parse("min(y*1e300, x)", 2).root, [(1.0, 1e300), (1.0, 1.0)])
 @example(parse("max(-(y*1e300), x) + exp(x)", 2).root, [(1.0, 1e300), (800.0, 1.0)])
+# two NaN operands of an add, which numpy computes in place into the left one
+@example(parse("-sqrt(x) + sqrt(-5e-324)", 2).root, [(-1.0, 0.0)])
 def test_registers_give_the_same_bits(root, pts):
     # computing into a register file changes no value bit and no mask bit,
     # and writes into no input lane
@@ -450,6 +452,8 @@ def test_constant_operators_stay_scalars():
 
 @settings(max_examples=200, deadline=None)
 @given(_trees, _points, st.sampled_from((-1.0, -0.0, 0.5, 2.0)) | st.floats(-20, 20))
+# a NaN the restricted tree computes from a constant, the 2D one on lanes
+@example(parse("sqrt(x)", 2).root, [(0.0, 0.0)], -1.0)
 def test_frozen_lanes_give_the_restricted_bits(root, pts, value):
     # a co-ordinate screen runs the 2D tape on register files at (value, u)
     # or (u, value): the bits of the restricted expression at u

@@ -8,6 +8,8 @@ from quasiconv import (
     Box2,
     DomainError,
     Interval,
+    QuadConfig,
+    QuadResult,
     coord_convex_chain,
     hadamard_1d,
     jqc_bound_1d,
@@ -17,7 +19,7 @@ from quasiconv import (
     thm_wqc_coord,
     wqc_bound_1d,
 )
-from quasiconv.expressions import Axis, chord_substitution, difference, restrict
+from quasiconv.expressions import Axis, chord_substitution, difference
 from quasiconv.inequalities import _chord_correction_2d
 from quasiconv.quadrature import (
     integrate_1d,
@@ -28,6 +30,16 @@ from quasiconv.quadrature import (
 
 UNIT_IV = Interval(0, 1)
 UNIT_BOX = Box2.from_bounds(0, 1, 0, 1)
+# the chord parameters a chord correction integrates over
+HALF_IV = Interval(0, 0.5)
+
+
+def half_tol(cfg: QuadConfig) -> QuadConfig:
+    return QuadConfig(cfg.rel_tol, cfg.abs_tol / 2, cfg.max_subdivisions)
+
+
+def doubled(q: QuadResult) -> QuadResult:
+    return QuadResult(2 * q.value, 2 * q.abs_error_estimate, q.subdivisions, q.converged)
 
 
 def bits(v: float) -> bytes:
@@ -320,7 +332,9 @@ class TestChordCorrections:
 
     @staticmethod
     def reference(f, box, along):
-        """The chord correction as one kink-split integral per outer node."""
+        """The chord correction as one kink-split integral per outer node,
+        over the first half of the chord at half the absolute tolerance,
+        doubled."""
         from quasiconv.expressions import chord_substitution, restrict
         from quasiconv.inequalities import _INNER_CFG, _OUTER_CFG
         from quasiconv.quadrature import _adaptive, integrate_abs_difference
@@ -332,9 +346,9 @@ class TestChordCorrections:
         inner = []
 
         def node(v):
-            q = integrate_abs_difference(
-                restrict(fwd, other, v), restrict(rev, other, v), UNIT_IV, _INNER_CFG
-            )
+            q = doubled(integrate_abs_difference(
+                restrict(fwd, other, v), restrict(rev, other, v), HALF_IV, half_tol(_INNER_CFG)
+            ))
             inner.append(q)
             return q.value
 
@@ -414,6 +428,24 @@ class TestChordCorrections:
             )
 
 
+def test_thm_jqc_report_peaks_under_a_bound():
+    """One THM_2_1 report on a benchmark-shaped input, with an axis kink,
+    allocates at most 1.2 MB at once, as ``tracemalloc`` counts numpy's
+    arrays and Python's objects (1.73 MB when the chord gaps ran over the
+    whole chord)."""
+    import tracemalloc
+
+    f = parse("0.3748*abs(x - y) + 0.6520*max(x, y) + 0.2369*abs(y - 0.2674)"
+              " + 0.9052*(x - 0.4342)^2", 2)
+    tracemalloc.start()
+    try:
+        thm_jqc_coord(f, Box2.from_bounds(-1, 1, -1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6, peak
+
+
 class TestQuadErrors:
     """``quad_errors`` holds each integral's error estimate over the length it
     averages over, in report order, and ``converged`` is the conjunction of
@@ -432,20 +464,28 @@ class TestQuadErrors:
 
     @staticmethod
     def lines(f, box, names):
+        """Each line on f's own tape, cut at f's switching functions."""
+        from quasiconv.quadrature import _as_vector, _integrate_slices, _switch_values
+
         x, y = box.x, box.y
+        # (the co-ordinate that runs, the other one's value, the interval run)
         at = {
-            "h": (Axis.Y, y.midpoint, x), "v": (Axis.X, x.midpoint, y),
-            "b": (Axis.Y, y.lo, x), "t": (Axis.Y, y.hi, x),
-            "l": (Axis.X, x.lo, y), "r": (Axis.X, x.hi, y),
+            "h": (Axis.X, y.midpoint, x), "v": (Axis.Y, x.midpoint, y),
+            "b": (Axis.X, y.lo, x), "t": (Axis.X, y.hi, x),
+            "l": (Axis.Y, x.lo, y), "r": (Axis.Y, x.hi, y),
         }
-        return [
-            (integrate_1d(restrict(f, at[n][0], at[n][1]), at[n][2]), at[n][2].length)
-            for n in names
-        ]
+        out = []
+        for n in names:
+            along, v, iv = at[n]
+            splits = [_switch_values(s, along) for s in f.switches]
+            (q,) = _integrate_slices(_as_vector(f), splits, along, [v], iv, QuadConfig())
+            out.append((q, iv.length))
+        return out
 
     @staticmethod
     def chord_2d(f, box, along):
-        """The chord double integral on the tree of f's chord difference."""
+        """The chord double integral on the tree of f's chord difference,
+        each row over the first half of the chord, doubled."""
         from quasiconv.inequalities import _INNER_CFG, _OUTER_CFG
         from quasiconv.quadrature import _as_vector, _integrate_slices
 
@@ -455,9 +495,9 @@ class TestQuadErrors:
             chord_substitution(f, along, chord_iv.lo, chord_iv.hi, reverse=True),
         ))
         return integrate_nested(
-            lambda vs: _integrate_slices(
-                lambda xs, ys: np.abs(dv(xs, ys)), [dv], along, vs, UNIT_IV, _INNER_CFG
-            ),
+            lambda vs: [doubled(q) for q in _integrate_slices(
+                lambda xs, ys: np.abs(dv(xs, ys)), [dv], along, vs, HALF_IV, half_tol(_INNER_CFG)
+            )],
             outer_iv,
             _OUTER_CFG,
         )
@@ -469,7 +509,7 @@ class TestQuadErrors:
         if ineq == "JQC1D":
             g = chord_substitution(f, Axis.X, iv.lo, iv.hi)
             h = chord_substitution(f, Axis.X, iv.lo, iv.hi, reverse=True)
-            got.append((integrate_abs_difference(g, h, UNIT_IV, _INNER_CFG), 2.0))
+            got.append((doubled(integrate_abs_difference(g, h, HALF_IV, half_tol(_INNER_CFG))), 2.0))
         return got
 
     def integrals_2d(self, ineq, f, box):

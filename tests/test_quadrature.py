@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -294,10 +295,19 @@ def _on_f(f, err, along, chord):
 class TestChordGaps:
     """integrate_chord_gaps, which runs f's own tape at both chord points,
     against integrate_abs_difference of the two ``chord_substitution``
-    trees, bit for bit, and the trees' errors restated at f's own point."""
+    trees over the first half of the chord at half the absolute tolerance,
+    doubled, bit for bit, and the trees' errors restated at f's own point."""
 
     IV = Interval(-1, 1)
     CFG = QuadConfig(rel_tol=1e-9, abs_tol=1e-11, max_subdivisions=1024)
+
+    @classmethod
+    def half_chord(cls, g, h):
+        """|g - h| over t in [0, 1/2] at ``abs_tol / 2``, value and error
+        estimate doubled."""
+        cfg = QuadConfig(cls.CFG.rel_tol, cls.CFG.abs_tol / 2, cls.CFG.max_subdivisions)
+        q = integrate_abs_difference(g, h, Interval(0, 0.5), cfg)
+        return QuadResult(2 * q.value, 2 * q.abs_error_estimate, q.subdivisions, q.converged)
 
     @staticmethod
     def trees(f, along, chord, v=None):
@@ -321,7 +331,7 @@ class TestChordGaps:
         for text, iv in cases:
             f = parse(text, 1)
             (got,) = integrate_chord_gaps(f, Axis.X, iv, None, self.CFG)
-            want = integrate_abs_difference(*self.trees(f, Axis.X, iv), Interval(0, 1), self.CFG)
+            want = self.half_chord(*self.trees(f, Axis.X, iv))
             assert _fields(got) == _fields(want), text
 
     @pytest.mark.parametrize("along", [Axis.X, Axis.Y])
@@ -338,10 +348,7 @@ class TestChordGaps:
             chord, outer = (bx.x, bx.y) if along is Axis.X else (bx.y, bx.x)
             vs = np.linspace(outer.lo, outer.hi, 40)  # more than one batch of slices
             got = integrate_chord_gaps(f, along, chord, vs, self.CFG)
-            want = [
-                integrate_abs_difference(*self.trees(f, along, chord, v), Interval(0, 1), self.CFG)
-                for v in vs.tolist()
-            ]
+            want = [self.half_chord(*self.trees(f, along, chord, v)) for v in vs.tolist()]
             assert [_fields(q) for q in got] == [_fields(q) for q in want], text
 
     @pytest.mark.parametrize(
@@ -362,7 +369,7 @@ class TestChordGaps:
         f = parse(text, 1 if values is None else 2)
         v = None if values is None else values[0]
         with pytest.raises(DomainError) as tree:
-            integrate_abs_difference(*self.trees(f, along, chord, v), Interval(0, 1), self.CFG)
+            self.half_chord(*self.trees(f, along, chord, v))
         want = tree.value
         if v is not None:  # the tree's slice point, back in both co-ordinates
             k = 0 if along is Axis.X else 1
@@ -985,7 +992,7 @@ class TestIterated2D:
         def fv2(xs, ys):
             return eval_array(f, xs, ys)[0]
 
-        switches = [quadrature._switch_values(s) for s in f.switches]
+        switches = [quadrature._switch_values(s, Axis.Y) for s in f.switches]
         xs = np.linspace(-1, 1, 37)
         runs = {}
         # one row a batch, 16 and 32 rows a batch, every row in one batch
@@ -1018,3 +1025,164 @@ class TestIterated2D:
 
 def _as_tuple(q):
     return (q.value, q.abs_error_estimate, q.subdivisions, q.converged)
+
+
+class TestClosedFormCuts:
+    """Switching functions affine along a row are cut in closed form, any
+    other one, and any row where one is not finite at an end, by the scan
+    and the bisection."""
+
+    @pytest.mark.parametrize(
+        "text, in_x, in_y",
+        [
+            ("x - 0.3", True, True),
+            ("-(2*x + y)/3 - y", True, True),
+            ("x*y", True, True),  # the frozen co-ordinate counts as a constant
+            ("x/y", True, False),
+            ("sqrt(y)*x - exp(y)", True, False),  # a subtree free of x is constant
+            ("x*x", False, True),
+            ("1/x", False, True),
+            ("x/x", False, True),
+            ("abs(x)", False, True),
+            ("floor(x)", False, True),
+            ("x^1", False, True),
+            ("2^x + y", False, True),
+            ("sin(3.141592653589793*x)", False, True),
+            ("x*y*y", True, False),
+            ("min(x, y)", False, False),
+            ("0.25", True, True),
+        ],
+    )
+    def test_affine_table(self, text, in_x, in_y):
+        f = parse(text, 2)
+        assert (f.affine_in(Axis.X), f.affine_in(Axis.Y)) == (in_x, in_y)
+
+    @staticmethod
+    def rows_of(switch, along, frozen):
+        from quasiconv import quadrature
+
+        return quadrature._on_rows(quadrature._switch_values(switch, along), along, frozen)
+
+    def test_roots_match_the_bisection_on_the_benchmark_rows(self):
+        from quasiconv import quadrature
+
+        rng = np.random.default_rng(5)
+        frozen = np.concatenate([np.linspace(-1, 1, 65), rng.uniform(-1, 1, 64)])
+        iv = Interval(-1, 1)
+        cut = 0
+        for text in _benchmark_2d_inputs(range(10)):
+            f = parse(text, 2)
+            for switch in f.switches:
+                for along in (Axis.X, Axis.Y):
+                    rows = self.rows_of(switch, along, frozen)
+                    assert isinstance(rows, quadrature._Affine), (text, switch.text)
+                    closed = quadrature._cuts([rows], frozen.size, iv)
+                    scanned = quadrature._cuts([rows.fn], frozen.size, iv)
+                    for a, b in zip(closed, scanned):
+                        assert len(a) == len(b) <= 1, (text, switch.text)
+                        assert all(abs(s - t) <= 1e-12 for s, t in zip(a, b)), (a, b)
+                        cut += len(a)
+        assert cut > 1000
+
+    def test_a_switch_not_finite_at_an_end_is_scanned(self):
+        from quasiconv import quadrature
+
+        # the switch 1e308*(y - 0.3) - -1e308*(y - 0.3) overflows at y = -1
+        # on every row, where f is finite; the kink is at y = 0.3
+        f = parse("1e-300*max(1e308*(y - 0.3), -1e308*(y - 0.3)) + x", 2)
+        (switch,) = f.switches
+        assert switch.affine_in(Axis.Y)
+        lanes = []
+        fn = self.rows_of(switch, Axis.Y, np.array([-0.5, 0.25])).fn
+        rows = quadrature._Affine(lambda ts, rs: lanes.append(ts.size) or fn(ts, rs))
+        cuts = quadrature._cuts([rows], 2, Interval(-1, 1))
+        # both ends, then the scan of both rows, then the bisection
+        assert lanes[:2] == [4, 2 * 257] and len(lanes) > 2
+        assert [len(c) for c in cuts] == [1, 1]
+        assert all(abs(c[0] - 0.3) <= 1e-12 for c in cuts)
+        q = integrate_2d(f, Box2.from_bounds(-1, 1, -1, 1))
+        assert q.converged
+        assert q.value == pytest.approx(2e8 * (1.3**2 + 0.7**2) / 2, rel=1e-12)
+
+    def test_closed_form_roots_and_the_rows_left_to_the_scan(self):
+        from quasiconv.quadrature import _affine_roots
+
+        # rows: a root inside, none, a zero at an end, not finite at an end,
+        # and ends so large that s(lo) - s(hi) overflows
+        def s(ts, rows):
+            slope = np.array([2.0, 1.0, 1.0, 1.0, 1.5e308])[rows]
+            shift = np.array([0.25, -3.0, 1.0, 0.0, 0.0])[rows]
+            with np.errstate(over="ignore"):
+                return np.where(rows == 3, np.log(ts + 1.0), slope * (ts - shift))
+
+        with np.errstate(divide="ignore"):
+            rows, roots, rest = _affine_roots(s, np.arange(5), Interval(-1, 1))
+        assert rows.tolist() == [0, 4] and rest.tolist() == [3]
+        assert roots.tolist() == [0.25, 0.0]
+
+    def test_a_kink_in_the_panel_sliver_is_cut_on_the_edge_line(self, capsys):
+        from quasiconv import cli
+
+        argv = ["verify", "--inequality", "THM_2_4", "--f", "abs(x - 0.251) + y",
+                "--domain", "-1,1,-1,1", "--json"]
+        assert cli.main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        bottom = record["outcome"]["components"]["bottom edge"]
+        assert abs(bottom - -0.4684995) <= 1e-15
+
+
+class TestHalfChord:
+    """The chord gaps over [0, 1/2], doubled, against the whole chord [0, 1]
+    integrated by ``_integrate_rows``, cut where the gap changes sign:
+    within 1e-12 relative, every row converged."""
+
+    @staticmethod
+    def whole_chord(f, along, chord, values=None):
+        from quasiconv.expressions import _mix, eval_array
+        from quasiconv.inequalities import _INNER_CFG
+        from quasiconv.quadrature import _integrate_rows
+
+        k = 0 if along is Axis.X else 1
+        frozen = np.zeros(1) if values is None else np.asarray(values, dtype=float)
+
+        def gap(ts, rows):
+            sides = []
+            for second in (False, True):
+                coords = [frozen[rows]] * f.arity
+                coords[k] = _mix(ts, chord.lo, chord.hi, second)
+                sides.append(eval_array(f, *coords)[0])
+            return sides[0] - sides[1]
+
+        return _integrate_rows(
+            lambda ts, rows: np.abs(gap(ts, rows)), [gap], frozen.size, Interval(0, 1), _INNER_CFG
+        )
+
+    @staticmethod
+    def check(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.converged and w.converged
+            assert abs(g.value - w.value) <= 1e-12 * abs(w.value), (g, w)
+
+    def test_1d_chord_gaps_of_the_benchmark(self):
+        from quasiconv.inequalities import _INNER_CFG
+
+        iv = Interval(-1, 1)
+        texts = [op.expr for seed in range(10) for op in _benchmark_verify_round(seed)
+                 if op.argv[2] == "JQC1D"]
+        assert len(texts) == 300
+        for text in texts:
+            f = parse(text, 1)
+            self.check(integrate_chord_gaps(f, Axis.X, iv, None, _INNER_CFG),
+                       self.whole_chord(f, Axis.X, iv))
+
+    @pytest.mark.parametrize("along", [Axis.X, Axis.Y])
+    def test_2d_rows_of_the_benchmark(self, along):
+        from quasiconv.inequalities import _INNER_CFG
+
+        box = Box2.from_bounds(-1, 1, -1, 1)
+        vs = np.linspace(-1, 1, 41)
+        for text in _benchmark_2d_inputs(range(3)):
+            f = parse(text, 2)
+            self.check(integrate_chord_gaps(f, along, box.x, vs, _INNER_CFG),
+                       self.whole_chord(f, along, box.x, vs))

@@ -150,6 +150,40 @@ def test_record_is_byte_identical(golden, argv):
     assert record(argv) == golden[argv]
 
 
+@pytest.mark.parametrize("run", CHORD_EDGES, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_chord_refusals_name_fs_own_point(golden, run):
+    """Each chord refusal names a point where f itself fails, with f's own
+    words, or, where only the gap overflows, (t[, v]) with t in the first
+    half of the chord, where f is finite at both chord points."""
+    from quasiconv import DomainError, parse
+    from quasiconv.domains import parse_domain
+
+    r, text, d = run
+    rec = golden[("verify", "--inequality", r, "--f", text, "--domain", d, "--json")]
+    assert rec["exit"] == 2
+    reason, point = re.fullmatch(r"error: (.*) at \((.*?),?\)\n", rec["stderr"]).groups()
+    point = tuple(float(v) for v in point.split(", "))
+    f = parse(text, len(point))
+    if reason != "overflow in '-'":
+        with pytest.raises(DomainError) as own:
+            f(*point)
+        assert own.value.reason == reason
+        return
+    domain = parse_domain(d)
+    chords = [domain] if len(point) == 1 else [domain.x, domain.y]
+
+    def gap_overflows(k, chord):
+        t = point[k]
+        ends = []
+        for u in (t * chord.lo + (1.0 - t) * chord.hi, (1.0 - t) * chord.lo + t * chord.hi):
+            at = list(point)
+            at[k] = u
+            ends.append(f(*at))
+        return 0.0 <= t <= 0.5 and math.isinf(ends[0] - ends[1])
+
+    assert any(gap_overflows(k, chord) for k, chord in enumerate(chords))
+
+
 # --- the rewrite script -----------------------------------------------------
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
